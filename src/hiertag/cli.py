@@ -48,7 +48,7 @@ _USAGE_ERRORS = (
     EvalError,
     ExperimentError,
     FileNotFoundError,
-    ValueError,
+    UnicodeDecodeError,  # an input file that is not UTF-8 text
 )
 
 

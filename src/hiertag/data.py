@@ -8,10 +8,9 @@ experiments can run without any licensed data.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -19,8 +18,6 @@ from hiertag.hierarchy import TagHierarchy
 
 OTHER = "O"
 SPLITS = ("train", "dev", "test")
-
-_TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
 
 class CorpusError(ValueError):
@@ -88,11 +85,6 @@ class Corpus:
                 f"corpus tagged with {self.tagset_name or '(unnamed)'} contains "
                 f"tags outside it: {', '.join(sorted(bad))}"
             )
-
-
-def tokenize(text: str) -> list[str]:
-    """Whitespace and punctuation split for raw-text ingestion."""
-    return _TOKEN_RE.findall(text)
 
 
 def parse_column_text(text: str, tagset_name: str = "", split: str = "train",

@@ -137,8 +137,14 @@ def parse_experiment_spec(text: str, base_dir: Path, source: str = "<spec>") -> 
     except ValueError as exc:
         raise ExperimentError(f"seeds must be integers: {exc}") from None
 
-    method = ConsolidationMethod(scalars.pop("consolidation", "random"))
-    dev_fraction = float(scalars.pop("dev_fraction", "0"))
+    def convert(key: str, raw: str, kind):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ExperimentError(f"{source}: bad {key} value {raw!r}") from None
+
+    method = convert("consolidation", scalars.pop("consolidation", "random"), ConsolidationMethod)
+    dev_fraction = convert("dev_fraction", scalars.pop("dev_fraction", "0"), float)
     if not 0 <= dev_fraction < 1:
         raise ExperimentError("dev_fraction must lie in [0, 1)")
 
@@ -149,9 +155,9 @@ def parse_experiment_spec(text: str, base_dir: Path, source: str = "<spec>") -> 
             if key == "bio":
                 overrides[key] = raw.lower() in ("1", "true", "yes", "on")
             elif key in ("learning_rate", "l2", "clip_norm"):
-                overrides[key] = float(raw)
+                overrides[key] = convert(key, raw, float)
             else:
-                overrides[key] = int(raw)
+                overrides[key] = convert(key, raw, int)
     training = TrainingConfig(**overrides)
 
     base = scalars.pop("base", None)

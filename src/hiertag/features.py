@@ -15,7 +15,6 @@ by all heads, with one output layer per head.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Iterable, Sequence
@@ -82,13 +81,6 @@ class FeatureVector:
             if (np.diff(self.indices) <= 0).any():
                 raise ValueError("feature ids must be strictly increasing")
 
-    def to_bytes(self) -> bytes:
-        return (
-            struct.pack("<I", len(self.indices))
-            + self.indices.astype("<i8").tobytes()
-            + self.values.astype("<f8").tobytes()
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FeatureVector):
             return NotImplemented
@@ -148,12 +140,6 @@ class FeatureVocabulary:
         return vocab
 
 
-def extract_features(
-    tokens: Sequence[str], i: int, vocab: FeatureVocabulary, radius: int = 2
-) -> FeatureVector:
-    return vocab.vectorize(feature_strings(tokens, i, radius))
-
-
 def _check_ids(f: FeatureVector, feature_count: int) -> None:
     if f.indices.size and f.indices[-1] >= feature_count:
         raise ValueError(
@@ -162,7 +148,8 @@ def _check_ids(f: FeatureVector, feature_count: int) -> None:
 
 
 class LinearEmissionModel:
-    """Emission row = weights . f + bias."""
+    """Emission row = weights . f + bias.  One output layer serves every head,
+    so the head argument of `emissions` and `backprop` is ignored."""
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray) -> None:
         self.weights = np.asarray(weights, dtype=np.float64)
@@ -184,7 +171,9 @@ class LinearEmissionModel:
         _check_ids(f, self.feature_count)
         return self.weights[:, f.indices] @ f.values + self.bias
 
-    def emissions(self, fs: Sequence[FeatureVector]) -> tuple[np.ndarray, None]:
+    def emissions(
+        self, fs: Sequence[FeatureVector], head: str | None
+    ) -> tuple[np.ndarray, None]:
         out = np.empty((len(fs), self.weights.shape[0]))
         for i, f in enumerate(fs):
             out[i] = self.score_row(f)
@@ -193,6 +182,7 @@ class LinearEmissionModel:
     def backprop(
         self,
         fs: Sequence[FeatureVector],
+        head: str | None,
         d_emissions: np.ndarray,
         cache: None,
         out: dict[str, np.ndarray],
@@ -230,6 +220,8 @@ class SharedEmissionModel:
             if w.ndim != 2 or w.shape[1] != h or b.shape != (w.shape[0],):
                 raise ValueError(f"head {name} shapes inconsistent")
             self.heads[name] = (w, b)
+        if not all(np.isfinite(a).all() for a in self.params().values()):
+            raise ValueError("parameters must be finite")
 
     @classmethod
     def create(
@@ -313,12 +305,8 @@ def zero_gradients(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 
 def emission_cache(model: Any, fs: Sequence[FeatureVector], head: str | None):
-    """Uniform (emissions, cache) view over both scorer types."""
-    if isinstance(model, SharedEmissionModel):
-        if head is None:
-            raise ValueError("shared scorer needs a head name")
-        return model.emissions(fs, head)
-    return model.emissions(fs)
+    """(emissions, cache) of either scorer for one head."""
+    return model.emissions(fs, head)
 
 
 def emission_backprop(
@@ -329,7 +317,4 @@ def emission_backprop(
     cache: Any,
     out: dict[str, np.ndarray],
 ) -> None:
-    if isinstance(model, SharedEmissionModel):
-        model.backprop(fs, head, d_emissions, cache, out)
-    else:
-        model.backprop(fs, d_emissions, cache, out)
+    model.backprop(fs, head, d_emissions, cache, out)

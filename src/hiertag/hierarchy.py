@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 FG_OTHER = "FG-Other"
 EXTENDED_MARKER = "extended"
@@ -89,14 +89,6 @@ class TagHierarchy:
         if seen != len(self.nodes):
             cyclic = sorted(n for n, d in indegree.items() if d > 0)
             raise HierarchyError(f"cycle detected among tags: {', '.join(cyclic)}")
-
-    def parents(self, tag: str) -> frozenset[str]:
-        self._require(tag)
-        return frozenset(self._parents[tag])
-
-    def children(self, tag: str) -> frozenset[str]:
-        self._require(tag)
-        return frozenset(self._children[tag])
 
     def _require(self, tag: str) -> None:
         if tag not in self.nodes:
@@ -218,15 +210,6 @@ class ExtendedHierarchy:
             visited |= nxt
             level = sorted(nxt)
         raise HierarchyError(f"tag {tag!r} reaches no member of tagset {tagset!r}")
-
-    def allowed_fine_sets(self, tags: Sequence[str], tagset: str) -> list[frozenset[str]]:
-        """Per-position fine-grained interpretations of a gold tag sequence.
-
-        The Cartesian product of the returned sets is exactly the set of
-        fine-grained sequences compatible with `tags`.
-        """
-        self._require_tagset(tagset)
-        return [self.fine_cover(tagset, t) for t in tags]
 
     def to_text(self) -> str:
         body = self.graph.to_text()

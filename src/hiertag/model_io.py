@@ -160,8 +160,44 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
     Path(path).write_bytes(model_bytes(model))
 
 
+def _check_shapes(
+    kind: ModelKind, vocab: FeatureVocabulary, emission, heads: dict[str, Head]
+) -> None:
+    """Every head's parameters fit its domain, and the emission scorer reads
+    the vocabulary's features and writes one row per domain tag of each head."""
+    shared = isinstance(emission, SharedEmissionModel)
+    if shared != (kind is ModelKind.MTL) or not (shared or len(heads) == 1):
+        raise ModelFormatError(f"emission scorer does not fit a {kind.value} model")
+    if emission.feature_count != vocab.size:
+        raise ModelFormatError("emission feature count disagrees with the vocabulary")
+    if shared:
+        rows = {name: w.shape[0] for name, (w, _) in emission.heads.items()}
+    else:
+        rows = dict.fromkeys(heads, emission.weights.shape[0])
+    if rows.keys() != heads.keys():
+        raise ModelFormatError("emission heads disagree with the CRF heads")
+    for name, head in heads.items():
+        y = len(head.domain)
+        shapes = (head.transitions.shape, head.start.shape, head.stop.shape, rows[name])
+        if shapes != ((y, y), (y,), (y,), y):
+            raise ModelFormatError(f"head {name} parameters do not fit its {y}-tag domain")
+        if not all(np.isfinite(a).all() for a in (head.transitions, head.start, head.stop)):
+            raise ModelFormatError(f"head {name} parameters must be finite")
+
+
 def load_model(path: str | Path) -> TrainedModel:
-    r = _Reader(Path(path).read_bytes())
+    """Read a model file; any fault in its content raises ModelFormatError."""
+    raw = Path(path).read_bytes()
+    try:
+        return _parse_model(raw)
+    except ModelFormatError:
+        raise
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ModelFormatError(f"corrupt model file: {exc}") from exc
+
+
+def _parse_model(raw: bytes) -> TrainedModel:
+    r = _Reader(raw)
     if r.take(4) != MAGIC:
         raise ModelFormatError("not a model file (bad magic)")
     version = r.u32()
@@ -178,4 +214,5 @@ def load_model(path: str | Path) -> TrainedModel:
         domain = [r.text() for _ in range(r.u32())]
         heads[name] = Head(name, domain, r.array(), r.array(), r.array())
     r.done()
+    _check_shapes(kind, vocab, emission, heads)
     return TrainedModel(kind, hierarchy, vocab, emission, heads, config)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -92,10 +92,6 @@ class Head:
     transitions: np.ndarray
     start: np.ndarray
     stop: np.ndarray
-
-    @property
-    def index(self) -> dict[str, int]:
-        return {t: i for i, t in enumerate(self.domain)}
 
 
 @dataclass
@@ -279,17 +275,14 @@ class _Trainer:
         """Summed data loss and mean gradients (L2 included, pre-clip)."""
         model, cfg = self.model, self.cfg
         head = model.heads[head_name]
-        emission_head = head_name if isinstance(model.emission, SharedEmissionModel) else None
         grads = zero_gradients(self.params)
         total = 0.0
         for inst in batch:
-            em, cache = emission_cache(model.emission, inst.fvecs, emission_head)
+            em, cache = emission_cache(model.emission, inst.fvecs, head_name)
             table = _potential_table(model, head, em)
             loss, g = loss_and_grad(table, inst.mask)
             total += loss
-            emission_backprop(
-                model.emission, inst.fvecs, emission_head, g.d_emissions, cache, grads
-            )
+            emission_backprop(model.emission, inst.fvecs, head_name, g.d_emissions, cache, grads)
             grads[f"trans:{head_name}"] += g.d_transitions
             grads[f"start:{head_name}"] += g.d_start
             grads[f"stop:{head_name}"] += g.d_stop
@@ -376,30 +369,73 @@ def _dev_scorer(dev: Sequence[Corpus] | None, eh: ExtendedHierarchy):
         preds, golds = [], []
         for corpus in dev:
             ts = corpus.tagset_name
+            per_tagset = model.kind in (ModelKind.INDEP, ModelKind.MTL)
+            head = model.head(ts) if per_tagset else model.single_head()
+            table = output_tags(_map_domain(model, head, ts, strict=False), eh, ts)
             for seq in corpus.sequences:
-                texts = seq.texts()
-                if model.kind is ModelKind.HIER:
-                    tags = predict_hier(model, texts, ts)
-                elif model.kind is ModelKind.CONCAT:
-                    decoded = _decode_head(model, model.single_head(), texts)
-                    tags = [_map_for_dev(eh, t, ts) for t in decoded.tags]
-                else:
-                    decoded = _decode_head(model, model.head(ts), texts)
-                    tags = decoded.tags
-                preds.append([OTHER if t == eh.other_tag(ts) else t for t in tags])
+                path, _ = _decode_head(model, head, seq.texts())
+                preds.append([table[i] for i in path])
                 golds.append(seq.tags())
         return score(preds, golds).micro.f1
 
     return dev_f1
 
 
-def _map_for_dev(eh: ExtendedHierarchy, tag: str, tagset: str) -> str:
-    if tag == OTHER:
-        return OTHER
-    try:
-        return eh.map_by_traversal(tag, tagset)
-    except HierarchyError:
-        return OTHER
+# (head name, tag domain, corpora that train it, mask builder).  The builder
+# maps (gold tags, hierarchy, corpus tagset, domain positions) to a lattice mask.
+HeadSpec = tuple[str, list[str], Sequence[Corpus], Callable[..., LatticeMask]]
+
+
+def _gold_mask(
+    tags: Sequence[str], eh: ExtendedHierarchy, tagset: str, pos: dict[str, list[int]]
+) -> LatticeMask:
+    """Baselines read every annotation as complete: one allowed tag per token."""
+    return _singleton_mask(tags, pos)
+
+
+def _domain(tags: Iterable[str], bio: bool) -> list[str]:
+    base = sorted(tags)
+    return expand_bio(base) if bio else base
+
+
+def _tagset_head(corpus: Corpus, eh: ExtendedHierarchy, cfg: TrainingConfig) -> HeadSpec:
+    """A head over one corpus's own tagset, named after it."""
+    ts = corpus.tagset_name
+    return ts, _domain(_original_members(eh, ts) | {OTHER}, cfg.bio), [corpus], _gold_mask
+
+
+def _fit(
+    kind: ModelKind,
+    specs: Sequence[HeadSpec],
+    eh: ExtendedHierarchy,
+    cfg: TrainingConfig,
+    dev: Sequence[Corpus] | None,
+) -> TrainedModel:
+    """The one training core: every kind is its head specs.  mtl shares a
+    hidden layer across its heads; the other kinds score one head linearly."""
+    vocab = _build_vocab([c for _, _, corpora, _ in specs for c in corpora], cfg.window)
+    heads = {name: _new_head(name, domain) for name, domain, _, _ in specs}
+    if kind is ModelKind.MTL:
+        emission = SharedEmissionModel.create(
+            cfg.hidden_dim,
+            vocab.size,
+            {name: len(head.domain) for name, head in heads.items()},
+            np.random.default_rng(cfg.seed),
+        )
+    else:
+        (head,) = heads.values()
+        emission = LinearEmissionModel.zeros(len(head.domain), vocab.size)
+    model = TrainedModel(kind, eh, vocab, emission, heads, cfg)
+    instances = {}
+    for name, domain, corpora, mask in specs:
+        pos = _domain_indices(domain, cfg.bio)
+        instances[name] = [
+            _Instance(fvecs, mask(seq.tags(), eh, corpus.tagset_name, pos))
+            for corpus in corpora
+            for seq, fvecs in zip(corpus.sequences, _vectorize_corpus(corpus, vocab, cfg.window))
+        ]
+    _Trainer(model, instances, cfg).run(_dev_scorer(dev, eh))
+    return model
 
 
 def train_hier(
@@ -411,24 +447,8 @@ def train_hier(
     """One CRF over the fine-grained tags, trained on every dataset at once
     with per-token masks from each dataset's tagset."""
     _check_datasets(datasets, eh)
-    vocab = _build_vocab(datasets, cfg.window)
-    fine = sorted(eh.fine_grained)
-    domain = expand_bio(fine) if cfg.bio else fine
-    pos = _domain_indices(domain, cfg.bio)
-    model = TrainedModel(
-        ModelKind.HIER,
-        eh,
-        vocab,
-        LinearEmissionModel.zeros(len(domain), vocab.size),
-        {"fine": _new_head("fine", domain)},
-        cfg,
-    )
-    insts = []
-    for corpus in datasets:
-        for seq, fvecs in zip(corpus.sequences, _vectorize_corpus(corpus, vocab, cfg.window)):
-            insts.append(_Instance(fvecs, _hier_mask(seq.tags(), eh, corpus.tagset_name, pos)))
-    _Trainer(model, {"fine": insts}, cfg).run(_dev_scorer(dev, eh))
-    return model
+    fine = _domain(eh.fine_grained, cfg.bio)
+    return _fit(ModelKind.HIER, [("fine", fine, datasets, _hier_mask)], eh, cfg, dev)
 
 
 def train_concat(
@@ -440,26 +460,9 @@ def train_concat(
     """One CRF over the union of the training tagsets; every example is
     treated as fully tagged, so unannotated tokens train as Other."""
     _check_datasets(datasets, eh)
-    vocab = _build_vocab(datasets, cfg.window)
-    union = sorted(
-        set().union(*(_original_members(eh, c.tagset_name) for c in datasets)) | {OTHER}
-    )
-    domain = expand_bio(union) if cfg.bio else union
-    pos = _domain_indices(domain, cfg.bio)
-    model = TrainedModel(
-        ModelKind.CONCAT,
-        eh,
-        vocab,
-        LinearEmissionModel.zeros(len(domain), vocab.size),
-        {"union": _new_head("union", domain)},
-        cfg,
-    )
-    insts = []
-    for corpus in datasets:
-        for seq, fvecs in zip(corpus.sequences, _vectorize_corpus(corpus, vocab, cfg.window)):
-            insts.append(_Instance(fvecs, _singleton_mask(seq.tags(), pos)))
-    _Trainer(model, {"union": insts}, cfg).run(_dev_scorer(dev, eh))
-    return model
+    union = set().union(*(_original_members(eh, c.tagset_name) for c in datasets))
+    spec = ("union", _domain(union | {OTHER}, cfg.bio), datasets, _gold_mask)
+    return _fit(ModelKind.CONCAT, [spec], eh, cfg, dev)
 
 
 def train_indep(
@@ -472,26 +475,8 @@ def train_indep(
     _check_datasets(datasets, eh)
     models = []
     for corpus in datasets:
-        ts = corpus.tagset_name
-        vocab = _build_vocab([corpus], cfg.window)
-        base = sorted(_original_members(eh, ts) | {OTHER})
-        domain = expand_bio(base) if cfg.bio else base
-        pos = _domain_indices(domain, cfg.bio)
-        model = TrainedModel(
-            ModelKind.INDEP,
-            eh,
-            vocab,
-            LinearEmissionModel.zeros(len(domain), vocab.size),
-            {ts: _new_head(ts, domain)},
-            cfg,
-        )
-        insts = [
-            _Instance(fvecs, _singleton_mask(seq.tags(), pos))
-            for seq, fvecs in zip(corpus.sequences, _vectorize_corpus(corpus, vocab, cfg.window))
-        ]
-        model_dev = [d for d in (dev or []) if d.tagset_name == ts]
-        _Trainer(model, {ts: insts}, cfg).run(_dev_scorer(model_dev, eh))
-        models.append(model)
+        own_dev = [d for d in dev or () if d.tagset_name == corpus.tagset_name]
+        models.append(_fit(ModelKind.INDEP, [_tagset_head(corpus, eh, cfg)], eh, cfg, own_dev))
     return models
 
 
@@ -507,55 +492,48 @@ def train_mtl(
     names = [c.tagset_name for c in datasets]
     if len(set(names)) != len(names):
         raise ModelError("mtl needs distinct tagsets per dataset")
-    vocab = _build_vocab(datasets, cfg.window)
-    heads: dict[str, Head] = {}
-    head_sizes: dict[str, int] = {}
-    domains: dict[str, list[str]] = {}
-    for ts in sorted(names):
-        base = sorted(_original_members(eh, ts) | {OTHER})
-        domain = expand_bio(base) if cfg.bio else base
-        domains[ts] = domain
-        heads[ts] = _new_head(ts, domain)
-        head_sizes[ts] = len(domain)
-    emission = SharedEmissionModel.create(
-        cfg.hidden_dim, vocab.size, head_sizes, np.random.default_rng(cfg.seed)
-    )
-    model = TrainedModel(ModelKind.MTL, eh, vocab, emission, heads, cfg)
-    instances: dict[str, list[_Instance]] = {ts: [] for ts in sorted(names)}
-    for corpus in datasets:
-        ts = corpus.tagset_name
-        pos = _domain_indices(domains[ts], cfg.bio)
-        for seq, fvecs in zip(corpus.sequences, _vectorize_corpus(corpus, vocab, cfg.window)):
-            instances[ts].append(_Instance(fvecs, _singleton_mask(seq.tags(), pos)))
-    _Trainer(model, instances, cfg).run(_dev_scorer(dev, eh))
-    return model
+    specs = [_tagset_head(corpus, eh, cfg) for corpus in datasets]
+    return _fit(ModelKind.MTL, specs, eh, cfg, dev)
 
 
-@dataclass
-class DecodeResult:
-    tags: list[str]
-    log_prob: float
-    tag_marginals: np.ndarray  # per-position marginal of the decoded tag
-
-
-def _decode_head(model: TrainedModel, head: Head, tokens: Sequence[str]) -> DecodeResult:
+def _decode_head(
+    model: TrainedModel, head: Head, tokens: Sequence[str]
+) -> tuple[list[int], PotentialTable]:
+    """Viterbi path as domain indices, plus the potential table it maximizes."""
     if not tokens:
         raise ModelError("cannot tag an empty token sequence")
     fvecs = [
         model.vocab.vectorize(feature_strings(tokens, i, model.config.window))
         for i in range(len(tokens))
     ]
-    emission_head = head.name if isinstance(model.emission, SharedEmissionModel) else None
-    em, _ = emission_cache(model.emission, fvecs, emission_head)
+    em, _ = emission_cache(model.emission, fvecs, head.name)
     table = _potential_table(model, head, em)
     path, _ = viterbi(table)
-    log_prob = sequence_log_prob(table, path)
-    unary, _ = marginals(table)
-    per_tok = unary[np.arange(len(path)), path]
-    tags = [head.domain[i] for i in path]
-    if model.config.bio:
-        tags = [collapse_bio(t) for t in tags]
-    return DecodeResult(tags, log_prob, per_tok)
+    return path, table
+
+
+def _head_tags(model: TrainedModel, head: Head) -> list[str]:
+    """The head's domain with BIO prefixes collapsed."""
+    return [collapse_bio(t) for t in head.domain] if model.config.bio else list(head.domain)
+
+
+def _map_domain(model: TrainedModel, head: Head, tagset: str, strict: bool = True) -> list[str]:
+    """Domain index -> tag of `tagset` by traversal, O becoming the tagset's
+    Other.  A tag that reaches no member raises, or maps to Other if not strict."""
+    eh = model.hierarchy
+    other = eh.other_tag(tagset)
+    out = []
+    for t in _head_tags(model, head):
+        if t == OTHER:
+            out.append(other)
+            continue
+        try:
+            out.append(eh.map_by_traversal(t, tagset))
+        except HierarchyError:
+            if strict:
+                raise
+            out.append(other)
+    return out
 
 
 def predict_hier(
@@ -565,10 +543,12 @@ def predict_hier(
     tagset.  test_tagset None returns the raw fine-grained path."""
     if model.kind is not ModelKind.HIER:
         raise ModelError(f"predict_hier needs a hier model, got {model.kind.value}")
-    decoded = _decode_head(model, model.single_head(), tokens)
-    if test_tagset is None:
-        return decoded.tags
-    return [model.hierarchy.map_to_tagset(f, test_tagset) for f in decoded.tags]
+    head = model.single_head()
+    path, _ = _decode_head(model, head, tokens)
+    tags = _head_tags(model, head)
+    if test_tagset is not None:
+        tags = [model.hierarchy.map_to_tagset(f, test_tagset) for f in tags]
+    return [tags[i] for i in path]
 
 
 @dataclass(frozen=True)
@@ -609,23 +589,19 @@ def predict_multi(
         raise ModelError("no models to consolidate")
     method = ConsolidationMethod(method)
     pairs = _expand_heads(models)
-    eh = models[0].hierarchy
-    test_other = eh.other_tag(test_tagset)
+    test_other = models[0].hierarchy.other_tag(test_tagset)
 
-    # Fail fast if any head's tagset cannot map onto the test tagset.
-    for m, head in pairs:
-        for t in head.domain:
-            t = collapse_bio(t)
-            if t != OTHER:
-                m.hierarchy.map_by_traversal(t, test_tagset)
-
-    decoded = [_decode_head(m, head, tokens) for m, head in pairs]
+    # Fails fast, before any decoding, if a head's tagset cannot map onto the test tagset.
+    tables = [_map_domain(m, head, test_tagset) for m, head in pairs]
     mapped: list[list[str]] = []
-    for (m, head), d in zip(pairs, decoded):
-        mapped.append(
-            [test_other if t == OTHER else m.hierarchy.map_by_traversal(t, test_tagset)
-             for t in d.tags]
-        )
+    log_probs: list[float] = []
+    path_marginals: list[np.ndarray] = []  # per-position marginal of the decoded tag
+    for (m, head), table in zip(pairs, tables):
+        path, potentials = _decode_head(m, head, tokens)
+        mapped.append([table[i] for i in path])
+        log_probs.append(sequence_log_prob(potentials, path))
+        unary, _ = marginals(potentials)
+        path_marginals.append(unary[np.arange(len(path)), path])
 
     rng = np.random.default_rng(seed)
     out: list[str] = []
@@ -633,10 +609,10 @@ def predict_multi(
     for i in range(len(tokens)):
         # candidate tag -> (sort index of best proposer, best score, best marginal)
         proposals: list[tuple[str, int, float, float]] = []
-        for k, d in enumerate(decoded):
-            tag = mapped[k][i]
+        for k, tags in enumerate(mapped):
+            tag = tags[i]
             if tag != test_other:
-                proposals.append((tag, k, d.log_prob, float(d.tag_marginals[i])))
+                proposals.append((tag, k, log_probs[k], float(path_marginals[k][i])))
         distinct = sorted({p[0] for p in proposals})
         if len(distinct) > 1:
             best_marg = {

@@ -204,6 +204,21 @@ class TestTrain:
         assert code == 2
         assert "path:tagset-name" in err
 
+    def test_undecodable_corpus_is_usage_error(self, toy_files, capsys):
+        (toy_files / "c1.conll").write_bytes(b"alice\tName\n\xff\xfe\tO\n")
+        code, _, err = run(capsys, *train_args(toy_files, "hier", toy_files / "m.htag"))
+        assert code == 2
+        assert "utf-8" in err
+
+    def test_internal_value_error_exits_1(self, toy_files, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("numerical fault")
+
+        monkeypatch.setattr("hiertag.cli.train_models", broken)
+        code, _, err = run(capsys, *train_args(toy_files, "hier", toy_files / "m.htag"))
+        assert code == 1
+        assert "ValueError: numerical fault" in err
+
     def test_indep_writes_one_file_per_dataset(self, toy_files, capsys):
         out = toy_files / "m.htag"
         code, stdout, _ = run(capsys, *train_args(toy_files, "indep", out))
@@ -422,6 +437,24 @@ class TestExperiment:
         assert len(lines) == 1 + 4
         assert sum(l.endswith(",failed") for l in lines[1:]) == 2
         assert sum(l.endswith(",ok") for l in lines[1:]) == 2
+
+    @pytest.mark.parametrize(
+        "line, bad",
+        [
+            ("consolidation random", "consolidation bogus"),
+            ("epochs 3", "epochs three"),
+            ("learning_rate 0.5", "learning_rate fast"),
+            ("epochs 3", "epochs 3\ndev_fraction half"),
+        ],
+    )
+    def test_bad_spec_value_is_usage_error(self, tmp_path, capsys, line, bad):
+        write_experiment_inputs(tmp_path, capsys)
+        spec = tmp_path / "spec.txt"
+        spec.write_text(EXPERIMENT_SPEC.replace(line, bad))
+        code, _, err = run(capsys, "experiment", spec)
+        assert code == 2
+        assert bad.split()[-1] in err
+        assert not (tmp_path / "results").exists()
 
     def test_missing_file_is_validation_error(self, tmp_path, capsys):
         write_experiment_inputs(tmp_path, capsys)

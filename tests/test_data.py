@@ -17,7 +17,6 @@ from hiertag.data import (
     parse_generator_config,
     read_column_file,
     synth_corpus,
-    tokenize,
     write_column_file,
 )
 
@@ -55,9 +54,6 @@ class TestTypes:
         c.check_tags({"Name", "Date"})
         with pytest.raises(CorpusError, match="outside"):
             c.check_tags({"Date"})
-
-    def test_tokenize(self):
-        assert tokenize("Dr. Smith, aged 91!") == ["Dr", ".", "Smith", ",", "aged", "91", "!"]
 
 
 class TestReadWrite:

@@ -13,7 +13,6 @@ from hiertag.features import (
     SharedEmissionModel,
     emission_backprop,
     emission_cache,
-    extract_features,
     feature_strings,
     word_shape,
     zero_gradients,
@@ -46,8 +45,8 @@ class TestTemplates:
         a = ["x", "y", "John", "Street", "z"]
         b = ["x", "y", "John", "Street", "z", "extra", "more"]
         vocab = FeatureVocabulary()
-        va = extract_features(a, 2, vocab)
-        vb = extract_features(b, 2, vocab)
+        va = vocab.vectorize(feature_strings(a, 2))
+        vb = vocab.vectorize(feature_strings(b, 2))
         assert va == vb  # differing tokens all lie outside the radius-2 window
 
     def test_radius_configurable(self):
@@ -58,11 +57,10 @@ class TestTemplates:
     def test_determinism_byte_equal(self):
         vocab = FeatureVocabulary()
         tokens = ["Dr.", "Smith", "saw", "12", "patients"]
-        first = [extract_features(tokens, i, vocab) for i in range(len(tokens))]
+        first = [vocab.vectorize(feature_strings(tokens, i)) for i in range(len(tokens))]
         vocab.freeze()
-        second = [extract_features(tokens, i, vocab) for i in range(len(tokens))]
-        for f, s in zip(first, second):
-            assert f.to_bytes() == s.to_bytes()
+        second = [vocab.vectorize(feature_strings(tokens, i)) for i in range(len(tokens))]
+        assert first == second
 
     def test_position_bounds(self):
         with pytest.raises(ValueError, match="outside"):
@@ -156,7 +154,7 @@ class TestLinearModel:
         m = LinearEmissionModel.zeros(2, 4)
         fs = [FeatureVector([1], [1.0]), FeatureVector([2, 3], [1.0, 1.0])]
         grads = zero_gradients(m.params())
-        m.backprop(fs, np.zeros((2, 2)), None, grads)
+        m.backprop(fs, None, np.zeros((2, 2)), None, grads)
         assert all(np.all(g == 0) for g in grads.values())
 
     def test_backprop_single_feature_linearity(self):
@@ -164,14 +162,14 @@ class TestLinearModel:
         fs = [FeatureVector([3], [1.0]), FeatureVector([3], [1.0])]
         d_em = np.array([[0.5, -0.5], [0.25, 0.75]])
         grads = zero_gradients(m.params())
-        m.backprop(fs, d_em, None, grads)
+        m.backprop(fs, None, d_em, None, grads)
         assert np.allclose(grads["weights"][:, 3], d_em.sum(axis=0))
         assert np.allclose(grads["bias"], d_em.sum(axis=0))
 
     def test_backprop_shape_mismatch(self):
         m = LinearEmissionModel.zeros(2, 4)
         with pytest.raises(ValueError, match="mismatch"):
-            m.backprop([FeatureVector([0], [1.0])], np.zeros((1, 3)), None,
+            m.backprop([FeatureVector([0], [1.0])], None, np.zeros((1, 3)), None,
                        zero_gradients(m.params()))
 
 
@@ -210,6 +208,13 @@ class TestSharedModel:
         dense = np.zeros(5)
         dense[f.indices] = f.values
         assert np.allclose(m.score_row(f, "A"), np.tanh(sw @ dense), atol=1e-12)
+
+    def test_non_finite_parameters_rejected(self):
+        head = (np.ones((2, 2)), np.zeros(2))
+        with pytest.raises(ValueError, match="finite"):
+            SharedEmissionModel(np.full((2, 3), np.nan), np.zeros(2), {"A": head})
+        with pytest.raises(ValueError, match="finite"):
+            SharedEmissionModel(np.zeros((2, 3)), np.zeros(2), {"A": (head[0], np.full(2, np.inf))})
 
     def test_unknown_head_rejected(self):
         rng = np.random.default_rng(81)

@@ -234,10 +234,9 @@ class TestExtension:
         }
 
     def test_coarse_gold_admits_fine_interpretations(self, clinical_ext):
-        sets = clinical_ext.allowed_fine_sets(["Location", "Location"], "T3")
-        assert {"Hospital", "City"} <= sets[0]
-        assert {"Street", "City"} <= sets[1]
-        assert "Date" not in sets[0]
+        cover = clinical_ext.fine_cover("T3", "Location")
+        assert {"Hospital", "City", "Street"} <= cover
+        assert "Date" not in cover
 
     def test_owner_lookups(self, clinical_ext):
         eh = clinical_ext

@@ -60,6 +60,21 @@ def tagged(words, tags):
     return list(zip(words.split(), tags.split()))
 
 
+def decoded_tags(model, head, tokens):
+    path, _ = _decode_head(model, head, tokens)
+    return [head.domain[i] for i in path]
+
+
+def assert_same_decode(model_a, head_a, model_b, head_b, tokens):
+    """Equal paths and bitwise-equal potential tables; the tables fix every
+    sequence score and marginal consolidation reads from them."""
+    path_a, table_a = _decode_head(model_a, head_a, tokens)
+    path_b, table_b = _decode_head(model_b, head_b, tokens)
+    assert path_a == path_b
+    for name in ("emissions", "transitions", "start", "stop"):
+        assert getattr(table_a, name).tobytes() == getattr(table_b, name).tobytes(), name
+
+
 @pytest.fixture
 def toy_eh():
     """Two personal/location tagsets over four fine-grained tags."""
@@ -260,7 +275,7 @@ class TestDegenerateEquivalence:
         assert max(abs(x - y) for x, y in zip(hist_h, hist_c)) <= 1e-6
         toks = "foo qux bar baz".split()
         mapped = output_tags(predict_hier(hier, toks, "T"), eh, "T")
-        assert mapped == _decode_head(conc, conc.single_head(), toks).tags
+        assert mapped == decoded_tags(conc, conc.single_head(), toks)
 
 
 class TestConcatTraining:
@@ -279,9 +294,9 @@ class TestConcatTraining:
 
     def test_concat_predicts_in_union_domain(self, toy_eh, toy_corpora):
         model = train_concat(list(toy_corpora), toy_eh, quick_cfg(epochs=30))
-        decoded = _decode_head(model, model.single_head(), "alice smith walked down elm".split())
-        assert set(decoded.tags) <= {"Location", "Name", "O"}
-        assert decoded.tags[:2] == ["Name", "Name"]
+        tags = decoded_tags(model, model.single_head(), "alice smith walked down elm".split())
+        assert set(tags) <= {"Location", "Name", "O"}
+        assert tags[:2] == ["Name", "Name"]
 
 
 class TestIndepTraining:
@@ -405,6 +420,40 @@ class TestEarlyStopping:
         model = train_hier(list(toy_corpora), toy_eh, quick_cfg(epochs=6))
         assert len(model.history) == 6
         assert all(r.dev_f1 is None for r in model.history)
+
+
+class TestDecodePath:
+    def test_only_consolidation_scores_sequences(self, toy_eh, toy_corpora, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise RuntimeError("sequence scores and marginals are for consolidation only")
+
+        monkeypatch.setattr("hiertag.models.marginals", forbidden)
+        monkeypatch.setattr("hiertag.models.sequence_log_prob", forbidden)
+        c1, c2 = toy_corpora
+        dev = [c1.with_tagset("T1", "dev"), c2.with_tagset("T2", "dev")]
+        cfg = quick_cfg(epochs=3, hidden_dim=3)
+        model = train_hier([c1, c2], toy_eh, cfg, dev=dev)
+        assert all(r.dev_f1 is not None for r in model.history)
+        assert len(predict_hier(model, "alice smith walked down elm".split(), "T1")) == 5
+        for train in (train_concat, train_indep, train_mtl):
+            train([c1, c2], toy_eh, cfg, dev=dev)
+
+    def test_dev_scoring_maps_each_domain_tag_once(self, toy_eh, toy_corpora, monkeypatch):
+        c1, c2 = toy_corpora
+        dev = [c1.with_tagset("T1", "dev"), c2.with_tagset("T2", "dev")]
+        model = train_concat([c1, c2], toy_eh, quick_cfg(epochs=2))
+        calls = []
+        original = ExtendedHierarchy.map_by_traversal
+
+        def counted(self, tag, tagset):
+            calls.append(tag)
+            return original(self, tag, tagset)
+
+        monkeypatch.setattr(ExtendedHierarchy, "map_by_traversal", counted)
+        f1 = _dev_scorer(dev, toy_eh)(model)
+        assert 0.0 <= f1 <= 1.0
+        # Location reaches no member of T1 and Name none of T2: both score as O.
+        assert sorted(calls) == ["Location", "Location", "Name", "Name"]
 
 
 @pytest.fixture
@@ -578,11 +627,7 @@ class TestModelIO:
         assert loaded.kind is ModelKind.HIER
         assert loaded.config == model.config
         for toks in (["alice", "smith"], "the visitor lives down oak".split()):
-            a = _decode_head(model, model.single_head(), toks)
-            b = _decode_head(loaded, loaded.single_head(), toks)
-            assert a.tags == b.tags
-            assert a.log_prob == b.log_prob
-            assert np.array_equal(a.tag_marginals, b.tag_marginals)
+            assert_same_decode(model, model.single_head(), loaded, loaded.single_head(), toks)
 
     def test_mtl_round_trip(self, toy_eh, toy_corpora, tmp_path):
         model = train_mtl(list(toy_corpora), toy_eh, quick_cfg(epochs=3, hidden_dim=4))
@@ -592,10 +637,7 @@ class TestModelIO:
         assert sorted(loaded.heads) == ["T1", "T2"]
         toks = "bob jones walked near elm".split()
         for head in ("T1", "T2"):
-            a = _decode_head(model, model.head(head), toks)
-            b = _decode_head(loaded, loaded.head(head), toks)
-            assert a.tags == b.tags
-            assert a.log_prob == b.log_prob
+            assert_same_decode(model, model.head(head), loaded, loaded.head(head), toks)
 
     def test_save_is_deterministic(self, toy_eh, toy_corpora, tmp_path):
         cfg = quick_cfg(epochs=3)
@@ -633,6 +675,50 @@ class TestModelIO:
         with pytest.raises(ModelFormatError, match="trailing"):
             load_model(path)
 
+    @pytest.mark.parametrize("kind", [ModelKind.HIER, ModelKind.MTL])
+    def test_mutated_files_load_or_raise_format_error(self, toy_eh, toy_corpora, tmp_path, kind):
+        train = train_hier if kind is ModelKind.HIER else train_mtl
+        raw = model_bytes(train(list(toy_corpora), toy_eh, quick_cfg(epochs=1, hidden_dim=3)))
+        rng = np.random.default_rng(11)
+        path = tmp_path / "m.htag"
+        rejected = 0
+        for _ in range(200):
+            data = bytearray(raw)
+            k = int(rng.integers(1, 5))
+            at = int(rng.integers(len(data)))
+            noise = rng.integers(256, size=k, dtype=np.uint8).tobytes()
+            op = int(rng.integers(3))
+            if op == 0:
+                data[at : at + k] = noise
+            elif op == 1:
+                data[at:at] = noise
+            else:
+                del data[at : at + k]
+            path.write_bytes(bytes(data))
+            try:
+                load_model(path)
+            except ModelFormatError:
+                rejected += 1
+        assert rejected > 0
+
+    def test_parameter_shapes_must_fit_the_domain(self, toy_eh, tmp_path):
+        path = tmp_path / "m.htag"
+        model = biased_model(toy_eh, "T1", "Name")
+        model.heads["T1"].stop = np.zeros(5)
+        save_model(model, path)
+        with pytest.raises(ModelFormatError, match="do not fit"):
+            load_model(path)
+        model = biased_model(toy_eh, "T1", "Name")
+        model.emission = LinearEmissionModel(np.zeros((3, 1)), np.zeros(3))
+        save_model(model, path)
+        with pytest.raises(ModelFormatError, match="do not fit"):
+            load_model(path)
+        model = biased_model(toy_eh, "T1", "Name")
+        model.emission = LinearEmissionModel(np.zeros((2, 4)), np.zeros(2))
+        save_model(model, path)
+        with pytest.raises(ModelFormatError, match="vocabulary"):
+            load_model(path)
+
     def test_indep_models_round_trip(self, toy_eh, toy_corpora, tmp_path):
         models = train_indep(list(toy_corpora), toy_eh, quick_cfg(epochs=2))
         for i, m in enumerate(models):
@@ -641,10 +727,7 @@ class TestModelIO:
         toks = ["alice", "smith", "walked"]
         for ref, got in zip(models, loaded):
             assert got.kind is ModelKind.INDEP
-            a = _decode_head(ref, ref.single_head(), toks)
-            b = _decode_head(got, got.single_head(), toks)
-            assert a.tags == b.tags
-            assert a.log_prob == b.log_prob
+            assert_same_decode(ref, ref.single_head(), got, got.single_head(), toks)
 
 
 class TestOutputTags:

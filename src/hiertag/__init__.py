@@ -25,6 +25,7 @@ from hiertag.models import (
     TrainingConfig,
     predict_hier,
     predict_multi,
+    tag_batch,
     train_concat,
     train_hier,
     train_indep,
@@ -52,6 +53,7 @@ __all__ = [
     "predict_hier",
     "predict_multi",
     "save_model",
+    "tag_batch",
     "train_concat",
     "train_hier",
     "train_indep",

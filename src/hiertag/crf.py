@@ -6,11 +6,16 @@ restricts each position to a subset of tags.  The loss is the gap between the
 full and the masked log-partition, so its gradients are differences of
 posterior expectations.  All recursions use max-shifted log-sum-exp; finite
 inputs always produce finite outputs.
+
+Decoding runs on a PotentialBatch: many sequences of one head, their emission
+rows packed back to back.  Each step of a batched recursion works on the
+sequences still running, with the elementwise arithmetic of the one-sequence
+recursion, so a sequence's result does not depend on the batch around it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,22 +41,7 @@ class PotentialTable:
     stop: np.ndarray
 
     def __post_init__(self) -> None:
-        self.emissions = np.asarray(self.emissions, dtype=np.float64)
-        self.transitions = np.asarray(self.transitions, dtype=np.float64)
-        self.start = np.asarray(self.start, dtype=np.float64)
-        self.stop = np.asarray(self.stop, dtype=np.float64)
-        if self.emissions.ndim != 2 or self.emissions.shape[0] < 1:
-            raise ValueError("emissions must be (n, y_count) with n >= 1")
-        y = self.emissions.shape[1]
-        if y < 1:
-            raise ValueError("y_count must be >= 1")
-        if self.transitions.shape != (y, y):
-            raise ValueError("transitions must be (y_count, y_count)")
-        if self.start.shape != (y,) or self.stop.shape != (y,):
-            raise ValueError("start and stop must be (y_count,)")
-        for arr in (self.emissions, self.transitions, self.start, self.stop):
-            if not np.isfinite(arr).all():
-                raise ValueError("potentials must be finite")
+        _check_potentials(self)
 
     @property
     def n(self) -> int:
@@ -60,6 +50,71 @@ class PotentialTable:
     @property
     def y_count(self) -> int:
         return self.emissions.shape[1]
+
+
+def _check_potentials(p: PotentialTable | PotentialBatch) -> None:
+    """Convert to float64 in place and require consistent shapes and finite values."""
+    for name in ("emissions", "transitions", "start", "stop"):
+        setattr(p, name, np.asarray(getattr(p, name), dtype=np.float64))
+    if p.emissions.ndim != 2 or p.emissions.shape[0] < 1:
+        raise ValueError("emissions must be (n, y_count) with n >= 1")
+    y = p.emissions.shape[1]
+    if y < 1:
+        raise ValueError("y_count must be >= 1")
+    if p.transitions.shape != (y, y):
+        raise ValueError("transitions must be (y_count, y_count)")
+    if p.start.shape != (y,) or p.stop.shape != (y,):
+        raise ValueError("start and stop must be (y_count,)")
+    for arr in (p.emissions, p.transitions, p.start, p.stop):
+        if not np.isfinite(arr).all():
+            raise ValueError("potentials must be finite")
+
+
+@dataclass
+class PotentialBatch:
+    """Log-potentials for B sequences of one head: the emission rows of every
+    sequence back to back (sum of lengths, y), per-sequence lengths (B,), and
+    the transitions, start and stop they share."""
+
+    emissions: np.ndarray
+    lengths: np.ndarray
+    transitions: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+    offsets: np.ndarray = field(init=False, repr=False)  # first row of each sequence
+
+    def __post_init__(self) -> None:
+        self.lengths = np.asarray(self.lengths, dtype=np.int64)
+        if self.lengths.ndim != 1 or self.lengths.size < 1 or self.lengths.min() < 1:
+            raise ValueError("lengths must be a non-empty 1-d array of values >= 1")
+        _check_potentials(self)
+        if int(self.lengths.sum()) != self.emissions.shape[0]:
+            raise ValueError("lengths must add up to the number of emission rows")
+        self.offsets = np.concatenate(([0], np.cumsum(self.lengths[:-1])))
+
+    @property
+    def size(self) -> int:
+        return self.lengths.size
+
+    def table(self, b: int) -> PotentialTable:
+        """Sequence b on its own."""
+        rows = self.emissions[self.offsets[b] : self.offsets[b] + self.lengths[b]]
+        return PotentialTable(rows, self.transitions, self.start, self.stop)
+
+    def select(self, seqs: np.ndarray) -> "PotentialBatch":
+        """The batch of the given sequences, in that order."""
+        rows = np.concatenate([np.arange(self.offsets[b], self.offsets[b] + self.lengths[b])
+                               for b in seqs])
+        return PotentialBatch(self.emissions[rows], self.lengths[seqs], self.transitions,
+                              self.start, self.stop)
+
+    def schedule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sequences longest first: their order, their first rows, and for each
+        position i the number of them still running at i (a prefix, since
+        they are sorted)."""
+        order = np.argsort(-self.lengths, kind="stable")
+        running = np.searchsorted(-self.lengths[order], -np.arange(self.lengths.max()), "left")
+        return order, self.offsets[order], running
 
 
 class LatticeMask:
@@ -284,29 +339,84 @@ def sequence_score(table: PotentialTable, tags: Sequence[int]) -> float:
     return float(score)
 
 
-def sequence_log_prob(table: PotentialTable, tags: Sequence[int]) -> float:
-    """Log-probability of one tag sequence under the full lattice; always <= 0."""
-    return sequence_score(table, tags) - log_partition(table)
+def sequence_log_prob(
+    table: PotentialTable, tags: Sequence[int], log_z: float | None = None
+) -> float:
+    """Log-probability of one tag sequence under the full lattice; always <= 0.
+    A log_z already computed for this table (see `forward_backward`) is reused."""
+    if log_z is None:
+        log_z = log_partition(table)
+    return sequence_score(table, tags) - log_z
 
 
 def viterbi(table: PotentialTable) -> tuple[list[int], float]:
-    """Highest-scoring tag sequence.
+    """Highest-scoring tag sequence and its score (`viterbi_batch` of one)."""
+    paths, scores = viterbi_batch(
+        PotentialBatch(table.emissions, [table.n], table.transitions, table.start, table.stop)
+    )
+    return paths.tolist(), float(scores[0])
+
+
+def viterbi_batch(batch: PotentialBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Highest-scoring tag sequence of every sequence in the batch: the tags,
+    packed like the emission rows, and the scores (B,).
 
     np.argmax takes the first maximum, so every backpointer decision breaks
     ties toward the lower tag index.
     """
-    em, trans = table.emissions, table.transitions
-    n, y = em.shape
-    delta = table.start + em[0]
-    back = np.empty((n, y), dtype=np.int64)
-    for i in range(1, n):
-        step = delta[:, None] + trans
-        back[i] = np.argmax(step, axis=0)
-        delta = step[back[i], np.arange(y)] + em[i]
-    delta = delta + table.stop
-    last = int(np.argmax(delta))
-    path = [last]
-    for i in range(n - 1, 0, -1):
-        path.append(int(back[i, path[-1]]))
-    path.reverse()
-    return path, float(delta[last])
+    em, trans = batch.emissions, batch.transitions
+    order, first, running = batch.schedule()
+    delta = batch.start + em[first]
+    back = np.empty(em.shape, dtype=np.int64)
+    for i in range(1, running.size):
+        k = running[i]
+        rows = first[:k] + i
+        step = delta[:k, :, None] + trans
+        best = np.argmax(step, axis=1)
+        back[rows] = best
+        delta[:k] = np.take_along_axis(step, best[:, None, :], axis=1)[:, 0] + em[rows]
+    delta = delta + batch.stop
+    tag = np.argmax(delta, axis=1)
+    scores = np.empty(batch.size)
+    scores[order] = delta[np.arange(batch.size), tag]
+    paths = np.empty(em.shape[0], dtype=np.int64)
+    for i in range(running.size - 1, -1, -1):
+        if i + 1 < running.size:  # sequences running past i step back to their tag at i
+            k = running[i + 1]
+            tag[:k] = back[first[:k] + i + 1, tag[:k]]
+        paths[first[: running[i]] + i] = tag[: running[i]]
+    return paths, scores
+
+
+def forward_backward(batch: PotentialBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Log-partition of every sequence (B,) and the unary marginals, packed
+    like the emission rows; the same arithmetic as `log_partition` and
+    `marginals` without a mask."""
+    em, trans = batch.emissions, batch.transitions
+    order, first, running = batch.schedule()
+    alpha = np.empty_like(em)
+    prev = batch.start + em[first]
+    alpha[first] = prev
+    for i in range(1, running.size):
+        k = running[i]
+        rows = first[:k] + i
+        step = prev[:k, :, None] + trans
+        m = step.max(axis=1)
+        prev[:k] = m + np.log(np.exp(step - m[:, None, :]).sum(axis=1)) + em[rows]
+        alpha[rows] = prev[:k]
+    last = prev + batch.stop
+    m = last.max(axis=1)
+    log_z = np.empty(batch.size)
+    log_z[order] = m + np.log(np.exp(last - m[:, None]).sum(axis=1))
+
+    beta = np.empty_like(em)
+    prev = np.repeat(batch.stop[None, :], batch.size, axis=0)
+    beta[first + batch.lengths[order] - 1] = prev
+    for i in range(running.size - 2, -1, -1):
+        k = running[i + 1]  # sequences with a position after i
+        step = trans + (em[first[:k] + i + 1] + prev[:k])[:, None, :]
+        m = step.max(axis=2)
+        prev[:k] = m + np.log(np.exp(step - m[:, :, None]).sum(axis=2))
+        beta[first[:k] + i] = prev[:k]
+    unary = np.exp(alpha + beta - np.repeat(log_z, batch.lengths)[:, None])
+    return log_z, unary

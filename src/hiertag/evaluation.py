@@ -229,7 +229,7 @@ def report(rows: Sequence[ResultRow], format: str = "csv") -> str:
         lines = ["| " + " | ".join(_HEADER) + " |",
                  "|" + "---|" * len(_HEADER)]
         for r in ordered:
-            lines.append("| " + " | ".join(_row_cells(r)) + " |")
+            lines.append("| " + " | ".join(c.replace("|", "\\|") for c in _row_cells(r)) + " |")
         total = TagCounts()
         collisions = 0
         for r in ordered:

@@ -30,8 +30,9 @@ from hiertag.models import (
     ModelKind,
     TrainingConfig,
     output_tags,
-    predict_hier,
-    predict_multi,
+    predict_hier,  # noqa: F401  (perfbench/spans.py wraps these names here)
+    predict_multi,  # noqa: F401
+    tag_batch,
     train_concat,
     train_hier,
     train_indep,
@@ -243,20 +244,11 @@ def train_models(kind: str, datasets, eh, cfg, dev=None):
 def tag_sequences(
     models, token_lists: Sequence[Sequence[str]], tagset: str, method, seed: int
 ) -> tuple[list[list[str]], int]:
-    """Predict every sequence, collapsed to file tags; returns collision total."""
+    """Predict every sequence in one batched request, collapsed to file tags;
+    returns collision total."""
+    out = tag_batch(models, token_lists, tagset, method, seed)
     eh = models[0].hierarchy
-    preds: list[list[str]] = []
-    collisions = 0
-    hier = len(models) == 1 and models[0].kind is ModelKind.HIER
-    for toks in token_lists:
-        if hier:
-            tags = predict_hier(models[0], toks, tagset)
-        else:
-            out = predict_multi(models, toks, tagset, method, seed=seed)
-            tags = out.tags
-            collisions += out.collisions
-        preds.append(output_tags(tags, eh, tagset))
-    return preds, collisions
+    return [output_tags(c.tags, eh, tagset) for c in out], sum(c.collisions for c in out)
 
 
 def _micro_counts(preds, golds) -> TagCounts:
@@ -351,7 +343,8 @@ def run_cell(spec: ExperimentSpec, cell: Cell) -> list[ResultRow]:
         if spec.kind == "extension":
             return _extension_rows(spec, cell)
         return _integration_rows(spec, cell)
-    except Exception:
+    except Exception as exc:  # a failed cell is reported, and the other cells still run
+        cause = " ".join(f"{type(exc).__name__}: {exc}".split())
         return [
             ResultRow(
                 tag=cell.target or "-",
@@ -361,7 +354,7 @@ def run_cell(spec: ExperimentSpec, cell: Cell) -> list[ResultRow]:
                 seed=cell.seed,
                 counts=TagCounts(0, 0, 0),
                 collisions=0,
-                status="failed",
+                status=f"failed: {cause}",
             )
         ]
 

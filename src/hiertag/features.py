@@ -8,9 +8,10 @@ features "w-1=<BOS>" / "w+1=<EOS>".  The vocabulary is built once, then
 frozen; unknown strings map to the reserved UNK id 0.
 
 Emission scorers turn a FeatureVector sequence into CRF emission rows and
-push d_emissions back into parameter gradients.  The linear scorer is a
-single weight matrix; the shared scorer squashes one tanh hidden layer shared
-by all heads, with one output layer per head.
+push d_emissions back into parameter gradients.  For tagging they also score
+a whole request at once from one sparse matrix (`FeatureVocabulary.matrix`).
+The linear scorer is a single weight matrix; the shared scorer squashes one
+tanh hidden layer shared by all heads, with one output layer per head.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from functools import lru_cache
 from typing import Any, Iterable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 UNK_ID = 0
 BOS = "<BOS>"
@@ -124,6 +126,22 @@ class FeatureVocabulary:
             np.fromiter((acc[i] for i in ids), dtype=np.float64, count=len(ids)),
         )
 
+    def matrix(
+        self, strings: Sequence[str], positions: np.ndarray, indptr: np.ndarray
+    ) -> sparse.csr_matrix:
+        """Summed indicator rows for many tokens at once: token t holds the
+        strings at positions[indptr[t]:indptr[t + 1]].  Each string is looked
+        up once; unknown ones count toward UNK.  Row t equals `vectorize` of
+        token t's strings under a frozen vocabulary."""
+        get = self._ids.get
+        ids = np.fromiter((get(s, UNK_ID) for s in strings), dtype=np.int64, count=len(strings))
+        out = sparse.csr_matrix(
+            (np.ones(len(positions)), ids[positions], indptr),
+            shape=(len(indptr) - 1, self.size),
+        )
+        out.sum_duplicates()
+        return out
+
     def strings_by_id(self) -> list[str]:
         """Id-ordered table, UNK slot first; inverse of id_of for known ids."""
         table = ["<UNK>"] * self.size
@@ -140,10 +158,10 @@ class FeatureVocabulary:
         return vocab
 
 
-def _check_ids(f: FeatureVector, feature_count: int) -> None:
-    if f.indices.size and f.indices[-1] >= feature_count:
+def _check_ids(indices: np.ndarray, feature_count: int) -> None:
+    if indices.size and indices.max() >= feature_count:
         raise ValueError(
-            f"feature id {int(f.indices[-1])} out of bounds for {feature_count} features"
+            f"feature id {int(indices.max())} out of bounds for {feature_count} features"
         )
 
 
@@ -168,7 +186,7 @@ class LinearEmissionModel:
         return self.weights.shape[1]
 
     def score_row(self, f: FeatureVector) -> np.ndarray:
-        _check_ids(f, self.feature_count)
+        _check_ids(f.indices, self.feature_count)
         return self.weights[:, f.indices] @ f.values + self.bias
 
     def emissions(
@@ -178,6 +196,11 @@ class LinearEmissionModel:
         for i, f in enumerate(fs):
             out[i] = self.score_row(f)
         return out, None
+
+    def batch_emissions(self, x: sparse.csr_matrix, heads: Sequence[str]) -> dict[str, np.ndarray]:
+        """Emission rows of every row of x, the same array for each head."""
+        _check_ids(x.indices, self.feature_count)
+        return dict.fromkeys(heads, x @ self.weights.T + self.bias)
 
     def backprop(
         self,
@@ -255,7 +278,7 @@ class SharedEmissionModel:
 
     def score_row(self, f: FeatureVector, head: str) -> np.ndarray:
         head_w, head_b = self._head(head)
-        _check_ids(f, self.feature_count)
+        _check_ids(f.indices, self.feature_count)
         hidden = np.tanh(self.shared_weights[:, f.indices] @ f.values + self.shared_bias)
         return head_w @ hidden + head_b
 
@@ -265,10 +288,27 @@ class SharedEmissionModel:
         head_w, head_b = self._head(head)
         hidden = np.empty((len(fs), self.hidden_dim))
         for i, f in enumerate(fs):
-            _check_ids(f, self.feature_count)
+            _check_ids(f.indices, self.feature_count)
             hidden[i] = self.shared_weights[:, f.indices] @ f.values + self.shared_bias
         hidden = np.tanh(hidden)
         return hidden @ head_w.T + head_b, hidden
+
+    def batch_emissions(self, x: sparse.csr_matrix, heads: Sequence[str]) -> dict[str, np.ndarray]:
+        """Emission rows of every row of x for each named head; the hidden
+        layer is computed once for all of them."""
+        _check_ids(x.indices, self.feature_count)
+        hidden = np.tanh(x @ self.shared_weights.T + self.shared_bias)
+        out = {}
+        for name in heads:
+            head_w, head_b = self._head(name)
+            # One hidden unit at a time, so a row's sum runs in the same order
+            # however many rows are scored together (a BLAS product picks its
+            # summation order by matrix shape).
+            em = np.zeros((hidden.shape[0], head_w.shape[0]))
+            for j in range(self.hidden_dim):
+                em += hidden[:, j, None] * head_w[:, j]
+            out[name] = em + head_b
+        return out
 
     def backprop(
         self,

@@ -13,6 +13,7 @@ included); writers collapse them to "O" at the file boundary.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -21,11 +22,14 @@ import numpy as np
 
 from hiertag.crf import (
     LatticeMask,
+    PotentialBatch,
     PotentialTable,
+    forward_backward,
     loss_and_grad,
-    marginals,
+    marginals,  # noqa: F401  (perfbench/spans.py wraps these names here)
     sequence_log_prob,
-    viterbi,
+    viterbi,  # noqa: F401
+    viterbi_batch,
 )
 from hiertag.data import OTHER, Corpus
 from hiertag.evaluation import score
@@ -152,13 +156,16 @@ def _bio_offsets(domain: Sequence[str], y: int) -> tuple[np.ndarray, np.ndarray]
     return trans, start
 
 
+def _transitions(model: TrainedModel, head: Head) -> tuple[np.ndarray, np.ndarray]:
+    """The head's transition and start scores, with the BIO offsets if on."""
+    if not model.config.bio:
+        return head.transitions, head.start
+    t_off, s_off = _bio_offsets(head.domain, len(head.domain))
+    return head.transitions + t_off, head.start + s_off
+
+
 def _potential_table(model: TrainedModel, head: Head, emissions: np.ndarray) -> PotentialTable:
-    trans, start = head.transitions, head.start
-    if model.config.bio:
-        t_off, s_off = _bio_offsets(head.domain, len(head.domain))
-        trans = trans + t_off
-        start = start + s_off
-    return PotentialTable(emissions, trans, start, head.stop)
+    return PotentialTable(emissions, *_transitions(model, head), head.stop)
 
 
 def _original_members(eh: ExtendedHierarchy, tagset: str) -> frozenset[str]:
@@ -349,33 +356,33 @@ def _new_head(name: str, domain: list[str]) -> Head:
     return Head(name, domain, np.zeros((y, y)), np.zeros(y), np.zeros(y))
 
 
-def _build_vocab(datasets: Sequence[Corpus], window: int) -> FeatureVocabulary:
+def _build_vocab(
+    datasets: Sequence[Corpus], window: int
+) -> tuple[FeatureVocabulary, list[list[list[FeatureVector]]]]:
+    """The frozen vocabulary of every training feature string, ids in
+    first-seen order, and each corpus's vectors, built in the same pass."""
     vocab = FeatureVocabulary()
-    for corpus in datasets:
-        for seq in corpus.sequences:
-            texts = seq.texts()
-            for i in range(len(texts)):
-                for s in feature_strings(texts, i, window):
-                    vocab.id_of(s)
+    vectors = [_vectorize_corpus(corpus, vocab, window) for corpus in datasets]
     vocab.freeze()
-    return vocab
+    return vocab, vectors
 
 
 def _dev_scorer(dev: Sequence[Corpus] | None, eh: ExtendedHierarchy):
+    """Micro F1 of a model on the dev corpora, each under its own tagset.
+    The dev tokens are featurized once, not once per epoch."""
     if not dev:
         return None
+    requests = [_Request([seq.texts() for seq in corpus.sequences]) for corpus in dev]
+    golds = [seq.tags() for corpus in dev for seq in corpus.sequences]
 
     def dev_f1(model: TrainedModel) -> float:
-        preds, golds = [], []
-        for corpus in dev:
+        preds = []
+        for corpus, request in zip(dev, requests):
             ts = corpus.tagset_name
             per_tagset = model.kind in (ModelKind.INDEP, ModelKind.MTL)
             head = model.head(ts) if per_tagset else model.single_head()
             table = output_tags(_map_domain(model, head, ts, strict=False), eh, ts)
-            for seq in corpus.sequences:
-                path, _ = _decode_head(model, head, seq.texts())
-                preds.append([table[i] for i in path])
-                golds.append(seq.tags())
+            preds += [c.tags for c in _tag_request([(model, head)], [table], request, None)]
         return score(preds, golds).micro.f1
 
     return dev_f1
@@ -413,7 +420,7 @@ def _fit(
 ) -> TrainedModel:
     """The one training core: every kind is its head specs.  mtl shares a
     hidden layer across its heads; the other kinds score one head linearly."""
-    vocab = _build_vocab([c for _, _, corpora, _ in specs for c in corpora], cfg.window)
+    vocab, vectors = _build_vocab([c for _, _, corpora, _ in specs for c in corpora], cfg.window)
     heads = {name: _new_head(name, domain) for name, domain, _, _ in specs}
     if kind is ModelKind.MTL:
         emission = SharedEmissionModel.create(
@@ -427,12 +434,13 @@ def _fit(
         emission = LinearEmissionModel.zeros(len(head.domain), vocab.size)
     model = TrainedModel(kind, eh, vocab, emission, heads, cfg)
     instances = {}
+    corpus_vectors = iter(vectors)
     for name, domain, corpora, mask in specs:
         pos = _domain_indices(domain, cfg.bio)
         instances[name] = [
             _Instance(fvecs, mask(seq.tags(), eh, corpus.tagset_name, pos))
-            for corpus in corpora
-            for seq, fvecs in zip(corpus.sequences, _vectorize_corpus(corpus, vocab, cfg.window))
+            for corpus, vecs in zip(corpora, corpus_vectors)
+            for seq, fvecs in zip(corpus.sequences, vecs)
         ]
     _Trainer(model, instances, cfg).run(_dev_scorer(dev, eh))
     return model
@@ -496,20 +504,59 @@ def train_mtl(
     return _fit(ModelKind.MTL, specs, eh, cfg, dev)
 
 
+def _featurize(
+    token_lists: Sequence[Sequence[str]], window: int
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Every token's template features, built once: the distinct strings, and
+    per token (CSR-style indptr) the positions of its strings among them."""
+    seen: dict[str, int] = {}
+    positions = array("q")
+    indptr = array("q", [0])
+    for tokens in token_lists:
+        for i in range(len(tokens)):
+            strings = feature_strings(tokens, i, window)
+            positions.extend([seen.setdefault(s, len(seen)) for s in strings])
+            indptr.append(len(positions))
+    return (
+        list(seen),
+        np.frombuffer(positions, dtype=np.int64),
+        np.frombuffer(indptr, dtype=np.int64),
+    )
+
+
+class _Request:
+    """The token sequences of one tagging request, featurized once per window
+    size.  The feature-id matrix of the last vocabulary asked for is kept, so
+    per-epoch dev scoring of one model builds it once."""
+
+    def __init__(self, token_lists: Sequence[Sequence[str]]) -> None:
+        self.lengths = np.array([len(t) for t in token_lists], dtype=np.int64)
+        if (self.lengths == 0).any():
+            raise ModelError("cannot tag an empty token sequence")
+        self.offsets = np.concatenate(([0], np.cumsum(self.lengths)))
+        self._tokens = token_lists
+        self._features: dict[int, tuple[list[str], np.ndarray, np.ndarray]] = {}
+        self._matrix: tuple[tuple[FeatureVocabulary, int], object] | None = None
+
+    def emissions(self, model: TrainedModel, heads: Sequence[Head]) -> dict[str, np.ndarray]:
+        """Emission rows of every token for each of the model's given heads."""
+        window = model.config.window
+        if window not in self._features:
+            self._features[window] = _featurize(self._tokens, window)
+        key = (model.vocab, window)
+        if self._matrix is None or self._matrix[0] != key:
+            self._matrix = key, model.vocab.matrix(*self._features[window])
+        return model.emission.batch_emissions(self._matrix[1], [h.name for h in heads])
+
+
 def _decode_head(
-    model: TrainedModel, head: Head, tokens: Sequence[str]
-) -> tuple[list[int], PotentialTable]:
-    """Viterbi path as domain indices, plus the potential table it maximizes."""
-    if not tokens:
-        raise ModelError("cannot tag an empty token sequence")
-    fvecs = [
-        model.vocab.vectorize(feature_strings(tokens, i, model.config.window))
-        for i in range(len(tokens))
-    ]
-    em, _ = emission_cache(model.emission, fvecs, head.name)
-    table = _potential_table(model, head, em)
-    path, _ = viterbi(table)
-    return path, table
+    model: TrainedModel, head: Head, emissions: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, PotentialBatch]:
+    """Viterbi paths of one head over every sequence of a request, as domain
+    indices packed like the emission rows, plus the potentials they maximize."""
+    potentials = PotentialBatch(emissions, lengths, *_transitions(model, head), head.stop)
+    paths, _ = viterbi_batch(potentials)
+    return paths, potentials
 
 
 def _head_tags(model: TrainedModel, head: Head) -> list[str]:
@@ -534,21 +581,6 @@ def _map_domain(model: TrainedModel, head: Head, tagset: str, strict: bool = Tru
                 raise
             out.append(other)
     return out
-
-
-def predict_hier(
-    model: TrainedModel, tokens: Sequence[str], test_tagset: str | None
-) -> list[str]:
-    """Viterbi over the fine tags, then per-position mapping onto the test
-    tagset.  test_tagset None returns the raw fine-grained path."""
-    if model.kind is not ModelKind.HIER:
-        raise ModelError(f"predict_hier needs a hier model, got {model.kind.value}")
-    head = model.single_head()
-    path, _ = _decode_head(model, head, tokens)
-    tags = _head_tags(model, head)
-    if test_tagset is not None:
-        tags = [model.hierarchy.map_to_tagset(f, test_tagset) for f in tags]
-    return [tags[i] for i in path]
 
 
 @dataclass(frozen=True)
@@ -576,6 +608,147 @@ def _expand_heads(models: Sequence[TrainedModel]) -> list[tuple[TrainedModel, He
     return out
 
 
+def tag_batch(
+    models: Sequence[TrainedModel],
+    token_lists: Sequence[Sequence[str]],
+    test_tagset: str | None,
+    method: ConsolidationMethod = ConsolidationMethod.RANDOM,
+    seed: int = 0,
+) -> list[Consolidated]:
+    """Tag every sequence of one request in a single batched pass.
+
+    A lone hier model decodes its fine tags and maps them with the partition
+    (test_tagset None keeps the raw fine tags).  Otherwise every head of
+    every model is decoded and mapped onto the test tagset by traversal, and
+    positions where distinct non-Other candidates disagree are resolved by
+    `method`; RANDOM draws from default_rng(seed) afresh for each sequence.
+    An unmappable tagset fails before anything is decoded.
+    """
+    if not models:
+        raise ModelError("no models to consolidate")
+    method = ConsolidationMethod(method)
+    if len(models) == 1 and models[0].kind is ModelKind.HIER:
+        model = models[0]
+        head = model.single_head()
+        tags = _head_tags(model, head)
+        if test_tagset is not None:
+            tags = [model.hierarchy.map_to_tagset(f, test_tagset) for f in tags]
+        return _tag_request([(model, head)], [tags], _Request(token_lists), None)
+    if test_tagset is None:
+        raise ModelError("consolidation needs a test tagset")
+    pairs = _expand_heads(models)
+    tables = [_map_domain(m, head, test_tagset) for m, head in pairs]
+    test_other = models[0].hierarchy.other_tag(test_tagset)
+    return _tag_request(pairs, tables, _Request(token_lists), test_other, method, seed)
+
+
+def _tag_request(
+    pairs: Sequence[tuple[TrainedModel, Head]],
+    tables: Sequence[Sequence[str]],
+    request: _Request,
+    test_other: str | None,
+    method: ConsolidationMethod = ConsolidationMethod.RANDOM,
+    seed: int = 0,
+) -> list[Consolidated]:
+    """Decode each head over the request, map its paths through its table
+    (domain index -> tag), and consolidate the heads per sequence.  Only
+    sequences where heads collide run forward-backward."""
+    if not request.lengths.size:
+        return []
+    emissions: dict[int, dict[str, np.ndarray]] = {}
+    decoded = []
+    for model, head in pairs:
+        if id(model) not in emissions:
+            emissions[id(model)] = request.emissions(model, [h for m, h in pairs if m is model])
+        decoded.append(_decode_head(model, head, emissions[id(model)][head.name], request.lengths))
+
+    labels = sorted(set().union(*tables) | ({test_other} if len(pairs) > 1 else set()))
+    label_id = {t: i for i, t in enumerate(labels)}
+    mapped = np.stack(
+        [np.array([label_id[t] for t in table])[path] for table, (path, _) in zip(tables, decoded)]
+    )
+    if len(pairs) > 1:
+        proposed = mapped != label_id[test_other]
+        top = np.where(proposed, mapped, -1).max(axis=0)
+        bottom = np.where(proposed, mapped, len(labels)).min(axis=0)
+        chosen = np.where(proposed.any(axis=0), top, label_id[test_other])
+        collides = proposed.any(axis=0) & (top != bottom)
+    else:
+        chosen = mapped[0]
+        collides = np.zeros(chosen.size, dtype=bool)
+
+    names = np.array(labels, dtype=object)
+    all_tags = names[chosen].tolist()
+    per_head = [names[row].tolist() for row in mapped]
+    edges = request.offsets
+    out = [
+        Consolidated(all_tags[a:b], 0, [], [tags[a:b] for tags in per_head])
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
+    hit_seqs = np.unique(np.searchsorted(edges, np.flatnonzero(collides), side="right") - 1)
+    if hit_seqs.size:
+        _resolve_collisions(out, hit_seqs, decoded, collides, edges, test_other, method, seed)
+    return out
+
+
+def _resolve_collisions(
+    out: list[Consolidated],
+    seqs: np.ndarray,
+    decoded: Sequence[tuple[np.ndarray, PotentialBatch]],
+    collides: np.ndarray,
+    edges: np.ndarray,
+    test_other: str,
+    method: ConsolidationMethod,
+    seed: int,
+) -> None:
+    """Rewrite the colliding positions of the given sequences in place."""
+    rows = np.concatenate([np.arange(edges[b], edges[b + 1]) for b in seqs])
+    # Per head: each sequence's log-probability and its path's marginals.
+    log_probs, path_marginals = [], []
+    for path, potentials in decoded:
+        sub = potentials.select(seqs)
+        log_z, unary = forward_backward(sub)
+        paths = np.split(path[rows], sub.offsets[1:])
+        log_probs.append(
+            [sequence_log_prob(sub.table(j), p, log_z[j]) for j, p in enumerate(paths)]
+        )
+        picked = unary[np.arange(rows.size), path[rows]]
+        path_marginals.append(np.split(picked, sub.offsets[1:]))
+
+    for j, b in enumerate(seqs):
+        result = out[b]
+        rng = np.random.default_rng(seed)
+        for i in np.flatnonzero(collides[edges[b] : edges[b + 1]]).tolist():
+            # candidate tag -> (sort index of best proposer, best score, best marginal)
+            proposals = [
+                (tags[i], k, log_probs[k][j], float(path_marginals[k][j][i]))
+                for k, tags in enumerate(result.per_model_tags)
+                if tags[i] != test_other
+            ]
+            distinct = sorted({p[0] for p in proposals})
+            best_marg = {t: max(p[3] for p in proposals if p[0] == t) for t in distinct}
+            result.collision_positions.append(
+                CollisionRecord(i, tuple(distinct), tuple(best_marg[t] for t in distinct))
+            )
+            if method is ConsolidationMethod.RANDOM:
+                result.tags[i] = distinct[int(rng.integers(len(distinct)))]
+            elif method is ConsolidationMethod.BEST_SEQUENCE_SCORE:
+                result.tags[i] = min(proposals, key=lambda p: (-p[2], p[1], p[0]))[0]
+            else:
+                result.tags[i] = min(proposals, key=lambda p: (-p[3], p[1], p[0]))[0]
+        result.collisions = len(result.collision_positions)
+
+
+def predict_hier(
+    model: TrainedModel, tokens: Sequence[str], test_tagset: str | None
+) -> list[str]:
+    """Viterbi over the fine tags, then per-position mapping onto the test
+    tagset.  test_tagset None returns the raw fine-grained path."""
+    if model.kind is not ModelKind.HIER:
+        raise ModelError(f"predict_hier needs a hier model, got {model.kind.value}")
+    return tag_batch([model], [tokens], test_tagset)[0].tags
+
+
 def predict_multi(
     models: Sequence[TrainedModel],
     tokens: Sequence[str],
@@ -585,55 +758,8 @@ def predict_multi(
 ) -> Consolidated:
     """Decode every head, map every prediction onto the test tagset, and
     resolve positions where distinct non-Other candidates disagree."""
-    if not models:
-        raise ModelError("no models to consolidate")
-    method = ConsolidationMethod(method)
-    pairs = _expand_heads(models)
-    test_other = models[0].hierarchy.other_tag(test_tagset)
-
-    # Fails fast, before any decoding, if a head's tagset cannot map onto the test tagset.
-    tables = [_map_domain(m, head, test_tagset) for m, head in pairs]
-    mapped: list[list[str]] = []
-    log_probs: list[float] = []
-    path_marginals: list[np.ndarray] = []  # per-position marginal of the decoded tag
-    for (m, head), table in zip(pairs, tables):
-        path, potentials = _decode_head(m, head, tokens)
-        mapped.append([table[i] for i in path])
-        log_probs.append(sequence_log_prob(potentials, path))
-        unary, _ = marginals(potentials)
-        path_marginals.append(unary[np.arange(len(path)), path])
-
-    rng = np.random.default_rng(seed)
-    out: list[str] = []
-    records: list[CollisionRecord] = []
-    for i in range(len(tokens)):
-        # candidate tag -> (sort index of best proposer, best score, best marginal)
-        proposals: list[tuple[str, int, float, float]] = []
-        for k, tags in enumerate(mapped):
-            tag = tags[i]
-            if tag != test_other:
-                proposals.append((tag, k, log_probs[k], float(path_marginals[k][i])))
-        distinct = sorted({p[0] for p in proposals})
-        if len(distinct) > 1:
-            best_marg = {
-                t: max(p[3] for p in proposals if p[0] == t) for t in distinct
-            }
-            records.append(
-                CollisionRecord(i, tuple(distinct), tuple(best_marg[t] for t in distinct))
-            )
-        if not distinct:
-            out.append(test_other)
-        elif len(distinct) == 1:
-            out.append(distinct[0])
-        elif method is ConsolidationMethod.RANDOM:
-            out.append(distinct[int(rng.integers(len(distinct)))])
-        elif method is ConsolidationMethod.BEST_SEQUENCE_SCORE:
-            winner = min(proposals, key=lambda p: (-p[2], p[1], p[0]))
-            out.append(winner[0])
-        else:
-            winner = min(proposals, key=lambda p: (-p[3], p[1], p[0]))
-            out.append(winner[0])
-    return Consolidated(out, len(records), records, mapped)
+    _expand_heads(models)  # a lone hier model would otherwise take the hier route
+    return tag_batch(models, [tokens], test_tagset, method, seed)[0]
 
 
 def output_tags(tags: Sequence[str], eh: ExtendedHierarchy, tagset: str) -> list[str]:

@@ -435,8 +435,24 @@ class TestExperiment:
         assert "failed: 2" in err
         lines = (tmp_path / "results" / "report.csv").read_text().splitlines()
         assert len(lines) == 1 + 4
-        assert sum(l.endswith(",failed") for l in lines[1:]) == 2
+        assert sum(",failed: " in l for l in lines[1:]) == 2
         assert sum(l.endswith(",ok") for l in lines[1:]) == 2
+
+    def test_failed_cell_reports_its_cause(self, tmp_path, capsys):
+        write_experiment_inputs(tmp_path, capsys, extending_cfg=GEN_EXT_NO_ORG)
+        spec = tmp_path / "spec.txt"
+        spec.write_text(
+            EXPERIMENT_SPEC.replace("target LOC", "target ORG")
+            .replace("models hier concat indep", "models hier")
+            .replace("seeds 1 2 3", "seeds 1")
+        )
+        code, _, _ = run(capsys, "experiment", spec)
+        assert code == 1
+        rows = [l for l in (tmp_path / "results" / "report.md").read_text().splitlines()
+                if l.startswith("| ORG |")]
+        assert len(rows) == 1
+        status = rows[0].rstrip(" |").rsplit(" | ", 1)[-1]
+        assert status == "failed: CorpusError: tag ORG does not occur in the extending corpus"
 
     @pytest.mark.parametrize(
         "line, bad",

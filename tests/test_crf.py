@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiertag.crf import (
     LatticeMask,
+    PotentialBatch,
     PotentialTable,
     constrained_log_partition,
+    forward_backward,
     log_partition,
     log_partition_backward,
     loss_and_grad,
@@ -16,6 +20,7 @@ from hiertag.crf import (
     sequence_log_prob,
     sequence_score,
     viterbi,
+    viterbi_batch,
 )
 from oracles import (
     all_path_scores,
@@ -361,3 +366,77 @@ class TestValidation:
     def test_sequence_score_rejects_bad_tags(self):
         with pytest.raises(ValueError, match="out of range"):
             sequence_score(zero_table(2, 2), [0, 7])
+
+
+@st.composite
+def potential_batches(draw):
+    """Mixed-length batches (n 1..7, y 1..6); integer-valued potentials
+    half the time, so exact ties occur."""
+    y = draw(st.integers(1, 6))
+    lengths = draw(st.lists(st.integers(1, 7), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = lambda *shape: rng.integers(-1, 2, size=shape).astype(float)  # noqa: E731
+    else:
+        scale = draw(st.sampled_from([0.5, 2.0, 30.0]))
+        values = lambda *shape: rng.uniform(-scale, scale, size=shape)  # noqa: E731
+    return PotentialBatch(values(sum(lengths), y), lengths, values(y, y), values(y), values(y))
+
+
+BATCH_PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
+
+
+def rows_of(batch, b):
+    return slice(batch.offsets[b], batch.offsets[b] + batch.lengths[b])
+
+
+class TestBatchedKernels:
+    @BATCH_PROPERTY
+    @given(potential_batches())
+    def test_viterbi_batch_equals_per_sequence_and_oracle(self, batch):
+        paths, scores = viterbi_batch(batch)
+        for b in range(batch.size):
+            table = batch.table(b)
+            path, score = viterbi(table)
+            assert paths[rows_of(batch, b)].tolist() == path
+            assert scores[b] == score
+            opath, oscore = oracle_viterbi(table)
+            assert path == opath
+            assert score == pytest.approx(oscore, abs=1e-9)
+
+    @BATCH_PROPERTY
+    @given(potential_batches())
+    def test_forward_backward_matches_oracles_bitwise_with_one_sequence_kernels(self, batch):
+        log_z, unary = forward_backward(batch)
+        for b in range(batch.size):
+            table = batch.table(b)
+            got = unary[rows_of(batch, b)]
+            assert log_z[b] == pytest.approx(oracle_log_partition(table), abs=1e-8)
+            np.testing.assert_allclose(got, oracle_marginals(table)[0], rtol=0, atol=1e-8)
+            # The same arithmetic as the one-sequence kernels, bit for bit.
+            assert log_z[b] == log_partition(table)
+            assert got.tobytes() == marginals(table)[0].tobytes()
+            path, _ = viterbi(table)
+            assert sequence_log_prob(table, path, log_z[b]) == sequence_log_prob(table, path)
+
+    def test_select_keeps_each_sequence(self):
+        rng = np.random.default_rng(70)
+        batch = PotentialBatch(rng.normal(size=(9, 3)), [2, 4, 3], rng.normal(size=(3, 3)),
+                               np.zeros(3), np.zeros(3))
+        sub = batch.select(np.array([2, 0]))
+        assert sub.lengths.tolist() == [3, 2]
+        for j, b in enumerate([2, 0]):
+            assert sub.table(j).emissions.tobytes() == batch.table(b).emissions.tobytes()
+
+    @pytest.mark.parametrize(
+        "lengths, em, match",
+        [
+            ([2, 0], np.zeros((2, 2)), "lengths"),
+            ([], np.zeros((0, 2)), "lengths"),
+            ([2, 2], np.zeros((3, 2)), "add up"),
+            ([1], np.array([[np.inf, 0.0]]), "finite"),
+        ],
+    )
+    def test_bad_batches_rejected(self, lengths, em, match):
+        with pytest.raises(ValueError, match=match):
+            PotentialBatch(em, lengths, np.zeros((2, 2)), np.zeros(2), np.zeros(2))

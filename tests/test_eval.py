@@ -216,6 +216,13 @@ class TestReport:
         text = report([row], "csv")
         assert '"a,b""c"' in text
 
+    def test_markdown_escapes_pipes_in_cells(self):
+        row = ResultRow("a", "base", "ext", "hier", 0, status="failed: ValueError: x|y")
+        line = report([row], "markdown").splitlines()[2]
+        assert line.endswith("| failed: ValueError: x\\|y |")
+        columns = report([row], "csv").splitlines()[0].count(",") + 1
+        assert line.replace("\\|", "").count("|") == columns + 1
+
     def test_empty_or_unknown_format(self):
         with pytest.raises(EvalError, match="no result rows"):
             report([], "csv")

@@ -17,6 +17,7 @@ from hiertag.features import (
     word_shape,
     zero_gradients,
 )
+from hiertag.models import _featurize
 
 
 class TestTemplates:
@@ -265,6 +266,71 @@ def end_to_end_grads(model, head, fs, trans, start, stop, mask):
     grads = zero_gradients(model.params())
     emission_backprop(model, fs, head, g.d_emissions, cache, grads)
     return grads
+
+
+TOKENS = [
+    "Alice Smith walked down Elm Street".split(),
+    ["x"],
+    "the 3 visitors saw alice near elm".split(),
+]
+
+
+def vocab_for(sequences):
+    vocab = FeatureVocabulary()
+    for toks in sequences:
+        for i in range(len(toks)):
+            vocab.vectorize(feature_strings(toks, i))
+    vocab.freeze()
+    return vocab
+
+
+def batch_matrix(vocab, token_lists):
+    """The feature matrix of `token_lists`, built as a tagging request builds it."""
+    return vocab.matrix(*_featurize(token_lists, 2))
+
+
+class TestBatchScoring:
+    def test_matrix_rows_equal_vectorized_tokens(self):
+        vocab = vocab_for(TOKENS[:1])  # the rest is partly unknown
+        x = batch_matrix(vocab, TOKENS)
+        rows = [vocab.vectorize(feature_strings(t, i)) for t in TOKENS for i in range(len(t))]
+        assert x.shape == (len(rows), vocab.size)
+        for r, f in enumerate(rows):
+            got = x[r]
+            assert FeatureVector(got.indices, got.data) == f
+
+    def test_both_scorers_match_their_per_token_rows(self):
+        rng = np.random.default_rng(90)
+        vocab = vocab_for(TOKENS)
+        x = batch_matrix(vocab, TOKENS)
+        fs = [vocab.vectorize(feature_strings(t, i)) for t in TOKENS for i in range(len(t))]
+        linear = LinearEmissionModel(rng.normal(size=(3, vocab.size)), rng.normal(size=3))
+        shared = TestSharedModel().build(rng, fc=vocab.size)
+        for model, head in ((linear, None), (shared, "A"), (shared, "B")):
+            got = model.batch_emissions(x, [head])[head]
+            want, _ = model.emissions(fs, head)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(91)
+        vocab = vocab_for(TOKENS)
+        linear = LinearEmissionModel(rng.normal(size=(3, vocab.size)), rng.normal(size=3))
+        shared = TestSharedModel().build(rng, fc=vocab.size, hidden=16)
+        whole = batch_matrix(vocab, TOKENS)
+        alone = batch_matrix(vocab, TOKENS[2:])
+        first = len(TOKENS[0]) + len(TOKENS[1])
+        for model, head in ((linear, "any"), (shared, "B")):
+            a = model.batch_emissions(whole, [head])[head][first:]
+            b = model.batch_emissions(alone, [head])[head]
+            assert a.tobytes() == b.tobytes()
+
+    def test_out_of_bounds_id_rejected(self):
+        vocab = vocab_for(TOKENS)
+        x = batch_matrix(vocab, TOKENS)
+        for model in (LinearEmissionModel.zeros(2, 3), TestSharedModel().build(
+                np.random.default_rng(92), fc=3)):
+            with pytest.raises(ValueError, match="out of bounds"):
+                model.batch_emissions(x, ["A"])
 
 
 class TestEndToEndGradients:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hiertag.data import OTHER, Corpus, CorpusError, LabeledSequence, Token
+from hiertag.experiments import tag_sequences
 from hiertag.features import FeatureVocabulary, LinearEmissionModel, SharedEmissionModel
 from hiertag.hierarchy import (
     ExtendedHierarchy,
@@ -32,12 +33,14 @@ from hiertag.models import (
     _hier_mask,
     _singleton_mask,
     _Instance,
+    _Request,
     _Trainer,
     _vectorize_corpus,
     expand_bio,
     output_tags,
     predict_hier,
     predict_multi,
+    tag_batch,
     train_concat,
     train_hier,
     train_indep,
@@ -60,17 +63,24 @@ def tagged(words, tags):
     return list(zip(words.split(), tags.split()))
 
 
+def decode(model, head, tokens):
+    """One sequence through the batched decode: its path and potentials."""
+    request = _Request([tokens])
+    emissions = request.emissions(model, [head])[head.name]
+    return _decode_head(model, head, emissions, request.lengths)
+
+
 def decoded_tags(model, head, tokens):
-    path, _ = _decode_head(model, head, tokens)
+    path, _ = decode(model, head, tokens)
     return [head.domain[i] for i in path]
 
 
 def assert_same_decode(model_a, head_a, model_b, head_b, tokens):
-    """Equal paths and bitwise-equal potential tables; the tables fix every
+    """Equal paths and bitwise-equal potentials; the potentials fix every
     sequence score and marginal consolidation reads from them."""
-    path_a, table_a = _decode_head(model_a, head_a, tokens)
-    path_b, table_b = _decode_head(model_b, head_b, tokens)
-    assert path_a == path_b
+    path_a, table_a = decode(model_a, head_a, tokens)
+    path_b, table_b = decode(model_b, head_b, tokens)
+    assert path_a.tolist() == path_b.tolist()
     for name in ("emissions", "transitions", "start", "stop"):
         assert getattr(table_a, name).tobytes() == getattr(table_b, name).tobytes(), name
 
@@ -429,6 +439,7 @@ class TestDecodePath:
 
         monkeypatch.setattr("hiertag.models.marginals", forbidden)
         monkeypatch.setattr("hiertag.models.sequence_log_prob", forbidden)
+        monkeypatch.setattr("hiertag.models.forward_backward", forbidden)
         c1, c2 = toy_corpora
         dev = [c1.with_tagset("T1", "dev"), c2.with_tagset("T2", "dev")]
         cfg = quick_cfg(epochs=3, hidden_dim=3)
@@ -437,6 +448,16 @@ class TestDecodePath:
         assert len(predict_hier(model, "alice smith walked down elm".split(), "T1")) == 5
         for train in (train_concat, train_indep, train_mtl):
             train([c1, c2], toy_eh, cfg, dev=dev)
+        # A lone concat model, and several models that never disagree, decode
+        # without any forward-backward pass.
+        concat = salem_models(ModelKind.CONCAT)
+        agreeing = [
+            biased_model(toy_eh, "T1", "Name"),
+            const_model(toy_eh, "T2x", ["LastName", "O"], "LastName"),
+        ]
+        for method in ConsolidationMethod:
+            tag_sequences(concat, MIXED_REQUEST, "T4", method, 0)
+            assert tag_sequences(agreeing, MIXED_REQUEST, "T1", method, 0)[1] == 0
 
     def test_dev_scoring_maps_each_domain_tag_once(self, toy_eh, toy_corpora, monkeypatch):
         c1, c2 = toy_corpora
@@ -597,6 +618,75 @@ class TestConsolidation:
     def test_no_models_rejected(self):
         with pytest.raises(ModelError, match="no models"):
             predict_multi([], ["a"], "T1")
+
+
+def union_eh():
+    """T1 {Name} and T2 {Location} meet in the test tagset T4."""
+    edges = [("FirstName", "Name"), ("LastName", "Name"), ("Street", "Location")]
+    tagsets = {"T1": {"Name"}, "T2": {"Location"}, "T4": {"Name", "Location"}}
+    return extend_with_other(TagHierarchy({n for e in edges for n in e}, edges, tagsets))
+
+
+# "salem" is a Name in one corpus and a Location in the other, so the
+# multi-model kinds collide on it.
+SALEM_C1 = C1_ROWS + [tagged("salem jones walked down elm", "Name Name O O O")]
+SALEM_C2 = C2_ROWS + [tagged("the visitor walked near salem", "O O O O Location")]
+MIXED_REQUEST = [
+    ["salem"],
+    "bob smith walked near oak".split(),
+    "elm salem oak jones".split(),
+    "the visitor strolled".split(),
+    ["oak"],
+    "carol elm salem down oak alice".split(),
+]
+TRAINERS = {
+    ModelKind.HIER: train_hier,
+    ModelKind.CONCAT: train_concat,
+    ModelKind.INDEP: train_indep,
+    ModelKind.MTL: train_mtl,
+}
+
+
+def salem_models(kind):
+    data = [corpus(SALEM_C1, "T1"), corpus(SALEM_C2, "T2")]
+    out = TRAINERS[kind](data, union_eh(), quick_cfg(epochs=4, hidden_dim=4))
+    return out if isinstance(out, list) else [out]
+
+
+class TestBatchedTagging:
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_one_request_equals_per_sequence_calls(self, kind):
+        models = salem_models(kind)
+        eh = models[0].hierarchy
+        collisions = 0
+        for method in ConsolidationMethod:
+            preds, count = tag_sequences(models, MIXED_REQUEST, "T4", method, 5)
+            batched = tag_batch(models, MIXED_REQUEST, "T4", method, 5)
+            if kind is ModelKind.HIER:
+                single = [predict_hier(models[0], toks, "T4") for toks in MIXED_REQUEST]
+                assert [c.tags for c in batched] == single
+                raw = [predict_hier(models[0], toks, None) for toks in MIXED_REQUEST]
+                assert [c.tags for c in tag_batch(models, MIXED_REQUEST, None)] == raw
+            else:
+                single_out = [predict_multi(models, toks, "T4", method, 5)
+                              for toks in MIXED_REQUEST]
+                assert batched == single_out  # collision records included
+                single = [c.tags for c in single_out]
+            assert preds == [output_tags(tags, eh, "T4") for tags in single]
+            assert count == sum(c.collisions for c in batched)
+            collisions += count
+        assert (collisions > 0) == (kind in (ModelKind.INDEP, ModelKind.MTL))
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_empty_sequence_anywhere_is_rejected(self, kind):
+        models = salem_models(kind)
+        for at in (0, 3, len(MIXED_REQUEST)):
+            request = MIXED_REQUEST[:at] + [[]] + MIXED_REQUEST[at:]
+            with pytest.raises(ModelError, match="empty"):
+                tag_batch(models, request, "T4")
+
+    def test_empty_request_tags_nothing(self, toy_eh):
+        assert tag_batch([biased_model(toy_eh, "T1", "Name")], [], "T1") == []
 
 
 class TestBioMode:

@@ -102,12 +102,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     dev = _read_datasets(args.dev) if args.dev else None
     eh = ensure_extended(Path(args.hierarchy).read_text(encoding="utf-8"))
     cfg = _config_from(args)
-    models = train_models(args.kind, corpora, eh, cfg, dev=dev)
-    for record in models[0].history:
-        line = f"epoch {record.epoch} loss {record.train_loss:.6f}"
-        if record.dev_f1 is not None:
-            line += f" dev_f1 {record.dev_f1:.6f}"
-        _log(line)
+    logged = []  # indep trains one model per dataset; the log follows the first
+
+    def log_epoch(model, record) -> None:
+        logged[:] = logged or [model]
+        if model is logged[0]:
+            line = f"epoch {record.epoch} loss {record.train_loss:.6f}"
+            if record.dev_f1 is not None:
+                line += f" dev_f1 {record.dev_f1:.6f}"
+            _log(line)
+
+    models = train_models(args.kind, corpora, eh, cfg, dev=dev, on_epoch=log_epoch)
     out = Path(args.out)
     if args.kind == ModelKind.INDEP.value:
         for i, model in enumerate(models):

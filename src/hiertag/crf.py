@@ -7,10 +7,11 @@ full and the masked log-partition, so its gradients are differences of
 posterior expectations.  All recursions use max-shifted log-sum-exp; finite
 inputs always produce finite outputs.
 
-Decoding runs on a PotentialBatch: many sequences of one head, their emission
-rows packed back to back.  Each step of a batched recursion works on the
-sequences still running, with the elementwise arithmetic of the one-sequence
-recursion, so a sequence's result does not depend on the batch around it.
+The kernels run on a PotentialBatch: many sequences of one head, their
+emission rows packed back to back.  Each step of a batched recursion works on
+the sequences still running, with the elementwise arithmetic of the
+one-sequence recursion, so a sequence's result does not depend on the batch
+around it.  The one-sequence functions are batches of one.
 """
 
 from __future__ import annotations
@@ -19,15 +20,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-
-
-def logsumexp(a: np.ndarray, axis: int | None = None):
-    a = np.asarray(a, dtype=np.float64)
-    m = np.max(a, axis=axis, keepdims=True)
-    out = m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))
-    if axis is None:
-        return out.item()
-    return np.squeeze(out, axis=axis)
 
 
 @dataclass
@@ -92,6 +84,11 @@ class PotentialBatch:
             raise ValueError("lengths must add up to the number of emission rows")
         self.offsets = np.concatenate(([0], np.cumsum(self.lengths[:-1])))
 
+    @classmethod
+    def of(cls, table: PotentialTable) -> "PotentialBatch":
+        """The batch of one sequence."""
+        return cls(table.emissions, [table.n], table.transitions, table.start, table.stop)
+
     @property
     def size(self) -> int:
         return self.lengths.size
@@ -101,12 +98,16 @@ class PotentialBatch:
         rows = self.emissions[self.offsets[b] : self.offsets[b] + self.lengths[b]]
         return PotentialTable(rows, self.transitions, self.start, self.stop)
 
-    def select(self, seqs: np.ndarray) -> "PotentialBatch":
+    def rows(self, seqs: Sequence[int]) -> np.ndarray:
+        """The emission rows of the given sequences, in that order."""
+        return np.concatenate(
+            [np.arange(self.offsets[b], self.offsets[b] + self.lengths[b]) for b in seqs]
+        )
+
+    def select(self, seqs: Sequence[int]) -> "PotentialBatch":
         """The batch of the given sequences, in that order."""
-        rows = np.concatenate([np.arange(self.offsets[b], self.offsets[b] + self.lengths[b])
-                               for b in seqs])
-        return PotentialBatch(self.emissions[rows], self.lengths[seqs], self.transitions,
-                              self.start, self.stop)
+        return PotentialBatch(self.emissions[self.rows(seqs)], self.lengths[seqs],
+                              self.transitions, self.start, self.stop)
 
     def schedule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sequences longest first: their order, their first rows, and for each
@@ -129,10 +130,15 @@ class LatticeMask:
                 raise ValueError(f"mask position {i} allows no tags")
             if idx[0] < 0:
                 raise ValueError(f"mask position {i} has a negative tag index")
+        # The allowed tags of each position packed left, padded with tag 0.
+        self.widths = np.array([idx.size for idx in self.allowed], dtype=np.int64)
+        self.slots = np.zeros((len(self.allowed), self.widths.max(initial=1)), dtype=np.int64)
+        for i, idx in enumerate(self.allowed):
+            self.slots[i, : idx.size] = idx
         # An all-singleton mask pins a unique path; recursions collapse to it.
         self.singleton_path: np.ndarray | None = None
-        if all(idx.size == 1 for idx in self.allowed):
-            self.singleton_path = np.concatenate(self.allowed)
+        if (self.widths == 1).all():
+            self.singleton_path = self.slots[:, 0].copy()
 
     @classmethod
     def full(cls, n: int, y_count: int) -> "LatticeMask":
@@ -141,17 +147,16 @@ class LatticeMask:
     def __len__(self) -> int:
         return len(self.allowed)
 
-    def validate_for(self, table: PotentialTable) -> None:
-        if len(self.allowed) != table.n:
+    def validate_for(self, n: int, y_count: int) -> None:
+        """Require one position per token of an n-token sequence over y_count tags."""
+        if len(self.allowed) != n:
+            raise ValueError(f"mask length {len(self.allowed)} != sequence length {n}")
+        top = self.slots.max(axis=1)
+        bad = np.flatnonzero(top >= y_count)
+        if bad.size:
             raise ValueError(
-                f"mask length {len(self.allowed)} != sequence length {table.n}"
+                f"mask position {bad[0]} allows tag {top[bad[0]]} >= y_count {y_count}"
             )
-        for i, idx in enumerate(self.allowed):
-            if idx[-1] >= table.y_count:
-                raise ValueError(
-                    f"mask position {i} allows tag {int(idx[-1])} "
-                    f">= y_count {table.y_count}"
-                )
 
 
 @dataclass
@@ -164,168 +169,216 @@ class LatticeGradients:
     d_stop: np.ndarray
 
 
-def _posteriors_dense(table: PotentialTable):
-    em, trans = table.emissions, table.transitions
-    n, y = em.shape
+# numpy sums up to this many contiguous terms one after another, so zeros
+# padded after them leave the sum's rounding as it is; past it, a sum's
+# rounding depends on how many terms it has.
+_PAD_EXACT = 7
 
-    alpha = np.empty((n, y))
-    prev = table.start + em[0]
-    alpha[0] = prev
-    for i in range(1, n):
-        step = prev[:, None] + trans
-        m = step.max(axis=0)
-        prev = m + np.log(np.exp(step - m).sum(axis=0)) + em[i]
-        alpha[i] = prev
-    last = prev + table.stop
-    m = last.max()
-    log_z = float(m + np.log(np.exp(last - m).sum()))
 
-    beta = np.empty((n, y))
-    prev = table.stop
-    beta[-1] = prev
-    for i in range(n - 2, -1, -1):
-        step = trans + (em[i + 1] + prev)[None, :]
+@dataclass
+class _Lattice:
+    """B lattices over the sequences of a batch.  Row r holds the nodes of
+    one position, packed like the emission rows: their scores `em` (-inf for
+    a node off the lattice) and, when `slots` is set, the tag of each node,
+    with the `widths[r]` nodes on the lattice first.  Without slots node j
+    is tag j at every position.  `trans` scores the step from the previous
+    row's nodes into a row's: one (W, W) block for every step, or one block
+    per row (R, W, W).  start and stop are (W,) or per sequence (B, W)."""
+
+    batch: PotentialBatch
+    em: np.ndarray
+    trans: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+    slots: np.ndarray | None = None
+    widths: np.ndarray | None = None
+
+    def block(self, rows: np.ndarray) -> np.ndarray:
+        return self.trans if self.trans.ndim == 2 else self.trans[rows]
+
+    def node_sum(self, e: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Sum over the last axis, the nodes of the given rows, rounded as a
+        sum over only each row's nodes on the lattice is rounded."""
+        if self.widths is None or e.shape[-1] <= _PAD_EXACT:
+            return e.sum(axis=-1)
+        widths = self.widths[rows]
+        out = np.empty(e.shape[:-1])
+        for w in np.unique(widths):
+            sel = widths == w
+            out[sel] = e[sel, ..., :w].sum(axis=-1)
+        return out
+
+
+def _full(batch: PotentialBatch) -> _Lattice:
+    return _Lattice(batch, batch.emissions, batch.transitions, batch.start, batch.stop)
+
+
+def _restricted(batch: PotentialBatch, masks: Sequence[LatticeMask]) -> _Lattice:
+    """Each sequence's lattice restricted to its mask's allowed tags."""
+    width = max(m.slots.shape[1] for m in masks)
+    slots = np.zeros((batch.emissions.shape[0], width), dtype=np.int64)
+    for m, first in zip(masks, batch.offsets):
+        slots[first : first + len(m), : m.slots.shape[1]] = m.slots
+    widths = np.concatenate([m.widths for m in masks])
+    em = np.take_along_axis(batch.emissions, slots, axis=1)
+    em[np.arange(width) >= widths[:, None]] = -np.inf
+    trans = batch.transitions[np.roll(slots, 1, axis=0)[:, :, None], slots[:, None, :]]
+    last = batch.offsets + batch.lengths - 1
+    return _Lattice(batch, em, trans, batch.start[slots[batch.offsets]],
+                    batch.stop[slots[last]], slots, widths)
+
+
+def _sum_product(lat: _Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forward-backward recursion: log-partition of every lattice (B,)
+    and the forward and backward scores of every node (R, W).
+
+    Every sum rounds as the one-sequence recursion over the allowed tags
+    alone rounds it, but one: numpy sums a lone (k >= 8, 1) block, k allowed
+    tags stepping into a pinned position, in another order than this
+    batched forward step, so there the scores differ in the last bits."""
+    em, batch = lat.em, lat.batch
+    order, first, running = batch.schedule()
+    last = first + batch.lengths[order] - 1
+    shape = (batch.size, em.shape[1])
+    alpha = np.empty_like(em)
+    prev = np.broadcast_to(lat.start, shape)[order] + em[first]
+    alpha[first] = prev
+    for i in range(1, running.size):
+        k = running[i]
+        rows = first[:k] + i
+        step = prev[:k, :, None] + lat.block(rows)
         m = step.max(axis=1)
-        prev = m + np.log(np.exp(step - m[:, None]).sum(axis=1))
-        beta[i] = prev
+        prev[:k] = m + np.log(np.exp(step - m[:, None, :]).sum(axis=1)) + em[rows]
+        alpha[rows] = prev[:k]
+    stop = np.broadcast_to(lat.stop, shape)[order]
+    ends = prev + stop
+    m = ends.max(axis=1)
+    log_z = np.empty(batch.size)
+    log_z[order] = m + np.log(lat.node_sum(np.exp(ends - m[:, None]), last))
 
-    unary = np.exp(alpha + beta - log_z)
+    beta = np.empty_like(em)
+    prev = stop
+    beta[last] = prev
+    for i in range(running.size - 2, -1, -1):
+        k = running[i + 1]  # sequences with a position after i
+        rows = first[:k] + i + 1
+        step = lat.block(rows) + (em[rows] + prev[:k])[:, None, :]
+        m = step.max(axis=2)
+        prev[:k] = m + np.log(lat.node_sum(np.exp(step - m[:, :, None]), rows))
+        beta[rows - 1] = prev[:k]
+    return log_z, alpha, beta
+
+
+def _node_posteriors(lat: _Lattice) -> tuple[np.ndarray, ...]:
+    """Log-partition (B,), the marginal of every node (R, W) and of every
+    pair of nodes at adjacent positions: one (W, W) block per row with a
+    successor in its sequence, for the rows `src` also returned."""
+    batch = lat.batch
+    log_z, alpha, beta = _sum_product(lat)
+    unary = np.exp(alpha + beta - np.repeat(log_z, batch.lengths)[:, None])
+    src = np.delete(np.arange(alpha.shape[0]), batch.offsets + batch.lengths - 1)
     pairwise = np.exp(
-        alpha[: n - 1, :, None]
-        + trans[None, :, :]
-        + (em[1:] + beta[1:])[:, None, :]
-        - log_z
+        alpha[src][:, :, None]
+        + lat.block(src + 1)
+        + (lat.em[src + 1] + beta[src + 1])[:, None, :]
+        - np.repeat(log_z, batch.lengths - 1)[:, None, None]
     )
+    return log_z, unary, pairwise, src
+
+
+def _posteriors(
+    batch: PotentialBatch, masks: Sequence[LatticeMask] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log-partition (B,), unary marginals packed like the emission rows, and
+    pairwise marginals (one (y, y) block per row with a successor in its
+    sequence; row r of sequence b gives block r - b) of every sequence's full
+    lattice, or of its lattice restricted to its mask.  A mask that pins one
+    path gets the closed form: that path's score and one-hot marginals."""
+    if masks is None:
+        return _node_posteriors(_full(batch))[:3]
+    if len(masks) != batch.size:
+        raise ValueError(f"{len(masks)} masks for {batch.size} sequences")
+    n_rows, y = batch.emissions.shape
+    for mask, n in zip(masks, batch.lengths):
+        mask.validate_for(n, y)
+    log_z = np.empty(batch.size)
+    unary = np.zeros((n_rows, y))
+    pairwise = np.zeros((n_rows - batch.size, y, y))
+    swept = []
+    for b, mask in enumerate(masks):
+        path = mask.singleton_path
+        if path is None:
+            swept.append(b)
+            continue
+        first, n = batch.offsets[b], batch.lengths[b]
+        log_z[b] = _path_score(batch.emissions[first : first + n], batch.transitions,
+                               batch.start, batch.stop, path)
+        unary[np.arange(first, first + n), path] = 1.0
+        pairwise[np.arange(first - b, first - b + n - 1), path[:-1], path[1:]] = 1.0
+    if not swept:
+        return log_z, unary, pairwise
+
+    sub = batch.select(swept)
+    lat = _restricted(sub, [masks[b] for b in swept])
+    log_z[swept], node_unary, node_pairwise, src = _node_posteriors(lat)
+    rows = batch.rows(swept)  # sub's rows in the batch
+    pairs = rows[src] - np.repeat(swept, sub.lengths)[src]
+    live = np.arange(lat.em.shape[1]) < lat.widths[:, None]
+    r, j = np.nonzero(live)
+    unary[rows[r], lat.slots[r, j]] = node_unary[r, j]
+    p, a, c = np.nonzero(live[src][:, :, None] & live[src + 1][:, None, :])
+    pairwise[pairs[p], lat.slots[src[p], a], lat.slots[src[p] + 1, c]] = node_pairwise[p, a, c]
     return log_z, unary, pairwise
 
 
-def _pinned_posteriors(table: PotentialTable, path: np.ndarray):
-    n, y = table.emissions.shape
-    log_z = sequence_score(table, path)
-    unary = np.zeros((n, y))
-    unary[np.arange(n), path] = 1.0
-    pairwise = np.zeros((max(n - 1, 0), y, y))
-    pairwise[np.arange(n - 1), path[:-1], path[1:]] = 1.0
-    return log_z, unary, pairwise
+def loss_and_grad_batch(
+    batch: PotentialBatch, masks: Sequence[LatticeMask]
+) -> tuple[list[float], list[LatticeGradients]]:
+    """Each sequence's gap between its full and masked log-partitions, with
+    its gradients: the full and the masked lattices of the whole batch run
+    through one packed recursion each.
+
+    The gradient w.r.t. each potential entry is the unconstrained posterior
+    expectation of that entry's indicator minus the masked one.
+    """
+    log_z_m, unary_m, pairwise_m = _posteriors(batch, masks)
+    log_z, unary, pairwise = _posteriors(batch)
+    d_emissions = unary - unary_m
+    grads = []
+    for b, (first, n) in enumerate(zip(batch.offsets, batch.lengths)):
+        d_em = d_emissions[first : first + n]
+        pairs = slice(first - b, first - b + n - 1)
+        d_trans = pairwise[pairs].sum(axis=0) - pairwise_m[pairs].sum(axis=0)
+        grads.append(LatticeGradients(d_em, d_trans, d_em[0].copy(), d_em[-1].copy()))
+    return (log_z - log_z_m).tolist(), grads
 
 
-def _posteriors_masked(table: PotentialTable, mask: LatticeMask):
-    if mask.singleton_path is not None:
-        return _pinned_posteriors(table, mask.singleton_path)
-    em, trans = table.emissions, table.transitions
-    n, y = em.shape
-    idx = mask.allowed
-    blocks = [trans[idx[i][:, None], idx[i + 1]] for i in range(n - 1)]
-
-    alphas: list[np.ndarray] = [table.start[idx[0]] + em[0, idx[0]]]
-    for i in range(1, n):
-        step = alphas[i - 1][:, None] + blocks[i - 1]
-        m = step.max(axis=0)
-        alphas.append(m + np.log(np.exp(step - m).sum(axis=0)) + em[i, idx[i]])
-    last = alphas[-1] + table.stop[idx[-1]]
-    m = last.max()
-    log_z = float(m + np.log(np.exp(last - m).sum()))
-
-    betas: list[np.ndarray] = [np.empty(0)] * n
-    betas[-1] = table.stop[idx[-1]]
-    for i in range(n - 2, -1, -1):
-        step = blocks[i] + (em[i + 1, idx[i + 1]] + betas[i + 1])[None, :]
-        m = step.max(axis=1)
-        betas[i] = m + np.log(np.exp(step - m[:, None]).sum(axis=1))
-
-    unary = np.zeros((n, y))
-    for i in range(n):
-        unary[i, idx[i]] = np.exp(alphas[i] + betas[i] - log_z)
-    pairwise = np.zeros((max(n - 1, 0), y, y))
-    for i in range(n - 1):
-        block = np.exp(
-            alphas[i][:, None]
-            + blocks[i]
-            + (em[i + 1, idx[i + 1]] + betas[i + 1])[None, :]
-            - log_z
-        )
-        pairwise[i][idx[i][:, None], idx[i + 1]] = block
-    return log_z, unary, pairwise
-
-
-def _posteriors(table: PotentialTable, mask: LatticeMask | None):
-    if mask is None:
-        return _posteriors_dense(table)
-    mask.validate_for(table)
-    return _posteriors_masked(table, mask)
+def loss_and_grad(table: PotentialTable, mask: LatticeMask) -> tuple[float, LatticeGradients]:
+    """Gap between full and masked log-partitions, with its gradients
+    (`loss_and_grad_batch` of one)."""
+    losses, grads = loss_and_grad_batch(PotentialBatch.of(table), [mask])
+    return losses[0], grads[0]
 
 
 def log_partition(table: PotentialTable, mask: LatticeMask | None = None) -> float:
     """Log of the summed exp-scores of all (mask-compatible) tag sequences."""
-    em, trans = table.emissions, table.transitions
-    n = table.n
-    if mask is None:
-        alpha = table.start + em[0]
-        for i in range(1, n):
-            step = alpha[:, None] + trans
-            m = step.max(axis=0)
-            alpha = m + np.log(np.exp(step - m).sum(axis=0)) + em[i]
-        last = alpha + table.stop
-        m = last.max()
-        return float(m + np.log(np.exp(last - m).sum()))
-    mask.validate_for(table)
-    if mask.singleton_path is not None:
-        return sequence_score(table, mask.singleton_path)
-    idx = mask.allowed
-    alpha = table.start[idx[0]] + em[0, idx[0]]
-    for i in range(1, n):
-        step = alpha[:, None] + trans[idx[i - 1][:, None], idx[i]]
-        m = step.max(axis=0)
-        alpha = m + np.log(np.exp(step - m).sum(axis=0)) + em[i, idx[i]]
-    last = alpha + table.stop[idx[-1]]
-    m = last.max()
-    return float(m + np.log(np.exp(last - m).sum()))
+    return float(_posteriors(PotentialBatch.of(table), None if mask is None else [mask])[0][0])
 
 
 def constrained_log_partition(table: PotentialTable, mask: LatticeMask) -> float:
     return log_partition(table, mask)
 
 
-def log_partition_backward(table: PotentialTable, mask: LatticeMask | None = None) -> float:
-    """Same quantity as log_partition, via the backward recursion (cross-check)."""
-    em, trans = table.emissions, table.transitions
-    n = table.n
-    if mask is None:
-        beta = table.stop.copy()
-        for i in range(n - 2, -1, -1):
-            beta = logsumexp(trans + (em[i + 1] + beta)[None, :], axis=1)
-        return float(logsumexp(table.start + em[0] + beta))
-    mask.validate_for(table)
-    idx = mask.allowed
-    beta = table.stop[idx[-1]].copy()
-    for i in range(n - 2, -1, -1):
-        step = trans[np.ix_(idx[i], idx[i + 1])] + (em[i + 1, idx[i + 1]] + beta)[None, :]
-        beta = logsumexp(step, axis=1)
-    return float(logsumexp(table.start[idx[0]] + em[0, idx[0]] + beta))
-
-
 def marginals(table: PotentialTable, mask: LatticeMask | None = None):
     """Posterior tag and tag-pair probabilities, zero outside the mask."""
-    _, unary, pairwise = _posteriors(table, mask)
+    _, unary, pairwise = _posteriors(PotentialBatch.of(table), None if mask is None else [mask])
     return unary, pairwise
 
 
-def loss_and_grad(table: PotentialTable, mask: LatticeMask):
-    """Gap between full and masked log-partitions, with its gradients.
-
-    The gradient w.r.t. each potential entry is the unconstrained posterior
-    expectation of that entry's indicator minus the masked one.
-    """
-    log_z, unary, pairwise = _posteriors_dense(table)
-    log_z_m, unary_m, pairwise_m = _posteriors(table, mask)
-    loss = log_z - log_z_m
-    grads = LatticeGradients(
-        d_emissions=unary - unary_m,
-        d_transitions=pairwise.sum(axis=0) - pairwise_m.sum(axis=0),
-        d_start=unary[0] - unary_m[0],
-        d_stop=unary[-1] - unary_m[-1],
-    )
-    return loss, grads
+def _path_score(em, trans, start, stop, t: np.ndarray) -> float:
+    score = start[t[0]] + em[np.arange(t.size), t].sum()
+    score += trans[t[:-1], t[1:]].sum() + stop[t[-1]]
+    return float(score)
 
 
 def sequence_score(table: PotentialTable, tags: Sequence[int]) -> float:
@@ -334,9 +387,7 @@ def sequence_score(table: PotentialTable, tags: Sequence[int]) -> float:
     t = np.asarray(tags, dtype=np.int64)
     if t.size and (t.min() < 0 or t.max() >= table.y_count):
         raise ValueError("tag index out of range")
-    score = table.start[t[0]] + table.emissions[np.arange(table.n), t].sum()
-    score += table.transitions[t[:-1], t[1:]].sum() + table.stop[t[-1]]
-    return float(score)
+    return _path_score(table.emissions, table.transitions, table.start, table.stop, t)
 
 
 def sequence_log_prob(
@@ -351,9 +402,7 @@ def sequence_log_prob(
 
 def viterbi(table: PotentialTable) -> tuple[list[int], float]:
     """Highest-scoring tag sequence and its score (`viterbi_batch` of one)."""
-    paths, scores = viterbi_batch(
-        PotentialBatch(table.emissions, [table.n], table.transitions, table.start, table.stop)
-    )
+    paths, scores = viterbi_batch(PotentialBatch.of(table))
     return paths.tolist(), float(scores[0])
 
 
@@ -392,31 +441,5 @@ def forward_backward(batch: PotentialBatch) -> tuple[np.ndarray, np.ndarray]:
     """Log-partition of every sequence (B,) and the unary marginals, packed
     like the emission rows; the same arithmetic as `log_partition` and
     `marginals` without a mask."""
-    em, trans = batch.emissions, batch.transitions
-    order, first, running = batch.schedule()
-    alpha = np.empty_like(em)
-    prev = batch.start + em[first]
-    alpha[first] = prev
-    for i in range(1, running.size):
-        k = running[i]
-        rows = first[:k] + i
-        step = prev[:k, :, None] + trans
-        m = step.max(axis=1)
-        prev[:k] = m + np.log(np.exp(step - m[:, None, :]).sum(axis=1)) + em[rows]
-        alpha[rows] = prev[:k]
-    last = prev + batch.stop
-    m = last.max(axis=1)
-    log_z = np.empty(batch.size)
-    log_z[order] = m + np.log(np.exp(last - m[:, None]).sum(axis=1))
-
-    beta = np.empty_like(em)
-    prev = np.repeat(batch.stop[None, :], batch.size, axis=0)
-    beta[first + batch.lengths[order] - 1] = prev
-    for i in range(running.size - 2, -1, -1):
-        k = running[i + 1]  # sequences with a position after i
-        step = trans + (em[first[:k] + i + 1] + prev[:k])[:, None, :]
-        m = step.max(axis=2)
-        prev[:k] = m + np.log(np.exp(step - m[:, :, None]).sum(axis=2))
-        beta[first[:k] + i] = prev[:k]
-    unary = np.exp(alpha + beta - np.repeat(log_z, batch.lengths)[:, None])
-    return log_z, unary
+    log_z, alpha, beta = _sum_product(_full(batch))
+    return log_z, np.exp(alpha + beta - np.repeat(log_z, batch.lengths)[:, None])

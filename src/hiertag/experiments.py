@@ -229,15 +229,16 @@ def _split_dev(corpus: Corpus, fraction: float) -> tuple[Corpus, Corpus | None]:
     )
 
 
-def train_models(kind: str, datasets, eh, cfg, dev=None):
-    """Dispatch to the right trainer; always returns a list of models."""
+def train_models(kind: str, datasets, eh, cfg, dev=None, on_epoch=None):
+    """Dispatch to the right trainer; always returns a list of models.
+    on_epoch(model, record) is called as each epoch of each model ends."""
     trainer = {
         ModelKind.HIER.value: train_hier,
         ModelKind.CONCAT.value: train_concat,
         ModelKind.INDEP.value: train_indep,
         ModelKind.MTL.value: train_mtl,
     }[kind]
-    out = trainer(datasets, eh, cfg, dev=dev)
+    out = trainer(datasets, eh, cfg, dev=dev, on_epoch=on_epoch)
     return out if isinstance(out, list) else [out]
 
 

@@ -7,9 +7,10 @@ the center token only.  Out-of-window positions contribute identity pseudo
 features "w-1=<BOS>" / "w+1=<EOS>".  The vocabulary is built once, then
 frozen; unknown strings map to the reserved UNK id 0.
 
-Emission scorers turn a FeatureVector sequence into CRF emission rows and
-push d_emissions back into parameter gradients.  For tagging they also score
-a whole request at once from one sparse matrix (`FeatureVocabulary.matrix`).
+Emission scorers turn the feature rows of one sequence (a CSR matrix, one
+row per token, as `FeatureVocabulary.matrix` builds it) into CRF emission
+rows and push d_emissions back into parameter gradients.  For tagging they
+also score a whole request at once from one sparse matrix.
 The linear scorer is a single weight matrix; the shared scorer squashes one
 tanh hidden layer shared by all heads, with one output layer per head.
 """
@@ -37,32 +38,50 @@ def word_shape(token: str) -> str:
     )
 
 
-def feature_strings(tokens: Sequence[str], i: int, radius: int = 2) -> list[str]:
-    """Template features for position i.  Pure; depends only on the window."""
-    if not 0 <= i < len(tokens):
-        raise ValueError(f"position {i} outside sequence of length {len(tokens)}")
-    tok = tokens[i]
-    low = tok.lower()
-    feats = [f"w0={low}", f"shape0={word_shape(tok)}"]
+def _marks(radius: int) -> list[tuple[int, str]]:
+    return [(off, f"+{off}" if off > 0 else str(off)) for off in range(-radius, radius + 1) if off]
+
+
+def _templates(tokens: Sequence[str], i: int, lows, shapes, marks) -> list[str]:
+    """Template features for position i, given the lowercased form and shape
+    of every token its window sees."""
+    tok, low = tokens[i], lows[i]
+    feats = [f"w0={low}", f"shape0={shapes[i]}"]
     for k in (1, 2, 3):
         if len(tok) >= k:
             feats.append(f"pre{k}={low[:k]}")
             feats.append(f"suf{k}={low[-k:]}")
     if any(c.isdigit() for c in tok):
         feats.append("digit")
-    for off in range(-radius, radius + 1):
-        if off == 0:
-            continue
-        mark = f"+{off}" if off > 0 else str(off)
+    for off, mark in marks:
         j = i + off
         if j < 0:
             feats.append(f"w{mark}={BOS}")
         elif j >= len(tokens):
             feats.append(f"w{mark}={EOS}")
         else:
-            feats.append(f"w{mark}={tokens[j].lower()}")
-            feats.append(f"shape{mark}={word_shape(tokens[j])}")
+            feats.append(f"w{mark}={lows[j]}")
+            feats.append(f"shape{mark}={shapes[j]}")
     return feats
+
+
+def feature_strings(tokens: Sequence[str], i: int, radius: int = 2) -> list[str]:
+    """Template features for position i.  Pure; depends only on the window."""
+    if not 0 <= i < len(tokens):
+        raise ValueError(f"position {i} outside sequence of length {len(tokens)}")
+    window = range(max(i - radius, 0), min(i + radius + 1, len(tokens)))
+    lows = {j: tokens[j].lower() for j in window}
+    shapes = {j: word_shape(tokens[j]) for j in window}
+    return _templates(tokens, i, lows, shapes, _marks(radius))
+
+
+def window_features(tokens: Sequence[str], radius: int = 2) -> list[list[str]]:
+    """`feature_strings` of every position of one sequence; each token is
+    lowercased and shaped once, not once per window that sees it."""
+    lows = [t.lower() for t in tokens]
+    shapes = [word_shape(t) for t in tokens]
+    marks = _marks(radius)
+    return [_templates(tokens, i, lows, shapes, marks) for i in range(len(tokens))]
 
 
 @dataclass
@@ -151,11 +170,26 @@ class FeatureVocabulary:
 
     @classmethod
     def from_strings(cls, table: Sequence[str]) -> "FeatureVocabulary":
+        """The frozen vocabulary whose id i is table[i] (table[0] is the UNK slot)."""
         vocab = cls()
-        for s in table[1:]:
-            vocab.id_of(s)
+        vocab._ids = dict(zip(table[1:], range(1, len(table))))
+        if len(vocab._ids) != len(table) - 1:
+            raise ValueError("duplicate feature strings")
         vocab.freeze()
         return vocab
+
+
+def _token_rows(x: sparse.csr_matrix) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The feature ids and values of each row of x."""
+    ptr = x.indptr.tolist()
+    return [(x.indices[a:b], x.data[a:b]) for a, b in zip(ptr[:-1], ptr[1:])]
+
+
+def _scatter_rows(d_w: np.ndarray, x: sparse.csr_matrix, d_rows: np.ndarray) -> None:
+    """d_w[:, f] += d_rows[t] * x[t, f] for every stored entry of x, row by
+    row in order, so each column sums its terms in token order."""
+    tokens = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
+    np.add.at(d_w.T, x.indices, d_rows[tokens] * x.data[:, None])
 
 
 def _check_ids(indices: np.ndarray, feature_count: int) -> None:
@@ -189,12 +223,11 @@ class LinearEmissionModel:
         _check_ids(f.indices, self.feature_count)
         return self.weights[:, f.indices] @ f.values + self.bias
 
-    def emissions(
-        self, fs: Sequence[FeatureVector], head: str | None
-    ) -> tuple[np.ndarray, None]:
-        out = np.empty((len(fs), self.weights.shape[0]))
-        for i, f in enumerate(fs):
-            out[i] = self.score_row(f)
+    def emissions(self, x: sparse.csr_matrix, head: str | None) -> tuple[np.ndarray, None]:
+        _check_ids(x.indices, self.feature_count)
+        out = np.empty((x.shape[0], self.weights.shape[0]))
+        for i, (ids, values) in enumerate(_token_rows(x)):
+            out[i] = self.weights[:, ids] @ values + self.bias
         return out, None
 
     def batch_emissions(self, x: sparse.csr_matrix, heads: Sequence[str]) -> dict[str, np.ndarray]:
@@ -204,18 +237,16 @@ class LinearEmissionModel:
 
     def backprop(
         self,
-        fs: Sequence[FeatureVector],
+        x: sparse.csr_matrix,
         head: str | None,
         d_emissions: np.ndarray,
         cache: None,
         out: dict[str, np.ndarray],
     ) -> None:
         y, _ = self.weights.shape
-        if d_emissions.shape != (len(fs), y):
+        if d_emissions.shape != (x.shape[0], y):
             raise ValueError("d_emissions shape mismatch")
-        d_w = out["weights"]
-        for i, f in enumerate(fs):
-            d_w[:, f.indices] += np.outer(d_emissions[i], f.values)
+        _scatter_rows(out["weights"], x, d_emissions)
         out["bias"] += d_emissions.sum(axis=0)
 
     def params(self) -> dict[str, np.ndarray]:
@@ -282,14 +313,12 @@ class SharedEmissionModel:
         hidden = np.tanh(self.shared_weights[:, f.indices] @ f.values + self.shared_bias)
         return head_w @ hidden + head_b
 
-    def emissions(
-        self, fs: Sequence[FeatureVector], head: str
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def emissions(self, x: sparse.csr_matrix, head: str) -> tuple[np.ndarray, np.ndarray]:
         head_w, head_b = self._head(head)
-        hidden = np.empty((len(fs), self.hidden_dim))
-        for i, f in enumerate(fs):
-            _check_ids(f.indices, self.feature_count)
-            hidden[i] = self.shared_weights[:, f.indices] @ f.values + self.shared_bias
+        _check_ids(x.indices, self.feature_count)
+        hidden = np.empty((x.shape[0], self.hidden_dim))
+        for i, (ids, values) in enumerate(_token_rows(x)):
+            hidden[i] = self.shared_weights[:, ids] @ values + self.shared_bias
         hidden = np.tanh(hidden)
         return hidden @ head_w.T + head_b, hidden
 
@@ -312,21 +341,19 @@ class SharedEmissionModel:
 
     def backprop(
         self,
-        fs: Sequence[FeatureVector],
+        x: sparse.csr_matrix,
         head: str,
         d_emissions: np.ndarray,
         hidden: np.ndarray,
         out: dict[str, np.ndarray],
     ) -> None:
         head_w, _ = self._head(head)
-        if d_emissions.shape != (len(fs), head_w.shape[0]):
+        if d_emissions.shape != (x.shape[0], head_w.shape[0]):
             raise ValueError("d_emissions shape mismatch")
         out[f"head:{head}:weights"] += d_emissions.T @ hidden
         out[f"head:{head}:bias"] += d_emissions.sum(axis=0)
         d_hidden = (d_emissions @ head_w) * (1.0 - hidden * hidden)
-        d_sw = out["shared_weights"]
-        for i, f in enumerate(fs):
-            d_sw[:, f.indices] += np.outer(d_hidden[i], f.values)
+        _scatter_rows(out["shared_weights"], x, d_hidden)
         out["shared_bias"] += d_hidden.sum(axis=0)
 
     def params(self) -> dict[str, np.ndarray]:
@@ -344,17 +371,17 @@ def zero_gradients(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {k: np.zeros_like(v) for k, v in params.items()}
 
 
-def emission_cache(model: Any, fs: Sequence[FeatureVector], head: str | None):
+def emission_cache(model: Any, x: sparse.csr_matrix, head: str | None):
     """(emissions, cache) of either scorer for one head."""
-    return model.emissions(fs, head)
+    return model.emissions(x, head)
 
 
 def emission_backprop(
     model: Any,
-    fs: Sequence[FeatureVector],
+    x: sparse.csr_matrix,
     head: str | None,
     d_emissions: np.ndarray,
     cache: Any,
     out: dict[str, np.ndarray],
 ) -> None:
-    model.backprop(fs, head, d_emissions, cache, out)
+    model.backprop(x, head, d_emissions, cache, out)

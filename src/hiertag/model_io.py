@@ -24,6 +24,7 @@ from hiertag.models import Head, ModelKind, TrainedModel, TrainingConfig
 
 MAGIC = b"HTAG"
 FORMAT_VERSION = 1
+_U32 = struct.Struct("<I")
 
 
 class ModelFormatError(ValueError):
@@ -80,6 +81,25 @@ class _Reader:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ModelFormatError("corrupt or truncated model file") from exc
+
+    def texts(self, count: int) -> list[str]:
+        """`count` length-prefixed strings, read in one pass."""
+        raw, off, end = self.raw, self.off, len(self.raw)
+        spans = []
+        for _ in range(count):
+            if off + 4 > end:
+                raise ModelFormatError("corrupt or truncated model file")
+            size = _U32.unpack_from(raw, off)[0]
+            spans.append((off + 4, off + 4 + size))
+            off += 4 + size
+        if off > end:
+            raise ModelFormatError("corrupt or truncated model file")
+        try:
+            out = [raw[a:b].decode("utf-8") for a, b in spans]
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError("corrupt or truncated model file") from exc
+        self.off = off
+        return out
 
     def array(self) -> np.ndarray:
         ndim = self.u32()
@@ -206,12 +226,12 @@ def _parse_model(raw: bytes) -> TrainedModel:
     kind = ModelKind(r.text())
     config = TrainingConfig(**json.loads(r.text()))
     hierarchy = parse_extended(r.text())
-    vocab = FeatureVocabulary.from_strings([r.text() for _ in range(r.u32())])
+    vocab = FeatureVocabulary.from_strings(r.texts(r.u32()))
     emission = _read_emission(r)
     heads = {}
     for _ in range(r.u32()):
         name = r.text()
-        domain = [r.text() for _ in range(r.u32())]
+        domain = r.texts(r.u32())
         heads[name] = Head(name, domain, r.array(), r.array(), r.array())
     r.done()
     _check_shapes(kind, vocab, emission, heads)

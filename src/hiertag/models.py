@@ -19,28 +19,29 @@ from enum import Enum
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from hiertag.crf import (
     LatticeMask,
     PotentialBatch,
-    PotentialTable,
     forward_backward,
-    loss_and_grad,
     marginals,  # noqa: F401  (perfbench/spans.py wraps these names here)
     sequence_log_prob,
     viterbi,  # noqa: F401
     viterbi_batch,
 )
+# perfbench/spans.py times the training lattice under this name.
+from hiertag.crf import loss_and_grad_batch as loss_and_grad
 from hiertag.data import OTHER, Corpus
 from hiertag.evaluation import score
 from hiertag.features import (
-    FeatureVector,
     FeatureVocabulary,
     LinearEmissionModel,
     SharedEmissionModel,
     emission_backprop,
     emission_cache,
-    feature_strings,
+    feature_strings,  # noqa: F401  (perfbench/spans.py counts calls of this name)
+    window_features,
     zero_gradients,
 )
 from hiertag.hierarchy import ExtendedHierarchy, HierarchyError
@@ -105,6 +106,10 @@ class EpochRecord:
     dev_f1: float | None
 
 
+# Called with the model and the record of each epoch as the epoch ends.
+EpochCallback = Callable[["TrainedModel", EpochRecord], None]
+
+
 @dataclass
 class TrainedModel:
     kind: ModelKind
@@ -164,10 +169,6 @@ def _transitions(model: TrainedModel, head: Head) -> tuple[np.ndarray, np.ndarra
     return head.transitions + t_off, head.start + s_off
 
 
-def _potential_table(model: TrainedModel, head: Head, emissions: np.ndarray) -> PotentialTable:
-    return PotentialTable(emissions, *_transitions(model, head), head.stop)
-
-
 def _original_members(eh: ExtendedHierarchy, tagset: str) -> frozenset[str]:
     return eh.tagsets[tagset] - {eh.other_tag(tagset)}
 
@@ -188,20 +189,27 @@ def _check_datasets(datasets: Sequence[Corpus], eh: ExtendedHierarchy) -> None:
 
 @dataclass
 class _Instance:
-    fvecs: list[FeatureVector]
+    fvecs: sparse.csr_matrix  # the sequence's feature vectors, one row per token
     mask: LatticeMask
+
+
+def _sequence_rows(
+    token_lists: Sequence[Sequence[str]],
+    vocab: FeatureVocabulary,
+    features: tuple[list[str], np.ndarray, np.ndarray],
+) -> list[sparse.csr_matrix]:
+    """Each sequence's rows of the feature-id matrix of `_featurize` output."""
+    x = vocab.matrix(*features)
+    edges = np.cumsum([0] + [len(t) for t in token_lists]).tolist()
+    return [x[a:b] for a, b in zip(edges[:-1], edges[1:])]
 
 
 def _vectorize_corpus(
     corpus: Corpus, vocab: FeatureVocabulary, window: int
-) -> list[list[FeatureVector]]:
-    out = []
-    for seq in corpus.sequences:
-        texts = seq.texts()
-        out.append(
-            [vocab.vectorize(feature_strings(texts, i, window)) for i in range(len(texts))]
-        )
-    return out
+) -> list[sparse.csr_matrix]:
+    """Each sequence's feature vectors under a frozen vocabulary."""
+    token_lists = [seq.texts() for seq in corpus.sequences]
+    return _sequence_rows(token_lists, vocab, _featurize(token_lists, window))
 
 
 def _domain_indices(domain: Sequence[str], bio: bool) -> dict[str, list[int]]:
@@ -283,11 +291,16 @@ class _Trainer:
         model, cfg = self.model, self.cfg
         head = model.heads[head_name]
         grads = zero_gradients(self.params)
+        scored = [emission_cache(model.emission, inst.fvecs, head_name) for inst in batch]
+        potentials = PotentialBatch(
+            np.concatenate([em for em, _ in scored]),
+            [inst.fvecs.shape[0] for inst in batch],
+            *_transitions(model, head),
+            head.stop,
+        )
+        losses, lattice_grads = loss_and_grad(potentials, [inst.mask for inst in batch])
         total = 0.0
-        for inst in batch:
-            em, cache = emission_cache(model.emission, inst.fvecs, head_name)
-            table = _potential_table(model, head, em)
-            loss, g = loss_and_grad(table, inst.mask)
+        for inst, (_, cache), loss, g in zip(batch, scored, losses, lattice_grads):
             total += loss
             emission_backprop(model.emission, inst.fvecs, head_name, g.d_emissions, cache, grads)
             grads[f"trans:{head_name}"] += g.d_transitions
@@ -306,7 +319,7 @@ class _Trainer:
         self.opt.step(grads)
         return total
 
-    def run(self, dev_f1) -> None:
+    def run(self, dev_f1, on_epoch: EpochCallback | None = None) -> None:
         cfg = self.cfg
         names = sorted(self.instances)
         sizes = {n: len(self.instances[n]) for n in names}
@@ -344,6 +357,8 @@ class _Trainer:
                 else:
                     stale += 1
             self.model.history.append(record)
+            if on_epoch is not None:
+                on_epoch(self.model, record)
             if dev_f1 is not None and stale >= cfg.patience:
                 break
         if best_snapshot is not None:
@@ -358,13 +373,14 @@ def _new_head(name: str, domain: list[str]) -> Head:
 
 def _build_vocab(
     datasets: Sequence[Corpus], window: int
-) -> tuple[FeatureVocabulary, list[list[list[FeatureVector]]]]:
+) -> tuple[FeatureVocabulary, list[sparse.csr_matrix]]:
     """The frozen vocabulary of every training feature string, ids in
-    first-seen order, and each corpus's vectors, built in the same pass."""
-    vocab = FeatureVocabulary()
-    vectors = [_vectorize_corpus(corpus, vocab, window) for corpus in datasets]
-    vocab.freeze()
-    return vocab, vectors
+    first-seen order, and the feature vectors of every sequence of every
+    corpus in turn, from one featurization pass."""
+    token_lists = [seq.texts() for corpus in datasets for seq in corpus.sequences]
+    features = _featurize(token_lists, window)
+    vocab = FeatureVocabulary.from_strings(["<UNK>", *features[0]])
+    return vocab, _sequence_rows(token_lists, vocab, features)
 
 
 def _dev_scorer(dev: Sequence[Corpus] | None, eh: ExtendedHierarchy):
@@ -417,6 +433,7 @@ def _fit(
     eh: ExtendedHierarchy,
     cfg: TrainingConfig,
     dev: Sequence[Corpus] | None,
+    on_epoch: EpochCallback | None = None,
 ) -> TrainedModel:
     """The one training core: every kind is its head specs.  mtl shares a
     hidden layer across its heads; the other kinds score one head linearly."""
@@ -434,15 +451,15 @@ def _fit(
         emission = LinearEmissionModel.zeros(len(head.domain), vocab.size)
     model = TrainedModel(kind, eh, vocab, emission, heads, cfg)
     instances = {}
-    corpus_vectors = iter(vectors)
+    rows = iter(vectors)
     for name, domain, corpora, mask in specs:
         pos = _domain_indices(domain, cfg.bio)
         instances[name] = [
-            _Instance(fvecs, mask(seq.tags(), eh, corpus.tagset_name, pos))
-            for corpus, vecs in zip(corpora, corpus_vectors)
-            for seq, fvecs in zip(corpus.sequences, vecs)
+            _Instance(next(rows), mask(seq.tags(), eh, corpus.tagset_name, pos))
+            for corpus in corpora
+            for seq in corpus.sequences
         ]
-    _Trainer(model, instances, cfg).run(_dev_scorer(dev, eh))
+    _Trainer(model, instances, cfg).run(_dev_scorer(dev, eh), on_epoch)
     return model
 
 
@@ -451,12 +468,13 @@ def train_hier(
     eh: ExtendedHierarchy,
     cfg: TrainingConfig = TrainingConfig(),
     dev: Sequence[Corpus] | None = None,
+    on_epoch: EpochCallback | None = None,
 ) -> TrainedModel:
     """One CRF over the fine-grained tags, trained on every dataset at once
     with per-token masks from each dataset's tagset."""
     _check_datasets(datasets, eh)
     fine = _domain(eh.fine_grained, cfg.bio)
-    return _fit(ModelKind.HIER, [("fine", fine, datasets, _hier_mask)], eh, cfg, dev)
+    return _fit(ModelKind.HIER, [("fine", fine, datasets, _hier_mask)], eh, cfg, dev, on_epoch)
 
 
 def train_concat(
@@ -464,13 +482,14 @@ def train_concat(
     eh: ExtendedHierarchy,
     cfg: TrainingConfig = TrainingConfig(),
     dev: Sequence[Corpus] | None = None,
+    on_epoch: EpochCallback | None = None,
 ) -> TrainedModel:
     """One CRF over the union of the training tagsets; every example is
     treated as fully tagged, so unannotated tokens train as Other."""
     _check_datasets(datasets, eh)
     union = set().union(*(_original_members(eh, c.tagset_name) for c in datasets))
     spec = ("union", _domain(union | {OTHER}, cfg.bio), datasets, _gold_mask)
-    return _fit(ModelKind.CONCAT, [spec], eh, cfg, dev)
+    return _fit(ModelKind.CONCAT, [spec], eh, cfg, dev, on_epoch)
 
 
 def train_indep(
@@ -478,13 +497,15 @@ def train_indep(
     eh: ExtendedHierarchy,
     cfg: TrainingConfig = TrainingConfig(),
     dev: Sequence[Corpus] | None = None,
+    on_epoch: EpochCallback | None = None,
 ) -> list[TrainedModel]:
     """K fully independent CRFs, one per dataset; nothing is shared."""
     _check_datasets(datasets, eh)
     models = []
     for corpus in datasets:
         own_dev = [d for d in dev or () if d.tagset_name == corpus.tagset_name]
-        models.append(_fit(ModelKind.INDEP, [_tagset_head(corpus, eh, cfg)], eh, cfg, own_dev))
+        spec = _tagset_head(corpus, eh, cfg)
+        models.append(_fit(ModelKind.INDEP, [spec], eh, cfg, own_dev, on_epoch))
     return models
 
 
@@ -493,6 +514,7 @@ def train_mtl(
     eh: ExtendedHierarchy,
     cfg: TrainingConfig = TrainingConfig(),
     dev: Sequence[Corpus] | None = None,
+    on_epoch: EpochCallback | None = None,
 ) -> TrainedModel:
     """One shared tanh layer, one CRF head per dataset tagset; batches
     alternate round-robin across datasets and smaller datasets cycle."""
@@ -501,7 +523,7 @@ def train_mtl(
     if len(set(names)) != len(names):
         raise ModelError("mtl needs distinct tagsets per dataset")
     specs = [_tagset_head(corpus, eh, cfg) for corpus in datasets]
-    return _fit(ModelKind.MTL, specs, eh, cfg, dev)
+    return _fit(ModelKind.MTL, specs, eh, cfg, dev, on_epoch)
 
 
 def _featurize(
@@ -513,8 +535,7 @@ def _featurize(
     positions = array("q")
     indptr = array("q", [0])
     for tokens in token_lists:
-        for i in range(len(tokens)):
-            strings = feature_strings(tokens, i, window)
+        for strings in window_features(tokens, window):
             positions.extend([seen.setdefault(s, len(seen)) for s in strings])
             indptr.append(len(positions))
     return (

@@ -4,7 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from hiertag.crf import LatticeMask, PotentialTable, logsumexp
+from hiertag.crf import LatticeGradients, LatticeMask, PotentialTable, sequence_score
+
+
+def logsumexp(a: np.ndarray, axis: int | None = None):
+    a = np.asarray(a, dtype=np.float64)
+    m = np.max(a, axis=axis, keepdims=True)
+    out = m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))
+    if axis is None:
+        return out.item()
+    return np.squeeze(out, axis=axis)
 
 
 def all_path_scores(table: PotentialTable, mask: LatticeMask | None = None):
@@ -69,3 +78,115 @@ def random_mask(rng: np.random.Generator, n: int, y: int) -> LatticeMask:
         k = int(rng.integers(1, y + 1))
         allowed.append(rng.choice(y, size=k, replace=False))
     return LatticeMask(allowed)
+
+
+def log_partition_backward(table: PotentialTable, mask: LatticeMask | None = None) -> float:
+    """The log-partition by the backward recursion, as a cross-check."""
+    em, trans = table.emissions, table.transitions
+    n = table.n
+    if mask is None:
+        beta = table.stop.copy()
+        for i in range(n - 2, -1, -1):
+            beta = logsumexp(trans + (em[i + 1] + beta)[None, :], axis=1)
+        return float(logsumexp(table.start + em[0] + beta))
+    mask.validate_for(table.n, table.y_count)
+    idx = mask.allowed
+    beta = table.stop[idx[-1]].copy()
+    for i in range(n - 2, -1, -1):
+        step = trans[np.ix_(idx[i], idx[i + 1])] + (em[i + 1, idx[i + 1]] + beta)[None, :]
+        beta = logsumexp(step, axis=1)
+    return float(logsumexp(table.start[idx[0]] + em[0, idx[0]] + beta))
+
+
+# A one-sequence training kernel: a dense and a masked recursion per
+# sequence.  `crf.loss_and_grad_batch` must equal it bit for bit.
+
+def _reference_dense(table: PotentialTable):
+    em, trans = table.emissions, table.transitions
+    n, y = em.shape
+
+    alpha = np.empty((n, y))
+    prev = table.start + em[0]
+    alpha[0] = prev
+    for i in range(1, n):
+        step = prev[:, None] + trans
+        m = step.max(axis=0)
+        prev = m + np.log(np.exp(step - m).sum(axis=0)) + em[i]
+        alpha[i] = prev
+    last = prev + table.stop
+    m = last.max()
+    log_z = float(m + np.log(np.exp(last - m).sum()))
+
+    beta = np.empty((n, y))
+    prev = table.stop
+    beta[-1] = prev
+    for i in range(n - 2, -1, -1):
+        step = trans + (em[i + 1] + prev)[None, :]
+        m = step.max(axis=1)
+        prev = m + np.log(np.exp(step - m[:, None]).sum(axis=1))
+        beta[i] = prev
+
+    unary = np.exp(alpha + beta - log_z)
+    pairwise = np.exp(
+        alpha[: n - 1, :, None]
+        + trans[None, :, :]
+        + (em[1:] + beta[1:])[:, None, :]
+        - log_z
+    )
+    return log_z, unary, pairwise
+
+
+def _reference_masked(table: PotentialTable, mask: LatticeMask):
+    em, trans = table.emissions, table.transitions
+    n, y = em.shape
+    if mask.singleton_path is not None:
+        path = mask.singleton_path
+        unary = np.zeros((n, y))
+        unary[np.arange(n), path] = 1.0
+        pairwise = np.zeros((max(n - 1, 0), y, y))
+        pairwise[np.arange(n - 1), path[:-1], path[1:]] = 1.0
+        return sequence_score(table, path), unary, pairwise
+    idx = mask.allowed
+    blocks = [trans[idx[i][:, None], idx[i + 1]] for i in range(n - 1)]
+
+    alphas: list[np.ndarray] = [table.start[idx[0]] + em[0, idx[0]]]
+    for i in range(1, n):
+        step = alphas[i - 1][:, None] + blocks[i - 1]
+        m = step.max(axis=0)
+        alphas.append(m + np.log(np.exp(step - m).sum(axis=0)) + em[i, idx[i]])
+    last = alphas[-1] + table.stop[idx[-1]]
+    m = last.max()
+    log_z = float(m + np.log(np.exp(last - m).sum()))
+
+    betas: list[np.ndarray] = [np.empty(0)] * n
+    betas[-1] = table.stop[idx[-1]]
+    for i in range(n - 2, -1, -1):
+        step = blocks[i] + (em[i + 1, idx[i + 1]] + betas[i + 1])[None, :]
+        m = step.max(axis=1)
+        betas[i] = m + np.log(np.exp(step - m[:, None]).sum(axis=1))
+
+    unary = np.zeros((n, y))
+    for i in range(n):
+        unary[i, idx[i]] = np.exp(alphas[i] + betas[i] - log_z)
+    pairwise = np.zeros((max(n - 1, 0), y, y))
+    for i in range(n - 1):
+        block = np.exp(
+            alphas[i][:, None]
+            + blocks[i]
+            + (em[i + 1, idx[i + 1]] + betas[i + 1])[None, :]
+            - log_z
+        )
+        pairwise[i][idx[i][:, None], idx[i + 1]] = block
+    return log_z, unary, pairwise
+
+
+def reference_loss_and_grad(table: PotentialTable, mask: LatticeMask):
+    mask.validate_for(table.n, table.y_count)
+    log_z, unary, pairwise = _reference_dense(table)
+    log_z_m, unary_m, pairwise_m = _reference_masked(table, mask)
+    return log_z - log_z_m, LatticeGradients(
+        d_emissions=unary - unary_m,
+        d_transitions=pairwise.sum(axis=0) - pairwise_m.sum(axis=0),
+        d_start=unary[0] - unary_m[0],
+        d_stop=unary[-1] - unary_m[-1],
+    )

@@ -219,6 +219,28 @@ class TestTrain:
         assert code == 1
         assert "ValueError: numerical fault" in err
 
+    @pytest.mark.parametrize("kind", ["hier", "indep"])
+    def test_epoch_lines_stream_while_training(self, toy_files, capsys, monkeypatch, kind):
+        from hiertag.models import _Trainer
+
+        steps = []
+        real_step = _Trainer._batch_step
+
+        def counted(self, *args):
+            steps.append(1)
+            return real_step(self, *args)
+
+        monkeypatch.setattr(_Trainer, "_batch_step", counted)
+        logged = []
+        monkeypatch.setattr("hiertag.cli._log", lambda msg: logged.append((msg, len(steps))))
+        code, _, _ = run(capsys, *train_args(toy_files, kind, toy_files / "m.htag", epochs=3))
+        assert code == 0
+        # One line per epoch of the first model, each written as its epoch ends.
+        assert [msg.split(" loss ")[0] for msg, _ in logged] == ["epoch 1", "epoch 2", "epoch 3"]
+        at = [n for _, n in logged]
+        assert 0 < at[0] < at[1] < at[2] <= len(steps)
+        assert (at[2] == len(steps)) == (kind == "hier")
+
     def test_indep_writes_one_file_per_dataset(self, toy_files, capsys):
         out = toy_files / "m.htag"
         code, stdout, _ = run(capsys, *train_args(toy_files, "indep", out))

@@ -14,8 +14,8 @@ from hiertag.crf import (
     constrained_log_partition,
     forward_backward,
     log_partition,
-    log_partition_backward,
     loss_and_grad,
+    loss_and_grad_batch,
     marginals,
     sequence_log_prob,
     sequence_score,
@@ -24,11 +24,13 @@ from hiertag.crf import (
 )
 from oracles import (
     all_path_scores,
+    log_partition_backward,
     oracle_log_partition,
     oracle_marginals,
     oracle_viterbi,
     random_mask,
     random_table,
+    reference_loss_and_grad,
 )
 
 
@@ -386,6 +388,32 @@ def potential_batches(draw):
 BATCH_PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
 
+@st.composite
+def masked_batches(draw):
+    """A potential batch with one mask per sequence: full, all-singleton,
+    partly singleton or random."""
+    batch = draw(potential_batches())
+    y = batch.emissions.shape[1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masks = []
+    for n in batch.lengths.tolist():
+        kind = draw(st.sampled_from(["full", "singleton", "partly", "random"]))
+        if kind == "full":
+            masks.append(LatticeMask.full(n, y))
+        elif kind == "singleton":
+            masks.append(LatticeMask([[int(t)] for t in rng.integers(0, y, size=n)]))
+        elif kind == "partly":
+            masks.append(LatticeMask([
+                [int(rng.integers(y))] if rng.random() < 0.5 else range(y) for _ in range(n)
+            ]))
+        else:
+            masks.append(random_mask(rng, n, y))
+    return batch, masks
+
+
+GRADIENT_FIELDS = ("d_emissions", "d_transitions", "d_start", "d_stop")
+
+
 def rows_of(batch, b):
     return slice(batch.offsets[b], batch.offsets[b] + batch.lengths[b])
 
@@ -418,6 +446,74 @@ class TestBatchedKernels:
             assert got.tobytes() == marginals(table)[0].tobytes()
             path, _ = viterbi(table)
             assert sequence_log_prob(table, path, log_z[b]) == sequence_log_prob(table, path)
+
+    @BATCH_PROPERTY
+    @given(masked_batches())
+    def test_training_kernel_equals_per_sequence_kernel_and_oracles(self, case):
+        batch, masks = case
+        losses, grads = loss_and_grad_batch(batch, masks)
+        assert len(losses) == len(grads) == batch.size
+        for b, (mask, got) in enumerate(zip(masks, grads)):
+            table = batch.table(b)
+            # Bit for bit the one-sequence reference kernel.
+            loss, want = reference_loss_and_grad(table, mask)
+            assert type(losses[b]) is float
+            assert losses[b] == loss
+            for name in GRADIENT_FIELDS:
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            # And the brute-force oracles.
+            full_u, full_p = oracle_marginals(table)
+            part_u, part_p = oracle_marginals(table, mask)
+            gap = oracle_log_partition(table) - oracle_log_partition(table, mask)
+            assert losses[b] == pytest.approx(gap, abs=1e-9)
+            expect = {
+                "d_emissions": full_u - part_u,
+                "d_transitions": full_p.sum(axis=0) - part_p.sum(axis=0),
+                "d_start": full_u[0] - part_u[0],
+                "d_stop": full_u[-1] - part_u[-1],
+            }
+            for name, value in expect.items():
+                np.testing.assert_allclose(getattr(got, name), value, rtol=0, atol=1e-9)
+
+    def test_training_kernel_on_masks_wider_than_seven_tags(self):
+        # Past seven allowed tags a sum's rounding depends on its length, so
+        # each backward step sums every sequence over its own mask width.
+        # numpy sums a block of >= 8 rows and one column in another order
+        # than the batched forward step does; only there may the last bits
+        # differ.
+        rng = np.random.default_rng(71)
+        exact = 0
+        for _ in range(150):
+            y = int(rng.integers(8, 14))
+            lengths = rng.integers(1, 12, size=int(rng.integers(1, 6)))
+            batch = PotentialBatch(rng.uniform(-3, 3, (lengths.sum(), y)), lengths,
+                                   rng.uniform(-3, 3, (y, y)), rng.uniform(-3, 3, y),
+                                   rng.uniform(-3, 3, y))
+            masks = [random_mask(rng, n, y) for n in lengths.tolist()]
+            losses, grads = loss_and_grad_batch(batch, masks)
+            for b, mask in enumerate(masks):
+                loss, want = reference_loss_and_grad(batch.table(b), mask)
+                w = mask.widths
+                if not ((w[:-1] >= 8) & (w[1:] == 1)).any():
+                    exact += 1
+                    assert losses[b] == loss
+                    for name in GRADIENT_FIELDS:
+                        assert getattr(grads[b], name).tobytes() == getattr(want, name).tobytes()
+                assert losses[b] == pytest.approx(loss, abs=1e-12)
+                for name in GRADIENT_FIELDS:
+                    np.testing.assert_allclose(getattr(grads[b], name), getattr(want, name),
+                                               rtol=0, atol=1e-12)
+        assert exact > 200
+
+    def test_training_kernel_rejects_masks_that_do_not_fit(self):
+        batch = PotentialBatch(np.zeros((5, 2)), [2, 3], np.zeros((2, 2)), np.zeros(2),
+                               np.zeros(2))
+        with pytest.raises(ValueError, match="masks for"):
+            loss_and_grad_batch(batch, [LatticeMask.full(2, 2)])
+        with pytest.raises(ValueError, match="mask length"):
+            loss_and_grad_batch(batch, [LatticeMask.full(2, 2), LatticeMask.full(2, 2)])
+        with pytest.raises(ValueError, match="y_count"):
+            loss_and_grad_batch(batch, [LatticeMask.full(2, 2), LatticeMask([[0], [1], [2]])])
 
     def test_select_keeps_each_sequence(self):
         rng = np.random.default_rng(70)

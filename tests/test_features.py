@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from hiertag.crf import LatticeMask, PotentialTable, loss_and_grad
 from hiertag.features import (
@@ -21,6 +22,17 @@ from hiertag.models import _featurize
 
 
 class TestTemplates:
+    @pytest.mark.parametrize("window", [0, 1, 2, 4])
+    def test_featurize_equals_per_position_strings(self, window):
+        # "x" and the pair are shorter than the widest window; "İ" lowercases
+        # to two characters.
+        token_lists = [["x"], ["Alice", "Smith"], "the 3 Visitors saw alice near elm".split(),
+                       ["İzmir", "a-1", "B2B"]]
+        strings, positions, indptr = _featurize(token_lists, window)
+        got = [[strings[p] for p in positions[a:b]] for a, b in zip(indptr[:-1], indptr[1:])]
+        assert got == [feature_strings(t, i, window) for t in token_lists for i in range(len(t))]
+        assert len(set(strings)) == len(strings)
+
     def test_example_strings(self):
         feats = feature_strings(["John", "Street"], 0)
         for expected in (
@@ -108,6 +120,15 @@ class TestVocabulary:
             FeatureVector([1, 2], [1.0])
 
 
+def rows(fs: list[FeatureVector], feature_count: int) -> sparse.csr_matrix:
+    """Per-token feature vectors stacked as the CSR matrix the scorers take."""
+    return sparse.csr_matrix(
+        (np.concatenate([f.values for f in fs]), np.concatenate([f.indices for f in fs]),
+         np.cumsum([0] + [f.indices.size for f in fs])),
+        shape=(len(fs), feature_count),
+    )
+
+
 def random_fvec(rng: np.random.Generator, feature_count: int) -> FeatureVector:
     k = int(rng.integers(1, min(5, feature_count) + 1))
     ids = np.sort(rng.choice(feature_count, size=k, replace=False))
@@ -155,7 +176,7 @@ class TestLinearModel:
         m = LinearEmissionModel.zeros(2, 4)
         fs = [FeatureVector([1], [1.0]), FeatureVector([2, 3], [1.0, 1.0])]
         grads = zero_gradients(m.params())
-        m.backprop(fs, None, np.zeros((2, 2)), None, grads)
+        m.backprop(rows(fs, 4), None, np.zeros((2, 2)), None, grads)
         assert all(np.all(g == 0) for g in grads.values())
 
     def test_backprop_single_feature_linearity(self):
@@ -163,14 +184,14 @@ class TestLinearModel:
         fs = [FeatureVector([3], [1.0]), FeatureVector([3], [1.0])]
         d_em = np.array([[0.5, -0.5], [0.25, 0.75]])
         grads = zero_gradients(m.params())
-        m.backprop(fs, None, d_em, None, grads)
+        m.backprop(rows(fs, 4), None, d_em, None, grads)
         assert np.allclose(grads["weights"][:, 3], d_em.sum(axis=0))
         assert np.allclose(grads["bias"], d_em.sum(axis=0))
 
     def test_backprop_shape_mismatch(self):
         m = LinearEmissionModel.zeros(2, 4)
         with pytest.raises(ValueError, match="mismatch"):
-            m.backprop([FeatureVector([0], [1.0])], None, np.zeros((1, 3)), None,
+            m.backprop(rows([FeatureVector([0], [1.0])], 4), None, np.zeros((1, 3)), None,
                        zero_gradients(m.params()))
 
 
@@ -227,7 +248,7 @@ class TestSharedModel:
         rng = np.random.default_rng(82)
         m = self.build(rng)
         fs = [random_fvec(rng, m.feature_count) for _ in range(4)]
-        em, hidden = m.emissions(fs, "B")
+        em, hidden = m.emissions(rows(fs, m.feature_count), "B")
         assert hidden.shape == (4, m.hidden_dim)
         for i, f in enumerate(fs):
             assert np.allclose(em[i], m.score_row(f, "B"), atol=1e-12)
@@ -235,10 +256,10 @@ class TestSharedModel:
     def test_backprop_touches_only_active_head(self):
         rng = np.random.default_rng(83)
         m = self.build(rng)
-        fs = [random_fvec(rng, m.feature_count) for _ in range(3)]
-        em, hidden = m.emissions(fs, "A")
+        x = rows([random_fvec(rng, m.feature_count) for _ in range(3)], m.feature_count)
+        em, hidden = m.emissions(x, "A")
         grads = zero_gradients(m.params())
-        m.backprop(fs, "A", np.ones_like(em), hidden, grads)
+        m.backprop(x, "A", np.ones_like(em), hidden, grads)
         assert np.all(grads["head:B:weights"] == 0)
         assert np.all(grads["head:B:bias"] == 0)
         assert np.abs(grads["shared_weights"]).sum() > 0
@@ -247,7 +268,7 @@ class TestSharedModel:
 def end_to_end_setup(rng, model, head, n):
     y = (model.heads[head][0].shape[0]
          if isinstance(model, SharedEmissionModel) else model.weights.shape[0])
-    fs = [random_fvec(rng, model.feature_count) for _ in range(n)]
+    fs = rows([random_fvec(rng, model.feature_count) for _ in range(n)], model.feature_count)
     trans = rng.normal(size=(y, y))
     start, stop = rng.normal(size=y), rng.normal(size=y)
     allowed = [rng.choice(y, size=int(rng.integers(1, y + 1)), replace=False)
@@ -308,7 +329,7 @@ class TestBatchScoring:
         shared = TestSharedModel().build(rng, fc=vocab.size)
         for model, head in ((linear, None), (shared, "A"), (shared, "B")):
             got = model.batch_emissions(x, [head])[head]
-            want, _ = model.emissions(fs, head)
+            want, _ = model.emissions(rows(fs, vocab.size), head)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_rows_do_not_depend_on_the_batch(self):

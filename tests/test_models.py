@@ -432,6 +432,33 @@ class TestEarlyStopping:
         assert all(r.dev_f1 is None for r in model.history)
 
 
+class TestEpochCallback:
+    def test_fires_once_per_epoch_as_it_ends(self, toy_eh, toy_corpora):
+        c1, c2 = toy_corpora
+        dev = [c1.with_tagset("T1", "dev"), c2.with_tagset("T2", "dev")]
+        calls = []
+
+        def on_epoch(model, record):
+            # The record is the newest one: its epoch has just ended.
+            calls.append((model, record, len(model.history), model.history[-1] is record))
+
+        model = train_hier([c1, c2], toy_eh, quick_cfg(epochs=80, patience=3), dev=dev,
+                           on_epoch=on_epoch)
+        assert len(calls) == len(model.history) < 80
+        for i, (got_model, record, seen, newest) in enumerate(calls):
+            assert got_model is model
+            assert record is model.history[i]
+            assert record.epoch == seen == i + 1
+            assert newest and record.dev_f1 is not None
+
+    def test_indep_reports_every_model(self, toy_eh, toy_corpora):
+        calls = []
+        models = train_indep(list(toy_corpora), toy_eh, quick_cfg(epochs=3),
+                             on_epoch=lambda m, r: calls.append((m, r)))
+        assert [(m, r.epoch) for m, r in calls] == [(m, e) for m in models for e in (1, 2, 3)]
+        assert [r for _, r in calls] == [r for m in models for r in m.history]
+
+
 class TestDecodePath:
     def test_only_consolidation_scores_sequences(self, toy_eh, toy_corpora, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -9,8 +9,9 @@ frozen; unknown strings map to the reserved UNK id 0.
 
 Emission scorers turn the feature rows of one sequence (a CSR matrix, one
 row per token, as `FeatureVocabulary.matrix` builds it) into CRF emission
-rows and push d_emissions back into parameter gradients.  For tagging they
-also score a whole request at once from one sparse matrix.
+rows, and push a training batch's d_emissions back into parameter gradients
+in one pass.  For tagging they also score a whole request at once from one
+sparse matrix.
 The linear scorer is a single weight matrix; the shared scorer squashes one
 tanh hidden layer shared by all heads, with one output layer per head.
 """
@@ -185,11 +186,18 @@ def _token_rows(x: sparse.csr_matrix) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(x.indices[a:b], x.data[a:b]) for a, b in zip(ptr[:-1], ptr[1:])]
 
 
-def _scatter_rows(d_w: np.ndarray, x: sparse.csr_matrix, d_rows: np.ndarray) -> None:
-    """d_w[:, f] += d_rows[t] * x[t, f] for every stored entry of x, row by
-    row in order, so each column sums its terms in token order."""
-    tokens = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
-    np.add.at(d_w.T, x.indices, d_rows[tokens] * x.data[:, None])
+def _column_block(x: sparse.csr_matrix, d_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns x uses, and (x.T @ d_rows).T restricted to them: one
+    transposed-CSR product adds d_rows[t] * x[t, f] into column f row by row
+    in order, so each column sums its terms in token order."""
+    cols, local = np.unique(x.indices, return_inverse=True)
+    x_local = sparse.csr_matrix((x.data, local, x.indptr), shape=(x.shape[0], cols.size))
+    return cols, (x_local.T @ d_rows).T
+
+
+def _check_rows(d_rows: Sequence[np.ndarray], n_rows: int, width: int) -> None:
+    if sum(len(d) for d in d_rows) != n_rows or any(d.shape[1:] != (width,) for d in d_rows):
+        raise ValueError("d_emissions shape mismatch")
 
 
 def _check_ids(indices: np.ndarray, feature_count: int) -> None:
@@ -202,6 +210,8 @@ def _check_ids(indices: np.ndarray, feature_count: int) -> None:
 class LinearEmissionModel:
     """Emission row = weights . f + bias.  One output layer serves every head,
     so the head argument of `emissions` and `backprop` is ignored."""
+
+    sparse_key = "weights"  # the parameter `backprop` returns as a column block
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray) -> None:
         self.weights = np.asarray(weights, dtype=np.float64)
@@ -239,15 +249,18 @@ class LinearEmissionModel:
         self,
         x: sparse.csr_matrix,
         head: str | None,
-        d_emissions: np.ndarray,
-        cache: None,
+        d_emissions: Sequence[np.ndarray],
+        caches: Sequence[None],
         out: dict[str, np.ndarray],
-    ) -> None:
-        y, _ = self.weights.shape
-        if d_emissions.shape != (x.shape[0], y):
-            raise ValueError("d_emissions shape mismatch")
-        _scatter_rows(out["weights"], x, d_emissions)
-        out["bias"] += d_emissions.sum(axis=0)
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Backward pass of a batch: x stacks its sequences' feature rows, in
+        the order of their d_emissions.  Adds the bias gradient into out one
+        sequence at a time; returns the weights' gradient as (the columns x
+        uses, the (y, len(columns)) block over them)."""
+        _check_rows(d_emissions, x.shape[0], self.weights.shape[0])
+        for d in d_emissions:
+            out["bias"] += d.sum(axis=0)
+        return _column_block(x, np.concatenate(d_emissions))
 
     def params(self) -> dict[str, np.ndarray]:
         return {"weights": self.weights, "bias": self.bias}
@@ -255,6 +268,8 @@ class LinearEmissionModel:
 
 class SharedEmissionModel:
     """One tanh hidden layer shared by every head, one linear layer per head."""
+
+    sparse_key = "shared_weights"
 
     def __init__(
         self,
@@ -343,18 +358,21 @@ class SharedEmissionModel:
         self,
         x: sparse.csr_matrix,
         head: str,
-        d_emissions: np.ndarray,
-        hidden: np.ndarray,
+        d_emissions: Sequence[np.ndarray],
+        caches: Sequence[np.ndarray],
         out: dict[str, np.ndarray],
-    ) -> None:
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """As `LinearEmissionModel.backprop`, for the shared weights; each
+        sequence's cache is its hidden layer from `emissions`."""
         head_w, _ = self._head(head)
-        if d_emissions.shape != (x.shape[0], head_w.shape[0]):
-            raise ValueError("d_emissions shape mismatch")
-        out[f"head:{head}:weights"] += d_emissions.T @ hidden
-        out[f"head:{head}:bias"] += d_emissions.sum(axis=0)
-        d_hidden = (d_emissions @ head_w) * (1.0 - hidden * hidden)
-        _scatter_rows(out["shared_weights"], x, d_hidden)
-        out["shared_bias"] += d_hidden.sum(axis=0)
+        _check_rows(d_emissions, x.shape[0], head_w.shape[0])
+        d_hidden = []
+        for d, hidden in zip(d_emissions, caches):
+            out[f"head:{head}:weights"] += d.T @ hidden
+            out[f"head:{head}:bias"] += d.sum(axis=0)
+            d_hidden.append((d @ head_w) * (1.0 - hidden * hidden))
+            out["shared_bias"] += d_hidden[-1].sum(axis=0)
+        return _column_block(x, np.concatenate(d_hidden))
 
     def params(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {
@@ -380,8 +398,9 @@ def emission_backprop(
     model: Any,
     x: sparse.csr_matrix,
     head: str | None,
-    d_emissions: np.ndarray,
-    cache: Any,
+    d_emissions: Sequence[np.ndarray],
+    caches: Sequence[Any],
     out: dict[str, np.ndarray],
-) -> None:
-    model.backprop(x, head, d_emissions, cache, out)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Either scorer's backward pass over one batch (see `backprop`)."""
+    return model.backprop(x, head, d_emissions, caches, out)

@@ -13,6 +13,7 @@ included); writers collapse them to "O" at the file boundary.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
@@ -53,6 +54,10 @@ class ModelError(ValueError):
     """Inconsistent training inputs or prediction requests."""
 
 
+class TrainingDiverged(ModelError):
+    """A training step overflowed or produced a non-finite loss or gradient."""
+
+
 class ModelKind(str, Enum):
     HIER = "hier"
     CONCAT = "concat"
@@ -82,10 +87,11 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
             raise ModelError("epochs, batch_size and patience must be >= 1")
-        if self.learning_rate <= 0 or self.clip_norm <= 0:
-            raise ModelError("learning_rate and clip_norm must be positive")
-        if self.l2 < 0 or self.window < 0 or self.hidden_dim < 1:
-            raise ModelError("l2 >= 0, window >= 0, hidden_dim >= 1 required")
+        # Negated comparisons, so NaN fails them; clip_norm inf means no clipping.
+        if not (0 < self.learning_rate < math.inf and self.clip_norm > 0):
+            raise ModelError("learning_rate must be positive and finite, clip_norm positive")
+        if not (0 <= self.l2 < math.inf) or self.window < 0 or self.hidden_dim < 1:
+            raise ModelError("finite l2 >= 0, window >= 0, hidden_dim >= 1 required")
 
 
 @dataclass
@@ -236,18 +242,35 @@ def _singleton_mask(tags: Sequence[str], pos: dict[str, list[int]]) -> LatticeMa
 
 
 class _Adagrad:
+    """In-place Adagrad, a block of rows at a time so each block's passes run
+    in cache.  `step` needs grads[k] ** 2 in squares[k] (`_clip` leaves it)."""
+
+    BLOCK = 16384  # elements per block, at least one row
+
     def __init__(self, params: dict[str, np.ndarray], lr: float, eps: float = 1e-8):
         self.params = params
         self.lr = lr
         self.eps = eps
         self.accum = {k: np.zeros_like(v) for k, v in params.items()}
+        self.squares = {k: np.empty_like(v) for k, v in params.items()}
+        self._denom = {
+            k: np.empty_like(v[: max(1, self.BLOCK * len(v) // v.size)]) for k, v in params.items()
+        }
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
-        for k in self.params:
-            g = grads[k]
-            a = self.accum[k]
-            a += g * g
-            self.params[k] -= self.lr * g / (np.sqrt(a) + self.eps)
+        # params -= lr * g / (sqrt(accum) + eps), rounded as that expression is.
+        for k, w in self.params.items():
+            accum, squares, g, denom = self.accum[k], self.squares[k], grads[k], self._denom[k]
+            for lo in range(0, len(w), len(denom)):
+                rows = slice(lo, lo + len(denom))
+                a, t, w_rows = accum[rows], squares[rows], w[rows]
+                d = denom[: len(a)]
+                a += t
+                np.sqrt(a, out=d)
+                d += self.eps
+                np.multiply(g[rows], self.lr, out=t)
+                t /= d
+                w_rows -= t
 
 
 def _regularized_keys(head_name: str, params: dict[str, np.ndarray]) -> set[str]:
@@ -257,12 +280,20 @@ def _regularized_keys(head_name: str, params: dict[str, np.ndarray]) -> set[str]
     return {k for k in wanted if k in params}
 
 
-def _clip(grads: dict[str, np.ndarray], max_norm: float) -> None:
-    total = np.sqrt(sum(float((g * g).sum()) for _, g in sorted(grads.items())))
+def _clip(
+    grads: dict[str, np.ndarray], max_norm: float, squares: dict[str, np.ndarray]
+) -> float:
+    """Scale grads in place to a global norm of at most max_norm, leaving
+    each g * g of the final grads in squares; returns the norm before."""
+    for k, g in grads.items():
+        np.square(g, out=squares[k])
+    total = np.sqrt(sum(float(squares[k].sum()) for k in sorted(grads)))
     if total > max_norm:
         scale = max_norm / total
-        for g in grads.values():
+        for k, g in grads.items():
             g *= scale
+            np.square(g, out=squares[k])
+    return total
 
 
 class _Trainer:
@@ -287,10 +318,12 @@ class _Trainer:
     def _batch_grads(
         self, head_name: str, batch: list[_Instance]
     ) -> tuple[float, dict[str, np.ndarray]]:
-        """Summed data loss and mean gradients (L2 included, pre-clip)."""
+        """Summed data loss and mean gradients (L2 included, pre-clip), in
+        arrays of their own.  Each term sums over the batch in batch order."""
         model, cfg = self.model, self.cfg
         head = model.heads[head_name]
-        grads = zero_gradients(self.params)
+        sparse_key = model.emission.sparse_key
+        grads = zero_gradients({k: v for k, v in self.params.items() if k != sparse_key})
         scored = [emission_cache(model.emission, inst.fvecs, head_name) for inst in batch]
         potentials = PotentialBatch(
             np.concatenate([em for em, _ in scored]),
@@ -300,22 +333,37 @@ class _Trainer:
         )
         losses, lattice_grads = loss_and_grad(potentials, [inst.mask for inst in batch])
         total = 0.0
-        for inst, (_, cache), loss, g in zip(batch, scored, losses, lattice_grads):
+        for loss, g in zip(losses, lattice_grads):
             total += loss
-            emission_backprop(model.emission, inst.fvecs, head_name, g.d_emissions, cache, grads)
             grads[f"trans:{head_name}"] += g.d_transitions
             grads[f"start:{head_name}"] += g.d_start
             grads[f"stop:{head_name}"] += g.d_stop
-        reg = _regularized_keys(head_name, self.params)
-        for k in grads:
-            grads[k] /= len(batch)
-            if cfg.l2 and k in reg:
-                grads[k] += cfg.l2 * self.params[k]
+        cols, block = emission_backprop(
+            model.emission,
+            sparse.vstack([inst.fvecs for inst in batch], format="csr"),
+            head_name,
+            [g.d_emissions for g in lattice_grads],
+            [cache for _, cache in scored],
+            grads,
+        )
+        n = len(batch)
+        reg = _regularized_keys(head_name, self.params) if cfg.l2 else set()
+        for k, g in grads.items():
+            g /= n
+            if k in reg:
+                g += cfg.l2 * self.params[k]
+        # The data term is zero off the active columns, where only L2 is left
+        # (0 / n + l2 * w is l2 * w exactly, as w never holds -0.0).
+        w = self.params[sparse_key]
+        grads[sparse_key] = w * cfg.l2 if sparse_key in reg else np.zeros_like(w)
+        grads[sparse_key][:, cols] += block / n
         return total, grads
 
     def _batch_step(self, head_name: str, batch: list[_Instance]) -> float:
         total, grads = self._batch_grads(head_name, batch)
-        _clip(grads, self.cfg.clip_norm)
+        norm = _clip(grads, self.cfg.clip_norm, self.opt.squares)
+        if not (math.isfinite(total) and math.isfinite(norm)):
+            raise FloatingPointError("non-finite loss or gradient norm")
         self.opt.step(grads)
         return total
 
@@ -341,10 +389,17 @@ class _Trainer:
         for epoch in range(1, cfg.epochs + 1):
             loss_sum = 0.0
             seen = 0
-            for _ in range(steps):
+            for step in range(1, steps + 1):
                 for name in names:
                     batch = next(streams[name])
-                    loss_sum += self._batch_step(name, batch)
+                    try:
+                        with np.errstate(over="raise", invalid="raise"):
+                            loss_sum += self._batch_step(name, batch)
+                    except FloatingPointError as exc:
+                        raise TrainingDiverged(
+                            f"{self.model.kind.value} training diverged on head {name!r} "
+                            f"at epoch {epoch}, step {step}: {exc}"
+                        ) from exc
                     seen += len(batch)
             record = EpochRecord(epoch, loss_sum / seen, None)
             if dev_f1 is not None:

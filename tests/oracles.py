@@ -4,7 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from hiertag.crf import LatticeGradients, LatticeMask, PotentialTable, sequence_score
+from hiertag.crf import (
+    LatticeGradients,
+    LatticeMask,
+    PotentialBatch,
+    PotentialTable,
+    loss_and_grad_batch,
+    sequence_score,
+)
+from hiertag.features import SharedEmissionModel, emission_cache, zero_gradients
+from hiertag.models import _regularized_keys, _transitions
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None):
@@ -190,3 +199,67 @@ def reference_loss_and_grad(table: PotentialTable, mask: LatticeMask):
         d_start=unary[0] - unary_m[0],
         d_stop=unary[-1] - unary_m[-1],
     )
+
+
+# The dense training step: gradients zeroed each step, one np.add.at scatter
+# per sequence, then mean, L2, clipping and Adagrad over whole arrays with
+# fresh temporaries.  `_Trainer._batch_step` must equal it bit for bit.
+
+def reference_backprop(model, x, head, d_emissions, cache, out) -> None:
+    """One sequence's backward pass into dense gradients."""
+    if isinstance(model, SharedEmissionModel):
+        head_w, _ = model.heads[head]
+        out[f"head:{head}:weights"] += d_emissions.T @ cache
+        out[f"head:{head}:bias"] += d_emissions.sum(axis=0)
+        d_rows = (d_emissions @ head_w) * (1.0 - cache * cache)
+        key, bias = "shared_weights", "shared_bias"
+    else:
+        d_rows, key, bias = d_emissions, "weights", "bias"
+    tokens = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
+    np.add.at(out[key].T, x.indices, d_rows[tokens] * x.data[:, None])
+    out[bias] += d_rows.sum(axis=0)
+
+
+def reference_batch_grads(trainer, head_name: str, batch):
+    """Summed loss and mean gradients (L2 included, pre-clip) of one batch."""
+    model, cfg, params = trainer.model, trainer.cfg, trainer.params
+    head = model.heads[head_name]
+    grads = zero_gradients(params)
+    scored = [emission_cache(model.emission, inst.fvecs, head_name) for inst in batch]
+    potentials = PotentialBatch(
+        np.concatenate([em for em, _ in scored]),
+        [inst.fvecs.shape[0] for inst in batch],
+        *_transitions(model, head),
+        head.stop,
+    )
+    losses, lattice_grads = loss_and_grad_batch(potentials, [inst.mask for inst in batch])
+    total = 0.0
+    for inst, (_, cache), loss, g in zip(batch, scored, losses, lattice_grads):
+        total += loss
+        reference_backprop(model.emission, inst.fvecs, head_name, g.d_emissions, cache, grads)
+        grads[f"trans:{head_name}"] += g.d_transitions
+        grads[f"start:{head_name}"] += g.d_start
+        grads[f"stop:{head_name}"] += g.d_stop
+    reg = _regularized_keys(head_name, params)
+    for k in grads:
+        grads[k] /= len(batch)
+        if cfg.l2 and k in reg:
+            grads[k] += cfg.l2 * params[k]
+    return total, grads
+
+
+def reference_batch_step(trainer, head_name: str, batch) -> float:
+    """One optimizer step on the trainer's parameters and Adagrad accumulators."""
+    total, grads = reference_batch_grads(trainer, head_name, batch)
+    norm = np.sqrt(sum(float((g * g).sum()) for _, g in sorted(grads.items())))
+    if norm > trainer.cfg.clip_norm:
+        scale = trainer.cfg.clip_norm / norm
+        for g in grads.values():
+            g *= scale
+    opt = trainer.opt
+    for k, w in trainer.params.items():
+        g = grads[k]
+        a = opt.accum[k]
+        a += g * g
+        w -= opt.lr * g / (np.sqrt(a) + opt.eps)
+    return total

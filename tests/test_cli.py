@@ -1,5 +1,7 @@
+import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -218,6 +220,18 @@ class TestTrain:
         code, _, err = run(capsys, *train_args(toy_files, "hier", toy_files / "m.htag"))
         assert code == 1
         assert "ValueError: numerical fault" in err
+
+    @pytest.mark.parametrize("kind", ["hier", "mtl"])
+    def test_diverging_run_exits_2_naming_the_step(self, toy_files, capsys, kind):
+        out = toy_files / "m.htag"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, *train_args(toy_files, kind, out), "--learning-rate", "1e300")
+        assert code == 2
+        assert re.search(rf"^error: {kind} training diverged on head '\w+' at epoch 1, step \d+: ",
+                         err, re.M), err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["hier", "indep"])
     def test_epoch_lines_stream_while_training(self, toy_files, capsys, monkeypatch, kind):

@@ -176,7 +176,9 @@ class TestLinearModel:
         m = LinearEmissionModel.zeros(2, 4)
         fs = [FeatureVector([1], [1.0]), FeatureVector([2, 3], [1.0, 1.0])]
         grads = zero_gradients(m.params())
-        m.backprop(rows(fs, 4), None, np.zeros((2, 2)), None, grads)
+        cols, block = m.backprop(rows(fs, 4), None, [np.zeros((2, 2))], [None], grads)
+        assert cols.tolist() == [1, 2, 3] and block.shape == (2, 3)
+        assert np.all(block == 0)
         assert all(np.all(g == 0) for g in grads.values())
 
     def test_backprop_single_feature_linearity(self):
@@ -184,15 +186,18 @@ class TestLinearModel:
         fs = [FeatureVector([3], [1.0]), FeatureVector([3], [1.0])]
         d_em = np.array([[0.5, -0.5], [0.25, 0.75]])
         grads = zero_gradients(m.params())
-        m.backprop(rows(fs, 4), None, d_em, None, grads)
-        assert np.allclose(grads["weights"][:, 3], d_em.sum(axis=0))
+        cols, block = m.backprop(rows(fs, 4), None, [d_em[:1], d_em[1:]], [None, None], grads)
+        assert cols.tolist() == [3]
+        assert np.allclose(block[:, 0], d_em.sum(axis=0))
         assert np.allclose(grads["bias"], d_em.sum(axis=0))
 
     def test_backprop_shape_mismatch(self):
         m = LinearEmissionModel.zeros(2, 4)
-        with pytest.raises(ValueError, match="mismatch"):
-            m.backprop(rows([FeatureVector([0], [1.0])], 4), None, np.zeros((1, 3)), None,
-                       zero_gradients(m.params()))
+        x = rows([FeatureVector([0], [1.0])], 4)
+        for d_emissions in ([np.zeros((1, 3))], [np.zeros((2, 2))], [np.zeros((1, 2))] * 2):
+            with pytest.raises(ValueError, match="mismatch"):
+                m.backprop(x, None, d_emissions, [None] * len(d_emissions),
+                           zero_gradients(m.params()))
 
 
 class TestSharedModel:
@@ -259,10 +264,10 @@ class TestSharedModel:
         x = rows([random_fvec(rng, m.feature_count) for _ in range(3)], m.feature_count)
         em, hidden = m.emissions(x, "A")
         grads = zero_gradients(m.params())
-        m.backprop(x, "A", np.ones_like(em), hidden, grads)
+        _, block = m.backprop(x, "A", [np.ones_like(em)], [hidden], grads)
         assert np.all(grads["head:B:weights"] == 0)
         assert np.all(grads["head:B:bias"] == 0)
-        assert np.abs(grads["shared_weights"]).sum() > 0
+        assert np.abs(block).sum() > 0
 
 
 def end_to_end_setup(rng, model, head, n):
@@ -285,7 +290,8 @@ def end_to_end_grads(model, head, fs, trans, start, stop, mask):
     em, cache = emission_cache(model, fs, head)
     _, g = loss_and_grad(PotentialTable(em, trans, start, stop), mask)
     grads = zero_gradients(model.params())
-    emission_backprop(model, fs, head, g.d_emissions, cache, grads)
+    cols, block = emission_backprop(model, fs, head, [g.d_emissions], [cache], grads)
+    grads[model.sparse_key][:, cols] += block
     return grads
 
 

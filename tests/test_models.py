@@ -1,8 +1,15 @@
+import copy
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_batch_grads, reference_batch_step
+from scipy import sparse
 
+from hiertag.crf import LatticeMask
 from hiertag.data import OTHER, Corpus, CorpusError, LabeledSequence, Token
 from hiertag.experiments import tag_sequences
 from hiertag.features import FeatureVocabulary, LinearEmissionModel, SharedEmissionModel
@@ -194,6 +201,19 @@ class TestConfig:
             TrainingConfig(l2=-1e-4)
         with pytest.raises(ModelError):
             TrainingConfig(hidden_dim=0)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "l2", "clip_norm"])
+    def test_rejects_nan_hyperparameters(self, field):
+        with pytest.raises(ModelError):
+            TrainingConfig(**{field: math.nan})
+
+    @pytest.mark.parametrize("field", ["learning_rate", "l2"])
+    def test_rejects_infinite_hyperparameters(self, field):
+        with pytest.raises(ModelError):
+            TrainingConfig(**{field: math.inf})
+
+    def test_infinite_clip_norm_means_no_clipping(self):
+        assert TrainingConfig(clip_norm=math.inf).clip_norm == math.inf
 
 
 class TestHierTraining:
@@ -409,6 +429,99 @@ class TestMtlTraining:
             fd = (hi - lo) / (2 * h)
             got = grads["shared_weights"][row, col]
             assert abs(got - fd) <= 1e-4 * max(1.0, abs(fd))
+
+
+def _random_rows(rng, n, ids, width):
+    """n feature rows, each 1-4 distinct ids from `ids` with counts 1 or 2."""
+    x = np.zeros((n, width))
+    for row in x:
+        row[rng.choice(ids, size=int(rng.integers(1, 5)), replace=False)] = rng.integers(1, 3)
+    return sparse.csr_matrix(x)
+
+
+def _step_case(seed, shared, l2, clip, disjoint):
+    """A fresh trainer and four batches of up to three sequences for it:
+    (trainer, [(head, batch), ...])."""
+    rng = np.random.default_rng(seed)
+    features = 30
+    sizes = {"A": int(rng.integers(2, 5)), "B": int(rng.integers(2, 5))} if shared else {
+        "fine": int(rng.integers(2, 5))
+    }
+    heads = {
+        name: Head(name, [f"t{i}" for i in range(y)], rng.normal(size=(y, y)),
+                   rng.normal(size=y), rng.normal(size=y))
+        for name, y in sizes.items()
+    }
+    if shared:
+        emission = SharedEmissionModel.create(3, features, sizes, rng)
+        for w, b in emission.heads.values():
+            w += rng.normal(size=w.shape)
+            b += rng.normal(size=b.shape)
+        kind = ModelKind.MTL
+    else:
+        emission = LinearEmissionModel.zeros(sizes["fine"], features)
+        kind = ModelKind.HIER
+    cfg = TrainingConfig(learning_rate=0.3, l2=l2, clip_norm=clip)
+    model = TrainedModel(kind, None, None, emission, heads, cfg)
+    plan = []
+    for s in range(4):
+        name = sorted(sizes)[s % len(sizes)]
+        batch = []
+        for j in range(int(rng.integers(1, 4))):
+            n = int(rng.integers(1, 5))
+            # Disjoint: each sequence of the batch has its own ten columns.
+            ids = list(range(10 * j, 10 * j + 10)) if disjoint else list(range(8))
+            allowed = [rng.choice(sizes[name], size=int(rng.integers(1, sizes[name] + 1)),
+                                  replace=False) for _ in range(n)]
+            batch.append(_Instance(_random_rows(rng, n, ids, features), LatticeMask(allowed)))
+        plan.append((name, batch))
+    instances = {name: [inst for n, b in plan if n == name for inst in b] for name in sizes}
+    return _Trainer(model, instances, cfg), plan
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestExactStep:
+    """The in-place step against the dense reference step of tests/oracles.py."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**16),
+        shared=st.booleans(),
+        l2=st.sampled_from([0.0, 1e-4]),
+        clip=st.sampled_from([1e-3, 0.5, math.inf]),
+        disjoint=st.booleans(),
+    )
+    def test_step_equals_dense_reference_bitwise(self, seed, shared, l2, clip, disjoint):
+        trainer, plan = _step_case(seed, shared, l2, clip, disjoint)
+        ref = copy.deepcopy(trainer)
+        for name, batch in plan:
+            total, grads = trainer._batch_grads(name, batch)
+            ref_total, ref_grads = reference_batch_grads(ref, name, batch)
+            assert total == ref_total
+            assert sorted(grads) == sorted(ref_grads)
+            for k in grads:
+                assert _same_bits(grads[k], ref_grads[k]), k
+            assert trainer._batch_step(name, batch) == reference_batch_step(ref, name, batch)
+            for k in trainer.params:
+                assert _same_bits(trainer.params[k], ref.params[k]), k
+                assert _same_bits(trainer.opt.accum[k], ref.opt.accum[k]), k
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_batch_grads_outlive_the_next_call(self, shared):
+        trainer, plan = _step_case(7, shared, 1e-4, 0.5, False)
+        (name, first), (_, second) = plan[0], plan[2]
+        _, grads = trainer._batch_grads(name, first)
+        kept = {k: g.copy() for k, g in grads.items()}
+        for p in trainer.params.values():
+            p += 0.25
+        _, later = trainer._batch_grads(name, second)
+        for k, g in grads.items():
+            assert _same_bits(g, kept[k]), k
+            assert not any(np.shares_memory(g, a) for a in later.values()), k
+            assert not any(np.shares_memory(g, a) for a in trainer.params.values()), k
 
 
 class TestEarlyStopping:

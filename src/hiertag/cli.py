@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from hiertag.data import (
@@ -72,18 +73,7 @@ def _read_datasets(raws: list[str]) -> list[Corpus]:
 
 
 def _config_from(args: argparse.Namespace) -> TrainingConfig:
-    return TrainingConfig(
-        seed=args.seed,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        l2=args.l2,
-        clip_norm=args.clip_norm,
-        patience=args.patience,
-        window=args.window,
-        hidden_dim=args.hidden_dim,
-        bio=args.bio,
-    )
+    return TrainingConfig(**{f.name: getattr(args, f.name) for f in fields(TrainingConfig)})
 
 
 def cmd_extend_hierarchy(args: argparse.Namespace) -> int:
@@ -212,16 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hierarchy", required=True,
                    help="hierarchy file (plain or extended)")
     p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--learning-rate", type=float, default=0.5)
-    p.add_argument("--l2", type=float, default=1e-4)
-    p.add_argument("--clip-norm", type=float, default=5.0)
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--window", type=int, default=2)
-    p.add_argument("--hidden-dim", type=int, default=16)
-    p.add_argument("--bio", action="store_true")
+    for f in fields(TrainingConfig):  # one option per field, with its default
+        flag = "--" + f.name.replace("_", "-")
+        if isinstance(f.default, bool):
+            p.add_argument(flag, action="store_true")
+        else:
+            p.add_argument(flag, type=type(f.default), default=f.default)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("tag", help="tag a corpus onto a test tagset")

@@ -43,7 +43,23 @@ BASE_TAGSET = "base"
 EXTENDING_TAGSET = "extending"
 TEST_TAGSET = "test"
 
-_CONFIG_KEYS = {f.name for f in fields(TrainingConfig)} - {"seed"}
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
+
+
+def _boolean(raw: str) -> bool:
+    if raw.lower() not in _TRUE + _FALSE:
+        raise ValueError(raw)
+    return raw.lower() in _TRUE
+
+
+# Each training option a spec may set (the seed comes from `seeds`), with
+# the conversion of its value.
+_CONFIG_TYPES = {
+    f.name: _boolean if isinstance(f.default, bool) else type(f.default)
+    for f in fields(TrainingConfig)
+    if f.name != "seed"
+}
 
 
 class ExperimentError(ValueError):
@@ -137,6 +153,8 @@ def parse_experiment_spec(text: str, base_dir: Path, source: str = "<spec>") -> 
         seeds = tuple(int(s) for s in need("seeds").split())
     except ValueError as exc:
         raise ExperimentError(f"seeds must be integers: {exc}") from None
+    if min(seeds) < 0:
+        raise ExperimentError(f"seeds must be >= 0, got {min(seeds)}")
 
     def convert(key: str, raw: str, kind):
         try:
@@ -149,16 +167,11 @@ def parse_experiment_spec(text: str, base_dir: Path, source: str = "<spec>") -> 
     if not 0 <= dev_fraction < 1:
         raise ExperimentError("dev_fraction must lie in [0, 1)")
 
-    overrides: dict = {}
-    for key in list(scalars):
-        if key in _CONFIG_KEYS:
-            raw = scalars.pop(key)
-            if key == "bio":
-                overrides[key] = raw.lower() in ("1", "true", "yes", "on")
-            elif key in ("learning_rate", "l2", "clip_norm"):
-                overrides[key] = convert(key, raw, float)
-            else:
-                overrides[key] = convert(key, raw, int)
+    overrides = {
+        key: convert(key, scalars.pop(key), _CONFIG_TYPES[key])
+        for key in list(scalars)
+        if key in _CONFIG_TYPES
+    }
     training = TrainingConfig(**overrides)
 
     base = scalars.pop("base", None)
@@ -252,10 +265,6 @@ def tag_sequences(
     return [output_tags(c.tags, eh, tagset) for c in out], sum(c.collisions for c in out)
 
 
-def _micro_counts(preds, golds) -> TagCounts:
-    return score(preds, golds).micro
-
-
 def _extension_rows(spec: ExperimentSpec, cell: Cell) -> list[ResultRow]:
     graph = parse_hierarchy(spec.hierarchy.read_text(encoding="utf-8"))
     base = read_column_file(spec.base)
@@ -279,29 +288,7 @@ def _extension_rows(spec: ExperimentSpec, cell: Cell) -> list[ResultRow]:
         sel.extending.with_tagset(EXTENDING_TAGSET), spec.dev_fraction
     )
     dev = [c for c in (dev_base, dev_ext) if c is not None] or None
-    cfg = replace(spec.training, seed=cell.seed)
-    models = train_models(cell.model, [train_base, train_ext], eh, cfg, dev=dev)
-
-    rows = []
-    for path, _ in spec.tests:
-        test = read_column_file(path)
-        token_lists = [s.texts() for s in test.sequences]
-        preds, collisions = tag_sequences(
-            models, token_lists, TEST_TAGSET, spec.consolidation, cell.seed
-        )
-        golds = [s.tags() for s in test.sequences]
-        rows.append(
-            ResultRow(
-                tag=cell.target,
-                base=spec.base.stem,
-                extending=path.stem,
-                model=cell.model,
-                seed=cell.seed,
-                counts=_micro_counts(preds, golds),
-                collisions=collisions,
-            )
-        )
-    return rows
+    return _train_and_score(spec, cell, eh, [train_base, train_ext], dev, spec.base.stem)
 
 
 def _integration_rows(spec: ExperimentSpec, cell: Cell) -> list[ResultRow]:
@@ -313,26 +300,32 @@ def _integration_rows(spec: ExperimentSpec, cell: Cell) -> list[ResultRow]:
         corpora.append(train)
         if dev is not None:
             devs.append(dev)
-    cfg = replace(spec.training, seed=cell.seed)
-    models = train_models(cell.model, corpora, eh, cfg, dev=devs or None)
     joined = "+".join(p.stem for p, _ in spec.datasets)
+    return _train_and_score(spec, cell, eh, corpora, devs or None, joined)
 
+
+def _train_and_score(
+    spec: ExperimentSpec, cell: Cell, eh, corpora: list[Corpus], dev, base: str
+) -> list[ResultRow]:
+    """Train the cell's models and score them on every test corpus, each
+    tagged in one request onto its tagset (an extension test onto the
+    synthesized test tagset, and its rows named by the cell's target)."""
+    models = train_models(cell.model, corpora, eh, replace(spec.training, seed=cell.seed), dev=dev)
     rows = []
     for path, ts in spec.tests:
-        test = read_column_file(path).with_tagset(ts)
-        token_lists = [s.texts() for s in test.sequences]
+        test = read_column_file(path)
         preds, collisions = tag_sequences(
-            models, token_lists, ts, spec.consolidation, cell.seed
+            models, [s.texts() for s in test.sequences], ts or TEST_TAGSET,
+            spec.consolidation, cell.seed,
         )
-        golds = [s.tags() for s in test.sequences]
         rows.append(
             ResultRow(
-                tag=ts,
-                base=joined,
+                tag=cell.target or ts,
+                base=base,
                 extending=path.stem,
                 model=cell.model,
                 seed=cell.seed,
-                counts=_micro_counts(preds, golds),
+                counts=score(preds, [s.tags() for s in test.sequences]).micro,
                 collisions=collisions,
             )
         )

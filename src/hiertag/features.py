@@ -4,11 +4,14 @@ Feature templates, per position: lowercased identity and character shape for
 the token and every window neighbor (offset marker inside the name, "w0",
 "w+1", "shape-2", ...), prefixes/suffixes of length 1-3 and a digit flag for
 the center token only.  Out-of-window positions contribute identity pseudo
-features "w-1=<BOS>" / "w+1=<EOS>".  The vocabulary is built once, then
-frozen; unknown strings map to the reserved UNK id 0.
+features "w-1=<BOS>" / "w+1=<EOS>".
 
-Emission scorers turn the feature rows of one sequence (a CSR matrix, one
-row per token, as `FeatureVocabulary.matrix` builds it) into CRF emission
+Features have one representation: CSR rows, one row per token, each holding
+the counts of the token's feature ids.  `FeatureVocabulary.matrix` builds
+them from an immutable id table of the training strings, in which unknown
+strings map to the reserved UNK id 0.
+
+Emission scorers turn the feature rows of one sequence into CRF emission
 rows, and push a training batch's d_emissions back into parameter gradients
 in one pass.  For tagging they also score a whole request at once from one
 sparse matrix.
@@ -18,9 +21,8 @@ tanh hidden layer shared by all heads, with one output layer per head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -85,74 +87,26 @@ def window_features(tokens: Sequence[str], radius: int = 2) -> list[list[str]]:
     return [_templates(tokens, i, lows, shapes, marks) for i in range(len(tokens))]
 
 
-@dataclass
-class FeatureVector:
-    """Sparse indicator vector: strictly increasing ids, parallel values."""
-
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.indices.shape != self.values.shape or self.indices.ndim != 1:
-            raise ValueError("indices and values must be parallel 1-d arrays")
-        if self.indices.size:
-            if self.indices[0] < 0:
-                raise ValueError("negative feature id")
-            if (np.diff(self.indices) <= 0).any():
-                raise ValueError("feature ids must be strictly increasing")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FeatureVector):
-            return NotImplemented
-        return np.array_equal(self.indices, other.indices) and np.array_equal(
-            self.values, other.values
-        )
-
-
 class FeatureVocabulary:
-    """Feature-string -> id map.  Id 0 is reserved for unknowns after freeze."""
+    """Immutable feature-string -> id table: id i is table[i], and table[0] is
+    the reserved UNK slot that every unknown string maps to."""
 
-    def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
-        self.frozen = False
+    def __init__(self, table: Sequence[str]) -> None:
+        self._ids = dict(zip(table[1:], range(1, len(table))))
+        if len(self._ids) != len(table) - 1:
+            raise ValueError("duplicate feature strings")
 
     @property
     def size(self) -> int:
         return len(self._ids) + 1  # UNK included
-
-    def id_of(self, feature: str) -> int:
-        got = self._ids.get(feature)
-        if got is not None:
-            return got
-        if self.frozen:
-            return UNK_ID
-        new = len(self._ids) + 1
-        self._ids[feature] = new
-        return new
-
-    def freeze(self) -> None:
-        self.frozen = True
-
-    def vectorize(self, features: Iterable[str]) -> FeatureVector:
-        acc: dict[int, float] = {}
-        for s in features:
-            fid = self.id_of(s)
-            acc[fid] = acc.get(fid, 0.0) + 1.0
-        ids = sorted(acc)
-        return FeatureVector(
-            np.fromiter(ids, dtype=np.int64, count=len(ids)),
-            np.fromiter((acc[i] for i in ids), dtype=np.float64, count=len(ids)),
-        )
 
     def matrix(
         self, strings: Sequence[str], positions: np.ndarray, indptr: np.ndarray
     ) -> sparse.csr_matrix:
         """Summed indicator rows for many tokens at once: token t holds the
         strings at positions[indptr[t]:indptr[t + 1]].  Each string is looked
-        up once; unknown ones count toward UNK.  Row t equals `vectorize` of
-        token t's strings under a frozen vocabulary."""
+        up once; unknown ones count toward UNK, so row t counts token t's
+        strings by id."""
         get = self._ids.get
         ids = np.fromiter((get(s, UNK_ID) for s in strings), dtype=np.int64, count=len(strings))
         out = sparse.csr_matrix(
@@ -163,21 +117,11 @@ class FeatureVocabulary:
         return out
 
     def strings_by_id(self) -> list[str]:
-        """Id-ordered table, UNK slot first; inverse of id_of for known ids."""
+        """The id-ordered table, UNK slot first."""
         table = ["<UNK>"] * self.size
         for s, i in self._ids.items():
             table[i] = s
         return table
-
-    @classmethod
-    def from_strings(cls, table: Sequence[str]) -> "FeatureVocabulary":
-        """The frozen vocabulary whose id i is table[i] (table[0] is the UNK slot)."""
-        vocab = cls()
-        vocab._ids = dict(zip(table[1:], range(1, len(table))))
-        if len(vocab._ids) != len(table) - 1:
-            raise ValueError("duplicate feature strings")
-        vocab.freeze()
-        return vocab
 
 
 def _token_rows(x: sparse.csr_matrix) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -228,10 +172,6 @@ class LinearEmissionModel:
     @property
     def feature_count(self) -> int:
         return self.weights.shape[1]
-
-    def score_row(self, f: FeatureVector) -> np.ndarray:
-        _check_ids(f.indices, self.feature_count)
-        return self.weights[:, f.indices] @ f.values + self.bias
 
     def emissions(self, x: sparse.csr_matrix, head: str | None) -> tuple[np.ndarray, None]:
         _check_ids(x.indices, self.feature_count)
@@ -321,12 +261,6 @@ class SharedEmissionModel:
             return self.heads[head]
         except KeyError:
             raise ValueError(f"unknown head {head!r}") from None
-
-    def score_row(self, f: FeatureVector, head: str) -> np.ndarray:
-        head_w, head_b = self._head(head)
-        _check_ids(f.indices, self.feature_count)
-        hidden = np.tanh(self.shared_weights[:, f.indices] @ f.values + self.shared_bias)
-        return head_w @ hidden + head_b
 
     def emissions(self, x: sparse.csr_matrix, head: str) -> tuple[np.ndarray, np.ndarray]:
         head_w, head_b = self._head(head)

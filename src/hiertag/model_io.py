@@ -1,18 +1,20 @@
 """Versioned binary snapshots of trained models.
 
-Layout, all little-endian: magic, format version, model kind, the training
-configuration as canonical JSON, the extended hierarchy in its text form,
-the frozen feature string table, the emission parameters, then each head
-(sorted by name) with its tag domain and transition parameters.  Arrays are
-stored as dimension counts plus raw float64 bytes, so reruns of the same
-training job produce byte-identical files and a loaded model predicts
-bitwise identically to the one saved.
+Layout, all little-endian: magic, format version, the payload's length and
+CRC-32, then the payload: model kind, the training configuration as
+canonical JSON, the extended hierarchy in its text form, the feature string
+table, the emission parameters, then each head (sorted by name) with its tag
+domain and transition parameters.  Arrays are stored as dimension counts
+plus raw float64 bytes, so reruns of the same training job produce
+byte-identical files and a loaded model predicts bitwise identically to the
+one saved.  The checksum is verified before any of the payload is parsed.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import zlib
 from dataclasses import asdict
 from pathlib import Path
 
@@ -23,8 +25,9 @@ from hiertag.hierarchy import parse_extended
 from hiertag.models import Head, ModelKind, TrainedModel, TrainingConfig
 
 MAGIC = b"HTAG"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _U32 = struct.Struct("<I")
+_HEADER = struct.Struct("<IQI")  # version, payload length, payload CRC-32
 
 
 class ModelFormatError(ValueError):
@@ -153,8 +156,6 @@ def _read_emission(r: _Reader):
 
 def model_bytes(model: TrainedModel) -> bytes:
     w = _Writer()
-    w.parts.append(MAGIC)
-    w.u32(FORMAT_VERSION)
     w.text(model.kind.value)
     w.text(json.dumps(asdict(model.config), sort_keys=True, separators=(",", ":")))
     w.text(model.hierarchy.to_text())
@@ -173,7 +174,8 @@ def model_bytes(model: TrainedModel) -> bytes:
         w.array(head.transitions)
         w.array(head.start)
         w.array(head.stop)
-    return w.blob()
+    payload = w.blob()
+    return MAGIC + _HEADER.pack(FORMAT_VERSION, len(payload), zlib.crc32(payload)) + payload
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
@@ -223,10 +225,17 @@ def _parse_model(raw: bytes) -> TrainedModel:
     version = r.u32()
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version {version}")
+    size, digest = r.u64(), r.u32()
+    if len(raw) - r.off < size:
+        raise ModelFormatError("corrupt or truncated model file")
+    if len(raw) - r.off > size:
+        raise ModelFormatError("trailing bytes after model payload")
+    if zlib.crc32(memoryview(raw)[r.off :]) != digest:
+        raise ModelFormatError("corrupt model file: checksum mismatch")
     kind = ModelKind(r.text())
     config = TrainingConfig(**json.loads(r.text()))
     hierarchy = parse_extended(r.text())
-    vocab = FeatureVocabulary.from_strings(r.texts(r.u32()))
+    vocab = FeatureVocabulary(r.texts(r.u32()))
     emission = _read_emission(r)
     heads = {}
     for _ in range(r.u32()):

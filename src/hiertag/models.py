@@ -85,6 +85,8 @@ class TrainingConfig:
     bio: bool = False
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ModelError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
             raise ModelError("epochs, batch_size and patience must be >= 1")
         # Negated comparisons, so NaN fails them; clip_norm inf means no clipping.
@@ -213,7 +215,7 @@ def _sequence_rows(
 def _vectorize_corpus(
     corpus: Corpus, vocab: FeatureVocabulary, window: int
 ) -> list[sparse.csr_matrix]:
-    """Each sequence's feature vectors under a frozen vocabulary."""
+    """Each sequence's feature rows under the vocabulary."""
     token_lists = [seq.texts() for seq in corpus.sequences]
     return _sequence_rows(token_lists, vocab, _featurize(token_lists, window))
 
@@ -429,12 +431,12 @@ def _new_head(name: str, domain: list[str]) -> Head:
 def _build_vocab(
     datasets: Sequence[Corpus], window: int
 ) -> tuple[FeatureVocabulary, list[sparse.csr_matrix]]:
-    """The frozen vocabulary of every training feature string, ids in
-    first-seen order, and the feature vectors of every sequence of every
+    """The vocabulary of every training feature string, ids in
+    first-seen order, and the feature rows of every sequence of every
     corpus in turn, from one featurization pass."""
     token_lists = [seq.texts() for corpus in datasets for seq in corpus.sequences]
     features = _featurize(token_lists, window)
-    vocab = FeatureVocabulary.from_strings(["<UNK>", *features[0]])
+    vocab = FeatureVocabulary(["<UNK>", *features[0]])
     return vocab, _sequence_rows(token_lists, vocab, features)
 
 
@@ -702,6 +704,8 @@ def tag_batch(
     """
     if not models:
         raise ModelError("no models to consolidate")
+    if seed < 0:
+        raise ModelError(f"seed must be >= 0, got {seed}")
     method = ConsolidationMethod(method)
     if len(models) == 1 and models[0].kind is ModelKind.HIER:
         model = models[0]

@@ -2,15 +2,16 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 
 import pytest
 
-from hiertag.cli import main
+from hiertag.cli import _config_from, build_parser, main
 from hiertag.data import read_column_file
 from hiertag.experiments import tag_sequences
 from hiertag.hierarchy import parse_extended, parse_hierarchy
 from hiertag.model_io import load_model
-from hiertag.models import ConsolidationMethod
+from hiertag.models import ConsolidationMethod, TrainingConfig
 
 CLINICAL_TEXT = """\
 edge FirstName Name
@@ -255,6 +256,23 @@ class TestTrain:
         assert 0 < at[0] < at[1] < at[2] <= len(steps)
         assert (at[2] == len(steps)) == (kind == "hier")
 
+    def test_option_defaults_are_the_config_defaults(self):
+        base = ["train", "--kind", "hier", "--data", "c.conll:T1", "--hierarchy", "h.txt",
+                "--out", "m.htag"]
+        args = build_parser().parse_args(base)
+        for f in fields(TrainingConfig):
+            assert getattr(args, f.name) == f.default, f.name
+        assert _config_from(args) == TrainingConfig()
+        args = build_parser().parse_args(base + ["--learning-rate", "0.25", "--bio"])
+        assert _config_from(args) == TrainingConfig(learning_rate=0.25, bio=True)
+
+    def test_negative_seed_is_usage_error(self, toy_files, capsys):
+        out = toy_files / "m.htag"
+        code, _, err = run(capsys, *train_args(toy_files, "hier", out, seed=-1))
+        assert code == 2
+        assert "seed must be >= 0" in err
+        assert not out.exists()
+
     def test_indep_writes_one_file_per_dataset(self, toy_files, capsys):
         out = toy_files / "m.htag"
         code, stdout, _ = run(capsys, *train_args(toy_files, "indep", out))
@@ -312,6 +330,18 @@ class TestTag:
         )
         assert reported == expected
         assert reported >= 1  # salem is Name in c1 and Location in c2
+
+    def test_negative_seed_is_usage_error(self, toy_files, capsys):
+        model = toy_files / "m.htag"
+        run(capsys, *train_args(toy_files, "hier", model, epochs=2))
+        pred = toy_files / "pred.conll"
+        code, _, err = run(
+            capsys, "tag", "--model", model, "--input", toy_files / "test.conll",
+            "--tagset", "T1", "--out", pred, "--seed", "-1",
+        )
+        assert code == 2
+        assert "seed must be >= 0, got -1" in err
+        assert not pred.exists()
 
     def test_unknown_tagset_exits_2(self, toy_files, capsys):
         model = toy_files / "m.htag"
@@ -497,6 +527,8 @@ class TestExperiment:
             ("epochs 3", "epochs three"),
             ("learning_rate 0.5", "learning_rate fast"),
             ("epochs 3", "epochs 3\ndev_fraction half"),
+            ("seeds 1 2 3", "seeds 1 -3"),
+            ("epochs 3", "epochs 3\nbio maybe"),
         ],
     )
     def test_bad_spec_value_is_usage_error(self, tmp_path, capsys, line, bad):

@@ -144,7 +144,7 @@ def const_model(eh, head_name, domain, tag, strength=6.0, kind=ModelKind.INDEP):
     bias[domain.index(tag)] = strength
     emission = LinearEmissionModel(np.zeros((y, 1)), bias)
     head = Head(head_name, list(domain), np.zeros((y, y)), np.zeros(y), np.zeros(y))
-    vocab = FeatureVocabulary.from_strings(["<UNK>"])
+    vocab = FeatureVocabulary(["<UNK>"])
     return TrainedModel(kind, eh, vocab, emission, {head_name: head}, TrainingConfig())
 
 
@@ -201,6 +201,8 @@ class TestConfig:
             TrainingConfig(l2=-1e-4)
         with pytest.raises(ModelError):
             TrainingConfig(hidden_dim=0)
+        with pytest.raises(ModelError, match="seed"):
+            TrainingConfig(seed=-1)
 
     @pytest.mark.parametrize("field", ["learning_rate", "l2", "clip_norm"])
     def test_rejects_nan_hyperparameters(self, field):
@@ -255,7 +257,7 @@ class TestHierTraining:
     def test_mapping_example(self, toy_eh):
         domain = sorted(toy_eh.fine_grained)
         model = const_model(toy_eh, "fine", domain, "FirstName", kind=ModelKind.HIER)
-        vocab = FeatureVocabulary.from_strings(["<UNK>", "w0=alice", "w0=zzz"])
+        vocab = FeatureVocabulary(["<UNK>", "w0=alice", "w0=zzz"])
         weights = np.zeros((len(domain), vocab.size))
         weights[domain.index("FirstName"), 1] = 8.0
         weights[domain.index("FG-Other"), 2] = 8.0
@@ -905,8 +907,19 @@ class TestModelIO:
         with pytest.raises(ModelFormatError, match="trailing"):
             load_model(path)
 
+    def test_checksum_is_verified(self, toy_eh, toy_corpora, tmp_path):
+        model = train_hier(list(toy_corpora), toy_eh, quick_cfg(epochs=1))
+        raw = bytearray(model_bytes(model))
+        raw[-1] ^= 1  # an exponent bit of the last stop weight: still a parseable file
+        path = tmp_path / "m.htag"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ModelFormatError, match="checksum"):
+            load_model(path)
+
     @pytest.mark.parametrize("kind", [ModelKind.HIER, ModelKind.MTL])
     def test_mutated_files_load_or_raise_format_error(self, toy_eh, toy_corpora, tmp_path, kind):
+        # The payload checksum catches every burst of up to 4 changed bytes,
+        # and the recorded length every insertion or deletion.
         train = train_hier if kind is ModelKind.HIER else train_mtl
         raw = model_bytes(train(list(toy_corpora), toy_eh, quick_cfg(epochs=1, hidden_dim=3)))
         rng = np.random.default_rng(11)
@@ -929,7 +942,7 @@ class TestModelIO:
                 load_model(path)
             except ModelFormatError:
                 rejected += 1
-        assert rejected > 0
+        assert rejected == 200
 
     def test_parameter_shapes_must_fit_the_domain(self, toy_eh, tmp_path):
         path = tmp_path / "m.htag"

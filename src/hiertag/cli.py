@@ -49,6 +49,8 @@ _USAGE_ERRORS = (
     EvalError,
     ExperimentError,
     FileNotFoundError,
+    IsADirectoryError,  # a directory where a file path belongs
+    NotADirectoryError,  # a file where a directory belongs in a path
     UnicodeDecodeError,  # an input file that is not UTF-8 text
 )
 
@@ -92,6 +94,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     dev = _read_datasets(args.dev) if args.dev else None
     eh = ensure_extended(Path(args.hierarchy).read_text(encoding="utf-8"))
     cfg = _config_from(args)
+    out = Path(args.out)
+    if args.kind == ModelKind.INDEP.value:  # one model file per dataset
+        paths = [out.with_name(f"{out.stem}.{i}{out.suffix}") for i in range(len(corpora))]
+    else:
+        paths = [out]
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(f"model output {path} is a directory")
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"model output directory {path.parent} does not exist")
     logged = []  # indep trains one model per dataset; the log follows the first
 
     def log_epoch(model, record) -> None:
@@ -103,15 +115,9 @@ def cmd_train(args: argparse.Namespace) -> int:
             _log(line)
 
     models = train_models(args.kind, corpora, eh, cfg, dev=dev, on_epoch=log_epoch)
-    out = Path(args.out)
-    if args.kind == ModelKind.INDEP.value:
-        for i, model in enumerate(models):
-            path = out.with_name(f"{out.stem}.{i}{out.suffix}")
-            save_model(model, path)
-            print(path)
-    else:
-        save_model(models[0], out)
-        print(out)
+    for model, path in zip(models, paths):
+        save_model(model, path)
+        print(path)
     return 0
 
 

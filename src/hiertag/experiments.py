@@ -218,6 +218,10 @@ def _validate(spec: ExperimentSpec) -> None:
     for p in _referenced_files(spec):
         if not p.is_file():
             raise ExperimentError(f"referenced file does not exist: {p}")
+    # The reports are written under out_dir: it, or its nearest existing ancestor, is a directory.
+    existing = next(p for p in (spec.out_dir, *spec.out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ExperimentError(f"out_dir {spec.out_dir} is not a directory ({existing} is a file)")
 
 
 def _referenced_files(spec: ExperimentSpec) -> list[Path]:

@@ -11,10 +11,12 @@ the counts of the token's feature ids.  `FeatureVocabulary.matrix` builds
 them from an immutable id table of the training strings, in which unknown
 strings map to the reserved UNK id 0.
 
-Emission scorers turn the feature rows of one sequence into CRF emission
-rows, and push a training batch's d_emissions back into parameter gradients
-in one pass.  For tagging they also score a whole request at once from one
-sparse matrix.
+Emission scorers turn feature rows into CRF emission rows with one sparse
+product.  Training scores a whole batch over the columns it uses (`_active`)
+and keeps that view for the backward, which pushes the batch's d_emissions
+into parameter gradients in one pass; tagging scores a whole request over all
+columns.  Each CSR row sums its terms in the same order either way, so a
+token's training row equals its tagging row bit for bit.
 The linear scorer is a single weight matrix; the shared scorer squashes one
 tanh hidden layer shared by all heads, with one output layer per head.
 """
@@ -124,19 +126,11 @@ class FeatureVocabulary:
         return table
 
 
-def _token_rows(x: sparse.csr_matrix) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The feature ids and values of each row of x."""
-    ptr = x.indptr.tolist()
-    return [(x.indices[a:b], x.data[a:b]) for a, b in zip(ptr[:-1], ptr[1:])]
-
-
-def _column_block(x: sparse.csr_matrix, d_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The columns x uses, and (x.T @ d_rows).T restricted to them: one
-    transposed-CSR product adds d_rows[t] * x[t, f] into column f row by row
-    in order, so each column sums its terms in token order."""
+def _active(x: sparse.csr_matrix) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """The columns x uses, and x over just those columns.  Each row keeps its
+    terms in order, so a product with x_local sums them as one with x does."""
     cols, local = np.unique(x.indices, return_inverse=True)
-    x_local = sparse.csr_matrix((x.data, local, x.indptr), shape=(x.shape[0], cols.size))
-    return cols, (x_local.T @ d_rows).T
+    return cols, sparse.csr_matrix((x.data, local, x.indptr), shape=(x.shape[0], cols.size))
 
 
 def _check_rows(d_rows: Sequence[np.ndarray], n_rows: int, width: int) -> None:
@@ -173,12 +167,15 @@ class LinearEmissionModel:
     def feature_count(self) -> int:
         return self.weights.shape[1]
 
-    def emissions(self, x: sparse.csr_matrix, head: str | None) -> tuple[np.ndarray, None]:
+    def emissions(
+        self, x: sparse.csr_matrix, head: str | None
+    ) -> tuple[np.ndarray, tuple[np.ndarray, sparse.csr_matrix]]:
+        """Emission rows of a training batch, scored over the columns x uses
+        (the same rows as `batch_emissions`), and the cache `backprop` reads:
+        those columns and x over them."""
         _check_ids(x.indices, self.feature_count)
-        out = np.empty((x.shape[0], self.weights.shape[0]))
-        for i, (ids, values) in enumerate(_token_rows(x)):
-            out[i] = self.weights[:, ids] @ values + self.bias
-        return out, None
+        cols, x_local = _active(x)
+        return x_local @ self.weights[:, cols].T + self.bias, (cols, x_local)
 
     def batch_emissions(self, x: sparse.csr_matrix, heads: Sequence[str]) -> dict[str, np.ndarray]:
         """Emission rows of every row of x, the same array for each head."""
@@ -187,20 +184,21 @@ class LinearEmissionModel:
 
     def backprop(
         self,
-        x: sparse.csr_matrix,
         head: str | None,
         d_emissions: Sequence[np.ndarray],
-        caches: Sequence[None],
+        cache: tuple[np.ndarray, sparse.csr_matrix],
         out: dict[str, np.ndarray],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Backward pass of a batch: x stacks its sequences' feature rows, in
-        the order of their d_emissions.  Adds the bias gradient into out one
-        sequence at a time; returns the weights' gradient as (the columns x
-        uses, the (y, len(columns)) block over them)."""
-        _check_rows(d_emissions, x.shape[0], self.weights.shape[0])
+        """Backward pass of the batch `emissions` scored into cache, given each
+        sequence's d_emissions in batch order.  Adds the bias gradient into
+        out one sequence at a time; returns the weights' gradient as (the
+        columns the batch uses, the (y, len(columns)) block over them), which
+        one transposed-CSR product sums in token order."""
+        cols, x_local = cache
+        _check_rows(d_emissions, x_local.shape[0], self.weights.shape[0])
         for d in d_emissions:
             out["bias"] += d.sum(axis=0)
-        return _column_block(x, np.concatenate(d_emissions))
+        return cols, (x_local.T @ np.concatenate(d_emissions)).T
 
     def params(self) -> dict[str, np.ndarray]:
         return {"weights": self.weights, "bias": self.bias}
@@ -262,51 +260,52 @@ class SharedEmissionModel:
         except KeyError:
             raise ValueError(f"unknown head {head!r}") from None
 
-    def emissions(self, x: sparse.csr_matrix, head: str) -> tuple[np.ndarray, np.ndarray]:
+    def _output(self, hidden: np.ndarray, head: str) -> np.ndarray:
         head_w, head_b = self._head(head)
+        # One hidden unit at a time, so a row's sum runs in the same order
+        # however many rows are scored together (a BLAS product picks its
+        # summation order by matrix shape).
+        em = np.zeros((hidden.shape[0], head_w.shape[0]))
+        for j in range(self.hidden_dim):
+            em += hidden[:, j, None] * head_w[:, j]
+        return em + head_b
+
+    def emissions(
+        self, x: sparse.csr_matrix, head: str
+    ) -> tuple[np.ndarray, tuple[np.ndarray, sparse.csr_matrix, np.ndarray]]:
+        """As `LinearEmissionModel.emissions`, for one head; the cache also
+        holds the hidden layer."""
         _check_ids(x.indices, self.feature_count)
-        hidden = np.empty((x.shape[0], self.hidden_dim))
-        for i, (ids, values) in enumerate(_token_rows(x)):
-            hidden[i] = self.shared_weights[:, ids] @ values + self.shared_bias
-        hidden = np.tanh(hidden)
-        return hidden @ head_w.T + head_b, hidden
+        cols, x_local = _active(x)
+        hidden = np.tanh(x_local @ self.shared_weights[:, cols].T + self.shared_bias)
+        return self._output(hidden, head), (cols, x_local, hidden)
 
     def batch_emissions(self, x: sparse.csr_matrix, heads: Sequence[str]) -> dict[str, np.ndarray]:
         """Emission rows of every row of x for each named head; the hidden
         layer is computed once for all of them."""
         _check_ids(x.indices, self.feature_count)
         hidden = np.tanh(x @ self.shared_weights.T + self.shared_bias)
-        out = {}
-        for name in heads:
-            head_w, head_b = self._head(name)
-            # One hidden unit at a time, so a row's sum runs in the same order
-            # however many rows are scored together (a BLAS product picks its
-            # summation order by matrix shape).
-            em = np.zeros((hidden.shape[0], head_w.shape[0]))
-            for j in range(self.hidden_dim):
-                em += hidden[:, j, None] * head_w[:, j]
-            out[name] = em + head_b
-        return out
+        return {name: self._output(hidden, name) for name in heads}
 
     def backprop(
         self,
-        x: sparse.csr_matrix,
         head: str,
         d_emissions: Sequence[np.ndarray],
-        caches: Sequence[np.ndarray],
+        cache: tuple[np.ndarray, sparse.csr_matrix, np.ndarray],
         out: dict[str, np.ndarray],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """As `LinearEmissionModel.backprop`, for the shared weights; each
-        sequence's cache is its hidden layer from `emissions`."""
+        """As `LinearEmissionModel.backprop`, for the shared weights; the dense
+        head and bias terms still sum one sequence at a time."""
+        cols, x_local, hidden = cache
         head_w, _ = self._head(head)
-        _check_rows(d_emissions, x.shape[0], head_w.shape[0])
+        _check_rows(d_emissions, x_local.shape[0], head_w.shape[0])
         d_hidden = []
-        for d, hidden in zip(d_emissions, caches):
-            out[f"head:{head}:weights"] += d.T @ hidden
+        for d, h in zip(d_emissions, np.split(hidden, np.cumsum([len(d) for d in d_emissions]))):
+            out[f"head:{head}:weights"] += d.T @ h
             out[f"head:{head}:bias"] += d.sum(axis=0)
-            d_hidden.append((d @ head_w) * (1.0 - hidden * hidden))
+            d_hidden.append((d @ head_w) * (1.0 - h * h))
             out["shared_bias"] += d_hidden[-1].sum(axis=0)
-        return _column_block(x, np.concatenate(d_hidden))
+        return cols, (x_local.T @ np.concatenate(d_hidden)).T
 
     def params(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {
@@ -324,17 +323,16 @@ def zero_gradients(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 
 def emission_cache(model: Any, x: sparse.csr_matrix, head: str | None):
-    """(emissions, cache) of either scorer for one head."""
+    """(emissions, cache) of either scorer for one head (see `emissions`)."""
     return model.emissions(x, head)
 
 
 def emission_backprop(
     model: Any,
-    x: sparse.csr_matrix,
     head: str | None,
     d_emissions: Sequence[np.ndarray],
-    caches: Sequence[Any],
+    cache: Any,
     out: dict[str, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Either scorer's backward pass over one batch (see `backprop`)."""
-    return model.backprop(x, head, d_emissions, caches, out)
+    return model.backprop(head, d_emissions, cache, out)

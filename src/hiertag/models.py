@@ -326,9 +326,10 @@ class _Trainer:
         head = model.heads[head_name]
         sparse_key = model.emission.sparse_key
         grads = zero_gradients({k: v for k, v in self.params.items() if k != sparse_key})
-        scored = [emission_cache(model.emission, inst.fvecs, head_name) for inst in batch]
+        x = sparse.vstack([inst.fvecs for inst in batch], format="csr")
+        emissions, cache = emission_cache(model.emission, x, head_name)
         potentials = PotentialBatch(
-            np.concatenate([em for em, _ in scored]),
+            emissions,
             [inst.fvecs.shape[0] for inst in batch],
             *_transitions(model, head),
             head.stop,
@@ -341,12 +342,7 @@ class _Trainer:
             grads[f"start:{head_name}"] += g.d_start
             grads[f"stop:{head_name}"] += g.d_stop
         cols, block = emission_backprop(
-            model.emission,
-            sparse.vstack([inst.fvecs for inst in batch], format="csr"),
-            head_name,
-            [g.d_emissions for g in lattice_grads],
-            [cache for _, cache in scored],
-            grads,
+            model.emission, head_name, [g.d_emissions for g in lattice_grads], cache, grads
         )
         n = len(batch)
         reg = _regularized_keys(head_name, self.params) if cfg.l2 else set()

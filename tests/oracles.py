@@ -206,12 +206,14 @@ def reference_loss_and_grad(table: PotentialTable, mask: LatticeMask):
 # fresh temporaries.  `_Trainer._batch_step` must equal it bit for bit.
 
 def reference_backprop(model, x, head, d_emissions, cache, out) -> None:
-    """One sequence's backward pass into dense gradients."""
+    """One sequence's backward pass into dense gradients, from its feature
+    rows x and the cache of its own `emission_cache` call."""
     if isinstance(model, SharedEmissionModel):
         head_w, _ = model.heads[head]
-        out[f"head:{head}:weights"] += d_emissions.T @ cache
+        hidden = cache[-1]
+        out[f"head:{head}:weights"] += d_emissions.T @ hidden
         out[f"head:{head}:bias"] += d_emissions.sum(axis=0)
-        d_rows = (d_emissions @ head_w) * (1.0 - cache * cache)
+        d_rows = (d_emissions @ head_w) * (1.0 - hidden * hidden)
         key, bias = "shared_weights", "shared_bias"
     else:
         d_rows, key, bias = d_emissions, "weights", "bias"

@@ -207,6 +207,27 @@ class TestTrain:
         assert code == 2
         assert "path:tagset-name" in err
 
+    @pytest.mark.parametrize("flag, kind, folder, value", [
+        ("--data", "hier", "folder", "folder:T1"),
+        ("--hierarchy", "hier", "folder", "folder"),
+        ("--out", "hier", "folder", "folder"),
+        ("--out", "indep", "m.1.htag", "m.htag"),  # indep writes m.0.htag and m.1.htag
+        ("--out", "hier", None, "missing/m.htag"),
+    ])
+    def test_bad_path_is_usage_error_before_training(self, toy_files, capsys, monkeypatch,
+                                                     flag, kind, folder, value):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr("hiertag.cli.train_models", no_training)
+        if folder:
+            (toy_files / folder).mkdir()
+        args = train_args(toy_files, kind, toy_files / "m.htag")
+        args[args.index(flag) + 1] = toy_files / value
+        code, _, err = run(capsys, *args)
+        assert code == 2
+        assert str(toy_files / (folder or "missing")) in err
+
     def test_undecodable_corpus_is_usage_error(self, toy_files, capsys):
         (toy_files / "c1.conll").write_bytes(b"alice\tName\n\xff\xfe\tO\n")
         code, _, err = run(capsys, *train_args(toy_files, "hier", toy_files / "m.htag"))
@@ -343,6 +364,14 @@ class TestTag:
         assert "seed must be >= 0, got -1" in err
         assert not pred.exists()
 
+    def test_directory_model_is_usage_error(self, toy_files, capsys):
+        code, _, err = run(
+            capsys, "tag", "--model", toy_files, "--input", toy_files / "test.conll",
+            "--tagset", "T1", "--out", toy_files / "pred.conll",
+        )
+        assert code == 2
+        assert str(toy_files) in err
+
     def test_unknown_tagset_exits_2(self, toy_files, capsys):
         model = toy_files / "m.htag"
         run(capsys, *train_args(toy_files, "hier", model, epochs=2))
@@ -374,6 +403,13 @@ class TestEval:
         assert code == 0
         assert "f1 0.800000" in stdout.splitlines()[-1]
 
+    def test_directory_prediction_is_usage_error(self, tmp_path, capsys):
+        gold = tmp_path / "gold.conll"
+        gold.write_text(self.GOLD)
+        code, _, err = run(capsys, "eval", "--pred", tmp_path, "--gold", gold)
+        assert code == 2
+        assert str(tmp_path) in err
+
     def test_span_flag_changes_metric_only(self, tmp_path, capsys):
         gold, pred = tmp_path / "gold.conll", tmp_path / "pred.conll"
         gold.write_text(self.GOLD)
@@ -397,6 +433,12 @@ class TestSynth:
         assert a.read_bytes() != c.read_bytes()
         corpus = read_column_file(a)
         assert corpus.token_count == 18 * 8
+
+    def test_directory_config_is_usage_error(self, tmp_path, capsys):
+        code, _, err = run(capsys, "synth", "--config", tmp_path, "--seed", "5",
+                           "--out", tmp_path / "a.conll")
+        assert code == 2
+        assert str(tmp_path) in err
 
 
 def write_experiment_inputs(d, capsys, extending_cfg=GEN_BASE):
@@ -529,6 +571,8 @@ class TestExperiment:
             ("epochs 3", "epochs 3\ndev_fraction half"),
             ("seeds 1 2 3", "seeds 1 -3"),
             ("epochs 3", "epochs 3\nbio maybe"),
+            ("out_dir results", "out_dir spec.txt"),  # a file, not a directory
+            ("out_dir results", "out_dir spec.txt/results"),
         ],
     )
     def test_bad_spec_value_is_usage_error(self, tmp_path, capsys, line, bad):

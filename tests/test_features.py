@@ -177,7 +177,8 @@ class TestLinearModel:
     def test_backprop_zero_input(self):
         m = LinearEmissionModel.zeros(2, 4)
         grads = zero_gradients(m.params())
-        cols, block = m.backprop(rows([[1], [2, 3]], 4), None, [np.zeros((2, 2))], [None], grads)
+        _, cache = m.emissions(rows([[1], [2, 3]], 4), None)
+        cols, block = m.backprop(None, [np.zeros((2, 2))], cache, grads)
         assert cols.tolist() == [1, 2, 3] and block.shape == (2, 3)
         assert np.all(block == 0)
         assert all(np.all(g == 0) for g in grads.values())
@@ -186,19 +187,18 @@ class TestLinearModel:
         m = LinearEmissionModel.zeros(2, 4)
         d_em = np.array([[0.5, -0.5], [0.25, 0.75]])
         grads = zero_gradients(m.params())
-        cols, block = m.backprop(rows([[3], [3]], 4), None, [d_em[:1], d_em[1:]], [None, None],
-                                 grads)
+        _, cache = m.emissions(rows([[3], [3]], 4), None)
+        cols, block = m.backprop(None, [d_em[:1], d_em[1:]], cache, grads)
         assert cols.tolist() == [3]
         assert np.allclose(block[:, 0], d_em.sum(axis=0))
         assert np.allclose(grads["bias"], d_em.sum(axis=0))
 
     def test_backprop_shape_mismatch(self):
         m = LinearEmissionModel.zeros(2, 4)
-        x = rows([[0]], 4)
+        _, cache = m.emissions(rows([[0]], 4), None)
         for d_emissions in ([np.zeros((1, 3))], [np.zeros((2, 2))], [np.zeros((1, 2))] * 2):
             with pytest.raises(ValueError, match="mismatch"):
-                m.backprop(x, None, d_emissions, [None] * len(d_emissions),
-                           zero_gradients(m.params()))
+                m.backprop(None, d_emissions, cache, zero_gradients(m.params()))
 
 
 class TestSharedModel:
@@ -254,8 +254,10 @@ class TestSharedModel:
         m = self.build(rng)
         x = rows([random_ids(rng, m.feature_count) for _ in range(4)], m.feature_count)
         for head in ("A", "B"):
-            em, hidden = m.emissions(x, head)
+            em, (cols, x_local, hidden) = m.emissions(x, head)
             assert hidden.shape == (4, m.hidden_dim)
+            assert cols.tolist() == sorted(set(x.indices.tolist()))
+            assert (x_local.toarray() == x.toarray()[:, cols]).all()
             np.testing.assert_allclose(em, dense_shared(m, x, head), rtol=0, atol=1e-12)
         with pytest.raises(ValueError, match="out of bounds"):
             m.emissions(rows([[m.feature_count]], m.feature_count + 1), "A")
@@ -264,9 +266,9 @@ class TestSharedModel:
         rng = np.random.default_rng(83)
         m = self.build(rng)
         x = rows([random_ids(rng, m.feature_count) for _ in range(3)], m.feature_count)
-        em, hidden = m.emissions(x, "A")
+        em, cache = m.emissions(x, "A")
         grads = zero_gradients(m.params())
-        _, block = m.backprop(x, "A", [np.ones_like(em)], [hidden], grads)
+        _, block = m.backprop("A", [np.ones_like(em)], cache, grads)
         assert np.all(grads["head:B:weights"] == 0)
         assert np.all(grads["head:B:bias"] == 0)
         assert np.abs(block).sum() > 0
@@ -292,7 +294,7 @@ def end_to_end_grads(model, head, fs, trans, start, stop, mask):
     em, cache = emission_cache(model, fs, head)
     _, g = loss_and_grad(PotentialTable(em, trans, start, stop), mask)
     grads = zero_gradients(model.params())
-    cols, block = emission_backprop(model, fs, head, [g.d_emissions], [cache], grads)
+    cols, block = emission_backprop(model, head, [g.d_emissions], cache, grads)
     grads[model.sparse_key][:, cols] += block
     return grads
 
@@ -328,16 +330,31 @@ class TestBatchScoring:
             assert got.indices.tolist() == sorted(counts)
             assert got.data.tolist() == [counts[i] for i in sorted(counts)]
 
-    def test_both_scorers_match_their_per_token_rows(self):
-        rng = np.random.default_rng(90)
-        vocab = vocab_for(TOKENS)
-        x = batch_matrix(vocab, TOKENS)
+    def scorers(self, rng, vocab):
         linear = LinearEmissionModel(rng.normal(size=(3, vocab.size)), rng.normal(size=3))
         shared = TestSharedModel().build(rng, fc=vocab.size)
-        for model, head in ((linear, None), (shared, "A"), (shared, "B")):
-            got = model.batch_emissions(x, [head])[head]
-            want, _ = model.emissions(x, head)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        return (linear, None), (shared, "A"), (shared, "B")
+
+    def test_training_rows_equal_tagging_rows_bitwise(self):
+        # Training scores over the batch's active columns, tagging over all
+        # of them; each CSR row sums its terms in the same order either way.
+        rng = np.random.default_rng(90)
+        vocab = vocab_for(TOKENS)
+        x = batch_matrix(vocab, TOKENS[1:])  # leaves the first sequence's columns unused
+        for model, head in self.scorers(rng, vocab):
+            got, (cols, *_) = model.emissions(x, head)
+            assert cols.size < vocab.size
+            assert got.tobytes() == model.batch_emissions(x, [head])[head].tobytes()
+
+    def test_both_scorers_match_the_dense_oracles(self):
+        rng = np.random.default_rng(93)
+        vocab = vocab_for(TOKENS)
+        x = batch_matrix(vocab, TOKENS)
+        for model, head in self.scorers(rng, vocab):
+            want = dense_linear(model, x) if head is None else dense_shared(model, x, head)
+            np.testing.assert_allclose(model.emissions(x, head)[0], want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(model.batch_emissions(x, [head])[head], want,
+                                       rtol=0, atol=1e-12)
 
     def test_rows_do_not_depend_on_the_batch(self):
         rng = np.random.default_rng(91)

@@ -74,6 +74,15 @@ def _read_datasets(raws: list[str]) -> list[Corpus]:
     return out
 
 
+def _check_outputs(paths: list[Path], what: str) -> None:
+    """Fail before any work when an output file could not be written."""
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(f"{what} output {path} is a directory")
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"{what} output directory {path.parent} does not exist")
+
+
 def _config_from(args: argparse.Namespace) -> TrainingConfig:
     return TrainingConfig(**{f.name: getattr(args, f.name) for f in fields(TrainingConfig)})
 
@@ -99,11 +108,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         paths = [out.with_name(f"{out.stem}.{i}{out.suffix}") for i in range(len(corpora))]
     else:
         paths = [out]
-    for path in paths:
-        if path.is_dir():
-            raise IsADirectoryError(f"model output {path} is a directory")
-        if not path.parent.is_dir():
-            raise FileNotFoundError(f"model output directory {path.parent} does not exist")
+    _check_outputs(paths, "model")
     logged = []  # indep trains one model per dataset; the log follows the first
 
     def log_epoch(model, record) -> None:
@@ -122,6 +127,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_tag(args: argparse.Namespace) -> int:
+    _check_outputs([Path(args.out)], "predictions")
     models = [load_model(p) for p in args.model]
     corpus = read_column_file(args.input)
     token_lists = [seq.texts() for seq in corpus.sequences]

@@ -17,6 +17,7 @@ around it.  The one-sequence functions are batches of one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -119,44 +120,51 @@ class PotentialBatch:
 
 
 class LatticeMask:
-    """Per-position allowed tag indices.  Every position keeps at least one."""
+    """Per-position allowed tags, from a bool keep matrix (n, y) or one list of
+    tag indices per position.  Every position keeps at least one; `slots`
+    packs them left in ascending order, padded with tag 0."""
 
-    def __init__(self, allowed: Iterable[Iterable[int]]) -> None:
-        self.allowed: tuple[np.ndarray, ...] = tuple(
-            np.unique(np.asarray(list(a), dtype=np.int64)) for a in allowed
-        )
-        for i, idx in enumerate(self.allowed):
-            if idx.size == 0:
-                raise ValueError(f"mask position {i} allows no tags")
-            if idx[0] < 0:
-                raise ValueError(f"mask position {i} has a negative tag index")
-        # The allowed tags of each position packed left, padded with tag 0.
-        self.widths = np.array([idx.size for idx in self.allowed], dtype=np.int64)
-        self.slots = np.zeros((len(self.allowed), self.widths.max(initial=1)), dtype=np.int64)
-        for i, idx in enumerate(self.allowed):
-            self.slots[i, : idx.size] = idx
+    def __init__(self, allowed: np.ndarray | Iterable[Iterable[int]]) -> None:
+        keep = allowed
+        if not (isinstance(keep, np.ndarray) and keep.dtype == bool):
+            rows = [np.asarray(list(a), dtype=np.int64) for a in allowed]
+            keep = np.zeros((len(rows), 1 + max([r.max(initial=0) for r in rows], default=0)),
+                            dtype=bool)
+            for i, r in enumerate(rows):
+                if r.min(initial=0) < 0:
+                    raise ValueError(f"mask position {i} has a negative tag index")
+                keep[i, r] = True
+        self.span = keep.shape[1]  # every allowed tag is below it
+        self.widths = keep.sum(axis=1)
+        if not self.widths.all():
+            raise ValueError(f"mask position {np.argmin(self.widths)} allows no tags")
+        width = int(self.widths.max(initial=1))
+        if width == 1:  # the one kept tag of each position is its first
+            self.slots = keep.argmax(axis=1)[:, None]
+        else:
+            order = np.argsort(~keep, axis=1, kind="stable")[:, :width]
+            self.slots = np.where(np.arange(width) < self.widths[:, None], order, 0)
         # An all-singleton mask pins a unique path; recursions collapse to it.
-        self.singleton_path: np.ndarray | None = None
-        if (self.widths == 1).all():
-            self.singleton_path = self.slots[:, 0].copy()
+        self.singleton_path = self.slots[:, 0] if width == 1 else None
 
     @classmethod
     def full(cls, n: int, y_count: int) -> "LatticeMask":
-        return cls([range(y_count)] * n)
+        return cls(np.ones((n, y_count), dtype=bool))
+
+    @cached_property
+    def allowed(self) -> tuple[np.ndarray, ...]:
+        """Each position's allowed tags, ascending."""
+        return tuple(row[:w] for row, w in zip(self.slots, self.widths))
 
     def __len__(self) -> int:
-        return len(self.allowed)
+        return len(self.widths)
 
     def validate_for(self, n: int, y_count: int) -> None:
         """Require one position per token of an n-token sequence over y_count tags."""
-        if len(self.allowed) != n:
-            raise ValueError(f"mask length {len(self.allowed)} != sequence length {n}")
-        top = self.slots.max(axis=1)
-        bad = np.flatnonzero(top >= y_count)
-        if bad.size:
-            raise ValueError(
-                f"mask position {bad[0]} allows tag {top[bad[0]]} >= y_count {y_count}"
-            )
+        if len(self) != n:
+            raise ValueError(f"mask length {len(self)} != sequence length {n}")
+        if self.span > y_count:
+            raise ValueError(f"mask over {self.span} tags exceeds y_count {y_count}")
 
 
 @dataclass

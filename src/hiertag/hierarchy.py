@@ -13,6 +13,8 @@ import re
 from collections import deque
 from typing import Iterable, Mapping
 
+import numpy as np
+
 FG_OTHER = "FG-Other"
 EXTENDED_MARKER = "extended"
 
@@ -124,38 +126,44 @@ class TagHierarchy:
 
 
 class ExtendedHierarchy:
-    """A hierarchy after Other-extension.
+    """A hierarchy after Other-extension, compiled into lookup tables.
 
     `graph` is the full post-extension DAG (synthesized tags included).  For
-    every tagset the fine-grained tags partition into exactly one owning tag;
-    `fine_cover` and `owner` are the two directions of that partition.
+    every tagset the fine-grained tags partition into exactly one owning tag.
+    `fine_index` and, per tagset, `member_index` number the tags in sorted
+    order; `owner[tagset]` gives each fine tag's member (member m's cover is
+    `owner == m`) and `routes[tagset]` each tag's (see `map_by_traversal`).
     """
 
     def __init__(self, graph: TagHierarchy) -> None:
         self.graph = graph
         self.fine_grained = graph.fine_grained
+        self.fine_index = {f: i for i, f in enumerate(sorted(self.fine_grained))}
         self.fine_map: dict[tuple[str, str], frozenset[str]] = {}
-        self.partition: dict[tuple[str, str], str] = {}
-        for ts_name in sorted(graph.tagsets):
-            owners: dict[str, str] = {}
-            for t in sorted(graph.tagsets[ts_name]):
-                cover = graph.fine_cover(t)
-                self.fine_map[(ts_name, t)] = cover
-                for f in sorted(cover):
-                    if f in owners:
-                        raise HierarchyError(
-                            f"partition violation in tagset {ts_name}: fine tag {f} "
-                            f"belongs to both {owners[f]} and {t}"
-                        )
-                    owners[f] = t
-            uncovered = self.fine_grained - owners.keys()
+        self.member_index: dict[str, dict[str, int]] = {}
+        self.owner: dict[str, np.ndarray] = {}
+        self.routes: dict[str, dict[str, str]] = {}
+        for ts_name, members in sorted(graph.tagsets.items()):
+            # A tag's route is the member above it.  Covers must be disjoint,
+            # so there is at most one, and a breadth-first ascent meets it.
+            routes = self.routes[ts_name] = {
+                t: m for m in sorted(members) for t in graph.hyponym_closure(m)
+            }
+            for t in sorted(members):
+                cover = self.fine_map[(ts_name, t)] = graph.fine_cover(t)
+                stray = sorted(f for f in cover if routes[f] != t)  # under two members
+                if stray:
+                    raise HierarchyError(
+                        f"partition violation in tagset {ts_name}: fine tag {stray[0]} "
+                        f"belongs to both {routes[stray[0]]} and {t}"
+                    )
+            uncovered = sorted(self.fine_grained - routes.keys())
             if uncovered:
                 raise HierarchyError(
-                    f"tagset {ts_name} does not cover fine tags: "
-                    f"{', '.join(sorted(uncovered))}"
+                    f"tagset {ts_name} does not cover fine tags: {', '.join(uncovered)}"
                 )
-            for f, t in owners.items():
-                self.partition[(ts_name, f)] = t
+            index = self.member_index[ts_name] = {t: m for m, t in enumerate(sorted(members))}
+            self.owner[ts_name] = np.array([index[routes[f]] for f in self.fine_index])
 
     @property
     def tagsets(self) -> dict[str, frozenset[str]]:
@@ -172,44 +180,25 @@ class ExtendedHierarchy:
     def fine_cover(self, tagset: str, tag: str) -> frozenset[str]:
         """Fine-grained tags owned by `tag` within the named tagset."""
         self._require_tagset(tagset)
-        try:
-            return self.fine_map[(tagset, tag)]
-        except KeyError:
-            raise HierarchyError(f"tag {tag!r} not in tagset {tagset!r}") from None
-
-    def owner(self, tagset: str, fine_tag: str) -> str:
-        """The unique tagset member whose cover contains `fine_tag`."""
-        self._require_tagset(tagset)
-        if fine_tag not in self.fine_grained:
-            raise HierarchyError(f"{fine_tag!r} is not a fine-grained tag")
-        return self.partition[(tagset, fine_tag)]
+        if (tagset, tag) not in self.fine_map:
+            raise HierarchyError(f"tag {tag!r} not in tagset {tagset!r}")
+        return self.fine_map[(tagset, tag)]
 
     def map_to_tagset(self, fine_tag: str, tagset: str) -> str:
-        """Map a fine-grained tag onto the named tagset (partition lookup)."""
-        return self.owner(tagset, fine_tag)
+        """The unique tagset member whose cover contains `fine_tag`."""
+        if fine_tag not in self.fine_grained:
+            raise HierarchyError(f"{fine_tag!r} is not a fine-grained tag")
+        return self.map_by_traversal(fine_tag, tagset)
 
     def map_by_traversal(self, tag: str, tagset: str) -> str:
-        """Map any tag onto the named tagset by breadth-first ascent.
-
-        Walks out-edges level by level and stops at the first tagset member;
-        same-depth candidates resolve to the lexicographically smallest.  For
-        fine-grained tags this agrees with `map_to_tagset`.
-        """
+        """Map any tag onto the named tagset: the first member met walking
+        out-edges level by level, which is the only member above the tag.
+        For fine-grained tags this agrees with `map_to_tagset`."""
         self._require_tagset(tagset)
         self.graph._require(tag)
-        members = self.graph.tagsets[tagset]
-        level = [tag]
-        visited = {tag}
-        while level:
-            hits = sorted(t for t in level if t in members)
-            if hits:
-                return hits[0]
-            nxt: set[str] = set()
-            for t in level:
-                nxt |= self.graph._parents[t] - visited
-            visited |= nxt
-            level = sorted(nxt)
-        raise HierarchyError(f"tag {tag!r} reaches no member of tagset {tagset!r}")
+        if tag not in self.routes[tagset]:
+            raise HierarchyError(f"tag {tag!r} reaches no member of tagset {tagset!r}")
+        return self.routes[tagset][tag]
 
     def to_text(self) -> str:
         body = self.graph.to_text()

@@ -154,31 +154,25 @@ def collapse_bio(tag: str) -> str:
     return tag[2:] if tag.startswith(("B-", "I-")) else tag
 
 
-def _bio_offsets(domain: Sequence[str], y: int) -> tuple[np.ndarray, np.ndarray]:
+def _bio_offsets(domain: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Additive score offsets forbidding I-x except after B-x/I-x."""
-    trans = np.zeros((y, y))
-    start = np.zeros(y)
-    for j, tj in enumerate(domain):
-        if not tj.startswith("I-"):
-            continue
-        start[j] = BIO_PENALTY
-        stem = tj[2:]
-        for i, ti in enumerate(domain):
-            if ti not in (f"B-{stem}", f"I-{stem}"):
-                trans[i, j] = BIO_PENALTY
-    return trans, start
+    inside = np.array([t.startswith("I-") for t in domain], dtype=bool)
+    stems = np.array([collapse_bio(t) for t in domain], dtype=object)
+    barred = inside[None, :] & (stems[:, None] != stems[None, :])
+    return np.where(barred, BIO_PENALTY, 0.0), np.where(inside, BIO_PENALTY, 0.0)
 
 
 def _transitions(model: TrainedModel, head: Head) -> tuple[np.ndarray, np.ndarray]:
     """The head's transition and start scores, with the BIO offsets if on."""
     if not model.config.bio:
         return head.transitions, head.start
-    t_off, s_off = _bio_offsets(head.domain, len(head.domain))
+    t_off, s_off = _bio_offsets(head.domain)
     return head.transitions + t_off, head.start + s_off
 
 
 def _original_members(eh: ExtendedHierarchy, tagset: str) -> frozenset[str]:
-    return eh.tagsets[tagset] - {eh.other_tag(tagset)}
+    other = eh.other_tag(tagset)  # an unknown tagset raises here
+    return eh.tagsets[tagset] - {other}
 
 
 def _check_datasets(datasets: Sequence[Corpus], eh: ExtendedHierarchy) -> None:
@@ -187,8 +181,6 @@ def _check_datasets(datasets: Sequence[Corpus], eh: ExtendedHierarchy) -> None:
     for corpus in datasets:
         if not corpus.tagset_name:
             raise ModelError("every training corpus needs a tagset name")
-        if corpus.tagset_name not in eh.tagsets:
-            raise HierarchyError(f"unknown tagset {corpus.tagset_name!r}")
         members = _original_members(eh, corpus.tagset_name)
         if OTHER in members:
             raise ModelError(f"tagset {corpus.tagset_name} declares reserved tag O")
@@ -228,19 +220,37 @@ def _domain_indices(domain: Sequence[str], bio: bool) -> dict[str, list[int]]:
     return out
 
 
+# `_fit` builds a head's masks sequence after sequence from one `pos`, which
+# nothing changes once it is built, so the table of the last one is kept.
+_last_columns: list[tuple] = [(None, None, None)]
+
+
+def _columns(pos: dict[str, list[int]]) -> tuple[dict[str, int], np.ndarray]:
+    """Each base tag's index among pos's keys, and for each column of the
+    domain the index of the base tag it expands."""
+    entry = _last_columns[0]
+    if entry[0] is not pos:
+        base = {c: k for k, cols in enumerate(pos.values()) for c in cols}
+        columns = np.array([base[c] for c in range(len(base))], dtype=np.int64)
+        entry = _last_columns[0] = (pos, {t: k for k, t in enumerate(pos)}, columns)
+    return entry[1], entry[2]
+
+
 def _hier_mask(
     tags: Sequence[str], eh: ExtendedHierarchy, tagset: str, pos: dict[str, list[int]]
 ) -> LatticeMask:
+    """Each token keeps the fine tags that its gold tag owns in the tagset
+    (O reads as the tagset's Other)."""
     other = eh.other_tag(tagset)
-    allowed = []
-    for g in tags:
-        cover = eh.fine_cover(tagset, other if g == OTHER else g)
-        allowed.append([i for f in cover for i in pos[f]])
-    return LatticeMask(allowed)
+    index = eh.member_index[tagset]
+    ids = np.array([index[other if g == OTHER else g] for g in tags], dtype=np.int64)
+    owners = eh.owner[tagset][[eh.fine_index[t] for t in pos]]  # member of each base tag
+    return LatticeMask(owners[_columns(pos)[1]] == ids[:, None])
 
 
 def _singleton_mask(tags: Sequence[str], pos: dict[str, list[int]]) -> LatticeMask:
-    return LatticeMask([pos[g] for g in tags])
+    index, columns = _columns(pos)
+    return LatticeMask(columns == np.array([index[g] for g in tags], dtype=np.int64)[:, None])
 
 
 class _Adagrad:
@@ -639,22 +649,17 @@ def _head_tags(model: TrainedModel, head: Head) -> list[str]:
 
 
 def _map_domain(model: TrainedModel, head: Head, tagset: str, strict: bool = True) -> list[str]:
-    """Domain index -> tag of `tagset` by traversal, O becoming the tagset's
-    Other.  A tag that reaches no member raises, or maps to Other if not strict."""
+    """Domain index -> tag of `tagset` by the hierarchy's routes, O becoming
+    the tagset's Other.  A tag that reaches no member raises, or maps to
+    Other if not strict."""
     eh = model.hierarchy
     other = eh.other_tag(tagset)
-    out = []
-    for t in _head_tags(model, head):
-        if t == OTHER:
-            out.append(other)
-            continue
-        try:
-            out.append(eh.map_by_traversal(t, tagset))
-        except HierarchyError:
-            if strict:
-                raise
-            out.append(other)
-    return out
+    routes = eh.routes[tagset]
+    tags = [other if t == OTHER else t for t in _head_tags(model, head)]
+    lost = [t for t in tags if t not in routes]
+    if strict and lost:
+        raise HierarchyError(f"tag {lost[0]!r} reaches no member of tagset {tagset!r}")
+    return [routes.get(t, other) for t in tags]
 
 
 @dataclass(frozen=True)
@@ -673,13 +678,9 @@ class Consolidated:
 
 
 def _expand_heads(models: Sequence[TrainedModel]) -> list[tuple[TrainedModel, Head]]:
-    out = []
-    for m in models:
-        if m.kind is ModelKind.HIER:
-            raise ModelError("hier models decode a single sequence; consolidation does not apply")
-        for name in sorted(m.heads):
-            out.append((m, m.heads[name]))
-    return out
+    if any(m.kind is ModelKind.HIER for m in models):
+        raise ModelError("hier models decode a single sequence; consolidation does not apply")
+    return [(m, m.heads[name]) for m in models for name in sorted(m.heads)]
 
 
 def tag_batch(
@@ -691,11 +692,11 @@ def tag_batch(
 ) -> list[Consolidated]:
     """Tag every sequence of one request in a single batched pass.
 
-    A lone hier model decodes its fine tags and maps them with the partition
-    (test_tagset None keeps the raw fine tags).  Otherwise every head of
-    every model is decoded and mapped onto the test tagset by traversal, and
-    positions where distinct non-Other candidates disagree are resolved by
-    `method`; RANDOM draws from default_rng(seed) afresh for each sequence.
+    Every head of every model is decoded and its tags are mapped onto the
+    test tagset by the hierarchy's routes (a lone hier model keeps its raw
+    fine tags if test_tagset is None).  Positions where distinct non-Other
+    candidates of several heads disagree are resolved by `method`; RANDOM
+    draws from default_rng(seed) afresh for each sequence.
     An unmappable tagset fails before anything is decoded.
     """
     if not models:
@@ -703,18 +704,13 @@ def tag_batch(
     if seed < 0:
         raise ModelError(f"seed must be >= 0, got {seed}")
     method = ConsolidationMethod(method)
-    if len(models) == 1 and models[0].kind is ModelKind.HIER:
-        model = models[0]
-        head = model.single_head()
-        tags = _head_tags(model, head)
-        if test_tagset is not None:
-            tags = [model.hierarchy.map_to_tagset(f, test_tagset) for f in tags]
-        return _tag_request([(model, head)], [tags], _Request(token_lists), None)
-    if test_tagset is None:
+    hier = len(models) == 1 and models[0].kind is ModelKind.HIER
+    if test_tagset is None and not hier:
         raise ModelError("consolidation needs a test tagset")
-    pairs = _expand_heads(models)
-    tables = [_map_domain(m, head, test_tagset) for m, head in pairs]
-    test_other = models[0].hierarchy.other_tag(test_tagset)
+    pairs = [(models[0], models[0].single_head())] if hier else _expand_heads(models)
+    tables = [_head_tags(m, head) if test_tagset is None else _map_domain(m, head, test_tagset)
+              for m, head in pairs]
+    test_other = None if test_tagset is None else models[0].hierarchy.other_tag(test_tagset)
     return _tag_request(pairs, tables, _Request(token_lists), test_other, method, seed)
 
 

@@ -13,7 +13,27 @@ from hiertag.crf import (
     sequence_score,
 )
 from hiertag.features import SharedEmissionModel, emission_cache, zero_gradients
+from hiertag.hierarchy import TagHierarchy
 from hiertag.models import _regularized_keys, _transitions
+
+
+def reference_route(graph: TagHierarchy, tag: str, members: frozenset[str]) -> str | None:
+    """The tagset member met first walking out-edges level by level from
+    `tag` (same-depth candidates: the lexicographically smallest), or None:
+    one breadth-first search per tag, the reference for
+    `ExtendedHierarchy.routes`."""
+    level = [tag]
+    visited = {tag}
+    while level:
+        hits = sorted(t for t in level if t in members)
+        if hits:
+            return hits[0]
+        nxt: set[str] = set()
+        for t in level:
+            nxt |= graph._parents[t] - visited
+        visited |= nxt
+        level = sorted(nxt)
+    return None
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None):

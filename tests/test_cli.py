@@ -372,6 +372,20 @@ class TestTag:
         assert code == 2
         assert str(toy_files) in err
 
+    @pytest.mark.parametrize("value", ["folder", "missing/pred.conll"])
+    def test_bad_out_is_usage_error_before_loading(self, toy_files, capsys, monkeypatch, value):
+        def no_loading(*args, **kwargs):
+            raise AssertionError("loaded")
+
+        monkeypatch.setattr("hiertag.cli.load_model", no_loading)
+        (toy_files / "folder").mkdir()
+        code, _, err = run(
+            capsys, "tag", "--model", toy_files / "m.htag", "--input", toy_files / "test.conll",
+            "--tagset", "T1", "--out", toy_files / value,
+        )
+        assert code == 2
+        assert str(toy_files / value.split("/")[0]) in err
+
     def test_unknown_tagset_exits_2(self, toy_files, capsys):
         model = toy_files / "m.htag"
         run(capsys, *train_args(toy_files, "hier", model, epochs=2))

@@ -536,3 +536,44 @@ class TestBatchedKernels:
     def test_bad_batches_rejected(self, lengths, em, match):
         with pytest.raises(ValueError, match=match):
             PotentialBatch(em, lengths, np.zeros((2, 2)), np.zeros(2), np.zeros(2))
+
+
+@st.composite
+def keep_matrices(draw):
+    """Bool keep matrices (n 1..7, y 1..12) whose rows each keep every tag,
+    one tag, or a random non-empty subset."""
+    n, y = draw(st.integers(1, 7)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = np.zeros((n, y), dtype=bool)
+    for row in keep:
+        kind = draw(st.sampled_from(["full", "singleton", "random"]))
+        size = {"full": y, "singleton": 1, "random": int(rng.integers(1, y + 1))}[kind]
+        row[rng.choice(y, size=size, replace=False)] = True
+    return keep
+
+
+class TestLatticeMaskKeepRows:
+    @BATCH_PROPERTY
+    @given(keep_matrices())
+    def test_keep_rows_equal_index_lists(self, keep):
+        got = LatticeMask(keep)
+        want = LatticeMask([np.flatnonzero(r) for r in keep])
+        np.testing.assert_array_equal(got.slots, want.slots)
+        np.testing.assert_array_equal(got.widths, want.widths)
+        assert (got.singleton_path is None) == (want.singleton_path is None)
+        if got.singleton_path is not None:
+            np.testing.assert_array_equal(got.singleton_path, want.singleton_path)
+        assert len(got.allowed) == len(want.allowed) == len(keep)
+        for a, b, row in zip(got.allowed, want.allowed, keep):
+            np.testing.assert_array_equal(a, np.flatnonzero(row))
+            np.testing.assert_array_equal(b, np.flatnonzero(row))
+        for mask, span in ((got, keep.shape[1]), (want, want.slots.max() + 1)):
+            mask.validate_for(len(keep), span)
+            with pytest.raises(ValueError, match="y_count"):
+                mask.validate_for(len(keep), span - 1)
+        with pytest.raises(ValueError, match="mask length"):
+            got.validate_for(len(keep) + 1, keep.shape[1])
+
+    def test_empty_keep_row_rejected(self):
+        with pytest.raises(ValueError, match="position 1 allows no tags"):
+            LatticeMask(np.array([[True, False], [False, False]]))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import reference_route
 
 from hiertag.hierarchy import (
     FG_OTHER,
@@ -240,23 +241,23 @@ class TestExtension:
 
     def test_owner_lookups(self, clinical_ext):
         eh = clinical_ext
-        assert eh.owner("T1", "FirstName") == "Name"
-        assert eh.owner("T1", "City") == "Location"
-        assert eh.owner("T1", "Name-Other") == "Name"
-        assert eh.owner("T1", FG_OTHER) == "T1-Other"
-        assert eh.owner("T2", "Name-Other") == "T2-Other"
-        assert eh.owner("T3", "Date") == "T3-Other"
+        assert eh.map_to_tagset("FirstName", "T1") == "Name"
+        assert eh.map_to_tagset("City", "T1") == "Location"
+        assert eh.map_to_tagset("Name-Other", "T1") == "Name"
+        assert eh.map_to_tagset(FG_OTHER, "T1") == "T1-Other"
+        assert eh.map_to_tagset("Name-Other", "T2") == "T2-Other"
+        assert eh.map_to_tagset("Date", "T3") == "T3-Other"
         assert eh.map_to_tagset("Hospital", "T3") == "Location"
 
     def test_owner_rejects_non_fine_tag(self, clinical_ext):
         with pytest.raises(HierarchyError, match="not a fine-grained tag"):
-            clinical_ext.owner("T1", "Name")
+            clinical_ext.map_to_tagset("Name", "T1")
 
     def test_traversal_agrees_with_owner(self, clinical_ext):
         eh = clinical_ext
         for ts in eh.tagsets:
             for f in eh.fine_grained:
-                assert eh.map_by_traversal(f, ts) == eh.owner(ts, f)
+                assert eh.map_by_traversal(f, ts) == eh.map_to_tagset(f, ts)
 
     def test_traversal_from_member_is_identity(self, clinical_ext):
         assert clinical_ext.map_by_traversal("Name", "T3") == "Name"
@@ -300,7 +301,24 @@ class TestExtension:
             eh = extend_with_other(random_hierarchy(rng))
             for ts in eh.tagsets:
                 for f in eh.fine_grained:
-                    assert eh.map_by_traversal(f, ts) == eh.owner(ts, f)
+                    assert eh.map_by_traversal(f, ts) == eh.map_to_tagset(f, ts)
+
+    def test_routes_match_breadth_first_oracle(self):
+        rng = np.random.default_rng(16)
+        unreachable = 0
+        for _ in range(30):
+            eh = extend_with_other(random_hierarchy(rng))
+            for ts, members in eh.tagsets.items():
+                for t in sorted(eh.graph.nodes):
+                    want = reference_route(eh.graph, t, members)
+                    assert eh.routes[ts].get(t) == want
+                    if want is None:
+                        unreachable += 1
+                        with pytest.raises(HierarchyError, match="reaches no member"):
+                            eh.map_by_traversal(t, ts)
+                    else:
+                        assert eh.map_by_traversal(t, ts) == want
+        assert unreachable
 
     def test_overlapping_tagset_rejected(self, clinical):
         bad = TagHierarchy(

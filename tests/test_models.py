@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import reference_batch_grads, reference_batch_step
+from test_hierarchy import random_hierarchy
 from scipy import sparse
 
 from hiertag.crf import LatticeMask
 from hiertag.data import OTHER, Corpus, CorpusError, LabeledSequence, Token
+import hiertag.models as models_module
 from hiertag.experiments import tag_sequences
 from hiertag.features import FeatureVocabulary, LinearEmissionModel, SharedEmissionModel
 from hiertag.hierarchy import (
@@ -174,6 +176,23 @@ class TestMasks:
         pos = _domain_indices(["Location", "Name", "O"], False)
         mask = _singleton_mask(["O", "Name", "Location"], pos)
         assert [list(r) for r in mask.allowed] == [[2], [1], [0]]
+
+    def test_hier_mask_matches_fine_cover_definition(self):
+        """Keep rows equal the per-token definition: the fine cover of each
+        gold tag (O as the tagset's Other), expanded through the domain."""
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            eh = extend_with_other(random_hierarchy(rng))
+            for bio in (False, True):
+                domain = sorted(eh.fine_grained)
+                pos = _domain_indices(expand_bio(domain) if bio else domain, bio)
+                for ts in sorted(eh.tagsets):
+                    golds = sorted(eh.tagsets[ts]) + [OTHER]
+                    tags = [golds[i] for i in rng.integers(len(golds), size=8)]
+                    mask = _hier_mask(tags, eh, ts, pos)
+                    for g, row in zip(tags, mask.allowed):
+                        cover = eh.fine_cover(ts, eh.other_tag(ts) if g == OTHER else g)
+                        assert row.tolist() == sorted(i for f in cover for i in pos[f])
 
     def test_gold_outside_tagset_rejected(self, toy_eh):
         bad = corpus([tagged("elm", "Location")], "T1")
@@ -605,18 +624,29 @@ class TestDecodePath:
         c1, c2 = toy_corpora
         dev = [c1.with_tagset("T1", "dev"), c2.with_tagset("T2", "dev")]
         model = train_concat([c1, c2], toy_eh, quick_cfg(epochs=2))
-        calls = []
-        original = ExtendedHierarchy.map_by_traversal
+        tables, raised = [], []
+        original = models_module._map_domain
 
-        def counted(self, tag, tagset):
-            calls.append(tag)
-            return original(self, tag, tagset)
+        def recorded(*args, **kwargs):
+            tables.append(original(*args, **kwargs))
+            return tables[-1]
 
-        monkeypatch.setattr(ExtendedHierarchy, "map_by_traversal", counted)
-        f1 = _dev_scorer(dev, toy_eh)(model)
-        assert 0.0 <= f1 <= 1.0
+        def note_raise(self, *args):
+            raised.append(args)
+            ValueError.__init__(self, *args)
+
+        monkeypatch.setattr(models_module, "_map_domain", recorded)
+        monkeypatch.setattr(HierarchyError, "__init__", note_raise)
+        dev_f1 = _dev_scorer(dev, toy_eh)
+        for epoch in (1, 2):
+            assert 0.0 <= dev_f1(model) <= 1.0
+            # One table per dev corpus and epoch, not one lookup per token.
+            assert len(tables) == 2 * epoch
+        domain = model.single_head().domain
         # Location reaches no member of T1 and Name none of T2: both score as O.
-        assert sorted(calls) == ["Location", "Location", "Name", "Name"]
+        assert tables[0][domain.index("Location")] == "T1-Other"
+        assert tables[1][domain.index("Name")] == "T2-Other"
+        assert raised == []
 
 
 @pytest.fixture

@@ -1,0 +1,34 @@
+"""The parity tool (`tests/parity.py`) finds a tree equal to itself and
+flags a difference in predictions."""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import parity
+
+
+def test_tree_is_identical_to_itself(capsys):
+    status = parity.main(
+        ["--against", str(parity.TREE), "--seeds", "0", "--workloads", "extension"]
+    )
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert status == 0
+    assert [r[:3] for r in rows] == [["extension", "0", kind] for kind in parity.KINDS]
+    assert all(r[3:] == ["equal"] * len(parity.FIELDS) + ["0"] for r in rows)
+
+
+def test_different_predictions_fail(tmp_path, capsys):
+    for side, preds, shift in (("base", "p", 0.0), ("head", "q", 1e-3)):
+        (tmp_path / side).mkdir()
+        for kind in parity.KINDS:
+            record = {"model": ["m"], "history": ["h"], "collisions": {"random": 0},
+                      "preds": preds if kind == "mtl" else "p"}
+            stem = tmp_path / side / f"extension-0-{kind}"
+            stem.with_suffix(".json").write_text(json.dumps(record))
+            np.savez(stem.with_suffix(".npz"), w=np.full(2, shift if kind == "mtl" else 0.0))
+    assert parity.compare(tmp_path / "base", tmp_path / "head", ["extension"], [0]) == 1
+    rows = {line.split()[2]: line.split()[3:] for line in capsys.readouterr().out.splitlines()[1:]}
+    assert rows["hier"] == ["equal"] * 4 + ["0"]
+    assert rows["mtl"] == ["equal", "equal", "DIFFERENT", "equal", "0.001"]

@@ -80,13 +80,52 @@ def feature_strings(tokens: Sequence[str], i: int, radius: int = 2) -> list[str]
     return _templates(tokens, i, lows, shapes, _marks(radius))
 
 
-def window_features(tokens: Sequence[str], radius: int = 2) -> list[list[str]]:
-    """`feature_strings` of every position of one sequence; each token is
-    lowercased and shaped once, not once per window that sees it."""
-    lows = [t.lower() for t in tokens]
-    shapes = [word_shape(t) for t in tokens]
-    marks = _marks(radius)
-    return [_templates(tokens, i, lows, shapes, marks) for i in range(len(tokens))]
+def featurize(
+    token_lists: Sequence[Sequence[str]], window: int
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """`feature_strings` of every token: the distinct strings in first-seen
+    order, and per token (CSR-style indptr) the positions of its strings.
+
+    Built by token type: each distinct token's lowercase form, shape and
+    affixes are interned once in a table of K parts.  Every string is a slot
+    name without "=" plus a part, so its key slot * K + part is equal exactly
+    when the string is.  A (tokens, slots) key matrix gathers the parts in
+    per-position order, with -1 where no string is made, and only the
+    distinct keys are formatted."""
+    tokens = [t for ts in token_lists for t in ts]
+    types = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
+    tt = np.fromiter(map(types.__getitem__, tokens), np.int64, len(tokens))
+    # Per type, the parts of w0, shape0, pre1, suf1 ... suf3, and "" for digit;
+    # `made` masks the affixes longer than the token (not its lowercase form).
+    row = [p for t, low in zip(types, map(str.lower, types)) for p in
+           (low, word_shape(t), low[:1], low[-1:], low[:2], low[-2:], low[:3], low[-3:], "")]
+    parts = {p: i for i, p in enumerate(dict.fromkeys([BOS, EOS, *row]))}
+    tp = np.fromiter(map(parts.__getitem__, row), np.int64, len(row)).reshape(-1, 9)
+    lens = np.fromiter(map(len, types), np.int64, len(types))
+    digit = np.fromiter((any(map(str.isdigit, t)) for t in types), bool, len(types))
+    made = np.column_stack([lens[:, None] >= [0, 0, 1, 1, 2, 2, 3, 3], digit])
+    k, marks = len(parts), _marks(window)
+    slots = ["w0=", "shape0=", "pre1=", "suf1=", "pre2=", "suf2=", "pre3=", "suf3=", "digit"]
+    slots += [f"{name}{mark}=" for _, mark in marks for name in ("w", "shape")]
+    keys = np.empty((tt.size, len(slots)), np.int64)
+    keys[:, :9] = np.where(made, tp + np.arange(9) * k, -1)[tt]
+    lengths = [len(ts) for ts in token_lists]
+    at = np.arange(tt.size) - np.repeat(np.cumsum([0] + lengths)[:-1], lengths)
+    ends = np.repeat(lengths, lengths)
+    for col, (off, _) in zip(range(9, len(slots), 2), marks):
+        inside = (at + off >= 0) & (at + off < ends)
+        seen = tp[np.take(tt, np.arange(tt.size) + off, mode="clip")]
+        keys[:, col] = np.where(inside, seen[:, 0], parts[BOS if off < 0 else EOS]) + col * k
+        keys[:, col + 1] = np.where(inside, seen[:, 1] + (col + 1) * k, -1)
+    present = keys >= 0
+    flat, order = keys[present], np.arange(present.sum())
+    ids = np.full(len(slots) * k, flat.size, np.int64)
+    np.minimum.at(ids, flat, order)  # each key's first position
+    distinct = flat[ids[flat] == order]
+    ids[distinct] = np.arange(distinct.size)
+    slot, part = np.divmod(distinct, k)
+    strings = np.array(slots, object)[slot] + np.array(list(parts), object)[part]
+    return strings.tolist(), ids[flat], np.concatenate(([0], np.cumsum(present.sum(axis=1))))
 
 
 class FeatureVocabulary:

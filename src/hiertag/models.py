@@ -14,7 +14,6 @@ included); writers collapse them to "O" at the file boundary.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -42,7 +41,7 @@ from hiertag.features import (
     emission_backprop,
     emission_cache,
     feature_strings,  # noqa: F401  (perfbench/spans.py counts calls of this name)
-    window_features,
+    featurize,
     zero_gradients,
 )
 from hiertag.hierarchy import ExtendedHierarchy, HierarchyError
@@ -198,7 +197,7 @@ def _sequence_rows(
     vocab: FeatureVocabulary,
     features: tuple[list[str], np.ndarray, np.ndarray],
 ) -> list[sparse.csr_matrix]:
-    """Each sequence's rows of the feature-id matrix of `_featurize` output."""
+    """Each sequence's rows of the feature-id matrix of `featurize` output."""
     x = vocab.matrix(*features)
     edges = np.cumsum([0] + [len(t) for t in token_lists]).tolist()
     return [x[a:b] for a, b in zip(edges[:-1], edges[1:])]
@@ -209,7 +208,7 @@ def _vectorize_corpus(
 ) -> list[sparse.csr_matrix]:
     """Each sequence's feature rows under the vocabulary."""
     token_lists = [seq.texts() for seq in corpus.sequences]
-    return _sequence_rows(token_lists, vocab, _featurize(token_lists, window))
+    return _sequence_rows(token_lists, vocab, featurize(token_lists, window))
 
 
 def _domain_indices(domain: Sequence[str], bio: bool) -> dict[str, list[int]]:
@@ -441,7 +440,7 @@ def _build_vocab(
     first-seen order, and the feature rows of every sequence of every
     corpus in turn, from one featurization pass."""
     token_lists = [seq.texts() for corpus in datasets for seq in corpus.sequences]
-    features = _featurize(token_lists, window)
+    features = featurize(token_lists, window)
     vocab = FeatureVocabulary(["<UNK>", *features[0]])
     return vocab, _sequence_rows(token_lists, vocab, features)
 
@@ -589,25 +588,6 @@ def train_mtl(
     return _fit(ModelKind.MTL, specs, eh, cfg, dev, on_epoch)
 
 
-def _featurize(
-    token_lists: Sequence[Sequence[str]], window: int
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Every token's template features, built once: the distinct strings, and
-    per token (CSR-style indptr) the positions of its strings among them."""
-    seen: dict[str, int] = {}
-    positions = array("q")
-    indptr = array("q", [0])
-    for tokens in token_lists:
-        for strings in window_features(tokens, window):
-            positions.extend([seen.setdefault(s, len(seen)) for s in strings])
-            indptr.append(len(positions))
-    return (
-        list(seen),
-        np.frombuffer(positions, dtype=np.int64),
-        np.frombuffer(indptr, dtype=np.int64),
-    )
-
-
 class _Request:
     """The token sequences of one tagging request, featurized once per window
     size.  The feature-id matrix of the last vocabulary asked for is kept, so
@@ -626,7 +606,7 @@ class _Request:
         """Emission rows of every token for each of the model's given heads."""
         window = model.config.window
         if window not in self._features:
-            self._features[window] = _featurize(self._tokens, window)
+            self._features[window] = featurize(self._tokens, window)
         key = (model.vocab, window)
         if self._matrix is None or self._matrix[0] != key:
             self._matrix = key, model.vocab.matrix(*self._features[window])

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from hiertag.crf import LatticeMask, PotentialTable, loss_and_grad
@@ -15,10 +17,10 @@ from hiertag.features import (
     emission_backprop,
     emission_cache,
     feature_strings,
+    featurize,
     word_shape,
     zero_gradients,
 )
-from hiertag.models import _featurize
 
 
 def rows(token_ids, feature_count: int, values=None) -> sparse.csr_matrix:
@@ -46,6 +48,42 @@ def dense_shared(m: SharedEmissionModel, x: sparse.csr_matrix, head: str) -> np.
     return np.tanh(x.toarray() @ m.shared_weights.T + m.shared_bias) @ head_w.T + head_b
 
 
+def per_position(token_lists, window):
+    """`featurize` output built from per-position `feature_strings`."""
+    seen: dict[str, int] = {}
+    positions, indptr = [], [0]
+    for tokens in token_lists:
+        for i in range(len(tokens)):
+            positions += [seen.setdefault(s, len(seen)) for s in feature_strings(tokens, i, window)]
+            indptr.append(len(positions))
+    return list(seen), positions, indptr
+
+
+def assert_featurize_exact(token_lists, window):
+    strings, positions, indptr = featurize(token_lists, window)
+    want_strings, want_positions, want_indptr = per_position(token_lists, window)
+    assert strings == want_strings
+    assert positions.dtype == indptr.dtype == np.int64
+    assert positions.tolist() == want_positions
+    assert indptr.tolist() == want_indptr
+
+
+# Non-ASCII case ("İ" lowercases to two characters, "ǅ" is titlecase, "ﬁ"
+# uppercases to two), "=" inside tokens, literal boundary markers, digits.
+SPECIAL_TOKENS = ["İ", "ß", "ǅ", "ﬁ", "=", "a=b", "w0=x", "<BOS>", "<EOS>", "<bos>",
+                  "digit", "3", "B2B", "a", "ab", "abc", "Abcd"]
+TOKEN = st.one_of(st.sampled_from(SPECIAL_TOKENS),
+                  st.text(alphabet="aZ9=-<>İßǅﬁ", min_size=0, max_size=6))
+
+
+@st.composite
+def token_lists(draw):
+    """Sequences that repeat a few tokens, or whose tokens are mostly distinct."""
+    pool = draw(st.lists(TOKEN, min_size=1, max_size=4))
+    token = draw(st.sampled_from([st.sampled_from(pool), TOKEN]))
+    return draw(st.lists(st.lists(token, min_size=0, max_size=9), min_size=0, max_size=5))
+
+
 class TestTemplates:
     @pytest.mark.parametrize("window", [0, 1, 2, 4])
     def test_featurize_equals_per_position_strings(self, window):
@@ -53,10 +91,12 @@ class TestTemplates:
         # to two characters.
         token_lists = [["x"], ["Alice", "Smith"], "the 3 Visitors saw alice near elm".split(),
                        ["İzmir", "a-1", "B2B"]]
-        strings, positions, indptr = _featurize(token_lists, window)
-        got = [[strings[p] for p in positions[a:b]] for a, b in zip(indptr[:-1], indptr[1:])]
-        assert got == [feature_strings(t, i, window) for t in token_lists for i in range(len(t))]
-        assert len(set(strings)) == len(strings)
+        assert_featurize_exact(token_lists, window)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(token_lists=token_lists(), window=st.integers(0, 4))
+    def test_featurize_by_type_equals_per_position(self, token_lists, window):
+        assert_featurize_exact(token_lists, window)
 
     def test_example_strings(self):
         feats = feature_strings(["John", "Street"], 0)
@@ -92,7 +132,7 @@ class TestTemplates:
 
     def test_determinism_byte_equal(self):
         token_lists = [["Dr.", "Smith", "saw", "12", "patients"], ["x", "Smith"]]
-        first, second = _featurize(token_lists, 2), _featurize(token_lists, 2)
+        first, second = featurize(token_lists, 2), featurize(token_lists, 2)
         assert first[0] == second[0]
         assert first[1].tobytes() == second[1].tobytes()
         assert first[2].tobytes() == second[2].tobytes()
@@ -308,12 +348,12 @@ TOKENS = [
 
 def vocab_for(sequences):
     """The vocabulary of `sequences`' feature strings, built as training builds it."""
-    return FeatureVocabulary(["<UNK>", *_featurize(sequences, 2)[0]])
+    return FeatureVocabulary(["<UNK>", *featurize(sequences, 2)[0]])
 
 
 def batch_matrix(vocab, token_lists):
     """The feature matrix of `token_lists`, built as a tagging request builds it."""
-    return vocab.matrix(*_featurize(token_lists, 2))
+    return vocab.matrix(*featurize(token_lists, 2))
 
 
 class TestBatchScoring:

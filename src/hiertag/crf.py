@@ -94,11 +94,6 @@ class PotentialBatch:
     def size(self) -> int:
         return self.lengths.size
 
-    def table(self, b: int) -> PotentialTable:
-        """Sequence b on its own."""
-        rows = self.emissions[self.offsets[b] : self.offsets[b] + self.lengths[b]]
-        return PotentialTable(rows, self.transitions, self.start, self.stop)
-
     def rows(self, seqs: Sequence[int]) -> np.ndarray:
         """The emission rows of the given sequences, in that order."""
         return np.concatenate(

@@ -139,7 +139,6 @@ class ExtendedHierarchy:
         self.graph = graph
         self.fine_grained = graph.fine_grained
         self.fine_index = {f: i for i, f in enumerate(sorted(self.fine_grained))}
-        self.fine_map: dict[tuple[str, str], frozenset[str]] = {}
         self.member_index: dict[str, dict[str, int]] = {}
         self.owner: dict[str, np.ndarray] = {}
         self.routes: dict[str, dict[str, str]] = {}
@@ -150,8 +149,7 @@ class ExtendedHierarchy:
                 t: m for m in sorted(members) for t in graph.hyponym_closure(m)
             }
             for t in sorted(members):
-                cover = self.fine_map[(ts_name, t)] = graph.fine_cover(t)
-                stray = sorted(f for f in cover if routes[f] != t)  # under two members
+                stray = sorted(f for f in graph.fine_cover(t) if routes[f] != t)  # in two covers
                 if stray:
                     raise HierarchyError(
                         f"partition violation in tagset {ts_name}: fine tag {stray[0]} "
@@ -180,9 +178,9 @@ class ExtendedHierarchy:
     def fine_cover(self, tagset: str, tag: str) -> frozenset[str]:
         """Fine-grained tags owned by `tag` within the named tagset."""
         self._require_tagset(tagset)
-        if (tagset, tag) not in self.fine_map:
+        if tag not in self.member_index[tagset]:
             raise HierarchyError(f"tag {tag!r} not in tagset {tagset!r}")
-        return self.fine_map[(tagset, tag)]
+        return frozenset(f for f in self.fine_grained if self.routes[tagset][f] == tag)
 
     def map_to_tagset(self, fine_tag: str, tagset: str) -> str:
         """The unique tagset member whose cover contains `fine_tag`."""

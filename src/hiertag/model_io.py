@@ -79,11 +79,7 @@ class _Reader:
         return struct.unpack("<Q", self.take(8))[0]
 
     def text(self) -> str:
-        raw = self.take(self.u32())
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ModelFormatError("corrupt or truncated model file") from exc
+        return self.texts(1)[0]
 
     def texts(self, count: int) -> list[str]:
         """`count` length-prefixed strings, read in one pass."""

@@ -26,7 +26,7 @@ from hiertag.crf import (
     PotentialBatch,
     forward_backward,
     marginals,  # noqa: F401  (perfbench/spans.py wraps these names here)
-    sequence_log_prob,
+    sequence_log_prob,  # noqa: F401
     viterbi,  # noqa: F401
     viterbi_batch,
 )
@@ -615,12 +615,11 @@ class _Request:
 
 def _decode_head(
     model: TrainedModel, head: Head, emissions: np.ndarray, lengths: np.ndarray
-) -> tuple[np.ndarray, PotentialBatch]:
-    """Viterbi paths of one head over every sequence of a request, as domain
-    indices packed like the emission rows, plus the potentials they maximize."""
+) -> tuple[np.ndarray, np.ndarray, PotentialBatch]:
+    """Viterbi paths of one head over every sequence of a request (domain
+    indices packed like the emission rows), their scores and the potentials."""
     potentials = PotentialBatch(emissions, lengths, *_transitions(model, head), head.stop)
-    paths, _ = viterbi_batch(potentials)
-    return paths, potentials
+    return *viterbi_batch(potentials), potentials
 
 
 def _head_tags(model: TrainedModel, head: Head) -> list[str]:
@@ -703,8 +702,8 @@ def _tag_request(
     seed: int = 0,
 ) -> list[Consolidated]:
     """Decode each head over the request, map its paths through its table
-    (domain index -> tag), and consolidate the heads per sequence.  Only
-    sequences where heads collide run forward-backward."""
+    (domain index -> tag), and consolidate the heads per sequence.  Only the
+    heads proposing a tag at a collision run forward-backward."""
     if not request.lengths.size:
         return []
     emissions: dict[int, dict[str, np.ndarray]] = {}
@@ -717,17 +716,16 @@ def _tag_request(
     labels = sorted(set().union(*tables) | ({test_other} if len(pairs) > 1 else set()))
     label_id = {t: i for i, t in enumerate(labels)}
     mapped = np.stack(
-        [np.array([label_id[t] for t in table])[path] for table, (path, _) in zip(tables, decoded)]
+        [np.array([label_id[t] for t in table])[path] for table, (path, *_) in zip(tables, decoded)]
     )
+    chosen, hits = mapped[0], np.flatnonzero([])
     if len(pairs) > 1:
         proposed = mapped != label_id[test_other]
-        top = np.where(proposed, mapped, -1).max(axis=0)
+        cand = np.where(proposed, mapped, -1)  # label ids, -1 where a head proposes nothing
+        top = cand.max(axis=0)
         bottom = np.where(proposed, mapped, len(labels)).min(axis=0)
-        chosen = np.where(proposed.any(axis=0), top, label_id[test_other])
-        collides = proposed.any(axis=0) & (top != bottom)
-    else:
-        chosen = mapped[0]
-        collides = np.zeros(chosen.size, dtype=bool)
+        chosen = np.where(top >= 0, top, label_id[test_other])
+        hits = np.flatnonzero((top >= 0) & (top != bottom))
 
     names = np.array(labels, dtype=object)
     all_tags = names[chosen].tolist()
@@ -737,58 +735,52 @@ def _tag_request(
         Consolidated(all_tags[a:b], 0, [], [tags[a:b] for tags in per_head])
         for a, b in zip(edges[:-1], edges[1:])
     ]
-    hit_seqs = np.unique(np.searchsorted(edges, np.flatnonzero(collides), side="right") - 1)
-    if hit_seqs.size:
-        _resolve_collisions(out, hit_seqs, decoded, collides, edges, test_other, method, seed)
+    if hits.size:
+        _resolve_collisions(out, cand[:, hits], hits, decoded, edges, labels, method, seed)
     return out
 
 
 def _resolve_collisions(
     out: list[Consolidated],
-    seqs: np.ndarray,
-    decoded: Sequence[tuple[np.ndarray, PotentialBatch]],
-    collides: np.ndarray,
+    cand: np.ndarray,
+    hits: np.ndarray,
+    decoded: Sequence[tuple[np.ndarray, np.ndarray, PotentialBatch]],
     edges: np.ndarray,
-    test_other: str,
+    labels: Sequence[str],
     method: ConsolidationMethod,
     seed: int,
 ) -> None:
-    """Rewrite the colliding positions of the given sequences in place."""
-    rows = np.concatenate([np.arange(edges[b], edges[b + 1]) for b in seqs])
-    # Per head: each sequence's log-probability and its path's marginals.
-    log_probs, path_marginals = [], []
-    for path, potentials in decoded:
-        sub = potentials.select(seqs)
-        log_z, unary = forward_backward(sub)
-        paths = np.split(path[rows], sub.offsets[1:])
-        log_probs.append(
-            [sequence_log_prob(sub.table(j), p, log_z[j]) for j, p in enumerate(paths)]
-        )
-        picked = unary[np.arange(rows.size), path[rows]]
-        path_marginals.append(np.split(picked, sub.offsets[1:]))
-
-    for j, b in enumerate(seqs):
-        result = out[b]
-        rng = np.random.default_rng(seed)
-        for i in np.flatnonzero(collides[edges[b] : edges[b + 1]]).tolist():
-            # candidate tag -> (sort index of best proposer, best score, best marginal)
-            proposals = [
-                (tags[i], k, log_probs[k][j], float(path_marginals[k][j][i]))
-                for k, tags in enumerate(result.per_model_tags)
-                if tags[i] != test_other
-            ]
-            distinct = sorted({p[0] for p in proposals})
-            best_marg = {t: max(p[3] for p in proposals if p[0] == t) for t in distinct}
-            result.collision_positions.append(
-                CollisionRecord(i, tuple(distinct), tuple(best_marg[t] for t in distinct))
-            )
-            if method is ConsolidationMethod.RANDOM:
-                result.tags[i] = distinct[int(rng.integers(len(distinct)))]
-            elif method is ConsolidationMethod.BEST_SEQUENCE_SCORE:
-                result.tags[i] = min(proposals, key=lambda p: (-p[2], p[1], p[0]))[0]
-            else:
-                result.tags[i] = min(proposals, key=lambda p: (-p[3], p[1], p[0]))[0]
-        result.collisions = len(result.collision_positions)
+    """Rewrite the collided rows `hits` of the request in place; cand[k, h]
+    is head k's label id at hit h, -1 where it proposes nothing."""
+    seq = np.searchsorted(edges, hits, side="right") - 1
+    pos = hits - edges[seq]
+    # Per head and hit: the log-probability of the head's Viterbi path and
+    # its marginal at the hit; -inf where the head proposes nothing.
+    log_probs, margs = np.full((2, *cand.shape), -np.inf)
+    for k, (path, scores, potentials) in enumerate(decoded):
+        mine = cand[k] >= 0
+        seqs, where = np.unique(seq[mine], return_inverse=True)
+        if seqs.size:
+            sub = potentials.select(seqs)
+            log_z, unary = forward_backward(sub)
+            log_probs[k, mine] = (scores[seqs] - log_z)[where]
+            margs[k, mine] = unary[sub.offsets[where] + pos[mine], path[hits[mine]]]
+    # best[t, h]: the largest marginal among the heads proposing label t at hit h.
+    best = np.where(cand == np.arange(len(labels))[:, None, None], margs, -np.inf).max(axis=1)
+    # argmax takes the first maximum: an exact tie goes to the lowest head index.
+    top = margs if method is ConsolidationMethod.MAX_MARGINAL else log_probs
+    winners = cand[top.argmax(axis=0), np.arange(hits.size)].tolist()
+    prev = -1
+    for h, (b, i, probs) in enumerate(zip(seq.tolist(), pos.tolist(), best.T.tolist())):
+        if b != prev:  # each sequence draws afresh
+            rng, prev = np.random.default_rng(seed), b
+        distinct = [t for t, p in enumerate(probs) if p > -math.inf]
+        out[b].collision_positions.append(CollisionRecord(
+            i, tuple(labels[t] for t in distinct), tuple(probs[t] for t in distinct)))
+        if method is ConsolidationMethod.RANDOM:
+            winners[h] = distinct[int(rng.integers(len(distinct)))]
+        out[b].tags[i] = labels[winners[h]]
+        out[b].collisions += 1
 
 
 def predict_hier(

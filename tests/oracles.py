@@ -14,7 +14,12 @@ from hiertag.crf import (
 )
 from hiertag.features import SharedEmissionModel, emission_cache, zero_gradients
 from hiertag.hierarchy import TagHierarchy
-from hiertag.models import _regularized_keys, _transitions
+from hiertag.models import (
+    CollisionRecord,
+    ConsolidationMethod,
+    _regularized_keys,
+    _transitions,
+)
 
 
 def reference_route(graph: TagHierarchy, tag: str, members: frozenset[str]) -> str | None:
@@ -34,6 +39,34 @@ def reference_route(graph: TagHierarchy, tag: str, members: frozenset[str]) -> s
         visited |= nxt
         level = sorted(nxt)
     return None
+
+
+def reference_resolve(proposals, log_probs, marginals, method, seed):
+    """One sequence's collisions, resolved position by position from proposal
+    tuples: the reference for `models._resolve_collisions`.
+
+    proposals[k][i] is head k's tag at position i, None where it proposes
+    nothing; log_probs[k] is the log-probability of head k's path and
+    marginals[k][i] its marginal at i.  Returns the tag chosen at each
+    position where distinct tags are proposed, and its collision records."""
+    rng = np.random.default_rng(seed)
+    chosen, records = {}, []
+    for i in range(len(proposals[0])):
+        # (candidate tag, head index, sequence score, marginal)
+        props = [(tags[i], k, log_probs[k], float(marginals[k][i]))
+                 for k, tags in enumerate(proposals) if tags[i] is not None]
+        distinct = sorted({p[0] for p in props})
+        if len(distinct) < 2:
+            continue
+        best = {t: max(p[3] for p in props if p[0] == t) for t in distinct}
+        records.append(CollisionRecord(i, tuple(distinct), tuple(best[t] for t in distinct)))
+        if method is ConsolidationMethod.RANDOM:
+            chosen[i] = distinct[int(rng.integers(len(distinct)))]
+        elif method is ConsolidationMethod.BEST_SEQUENCE_SCORE:
+            chosen[i] = min(props, key=lambda p: (-p[2], p[1], p[0]))[0]
+        else:
+            chosen[i] = min(props, key=lambda p: (-p[3], p[1], p[0]))[0]
+    return chosen, records
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None):

@@ -11,9 +11,10 @@ consolidation method for the multi-model kinds.  A git rev is exported with
 Each side runs in a subprocess of its own with one BLAS thread.
 
 For every workload, seed and kind it prints whether the model bytes,
-`repr(history)`, the test predictions and the collision counts are equal,
-and the largest absolute parameter difference.  It exits 1 when predictions
-or collision counts differ, or when either side fails.
+`repr(history)`, the test predictions, the collision counts and the
+collision records (position, candidates and probabilities as `float.hex`)
+are equal, and the largest absolute parameter difference.  It exits 1 when
+predictions, collision counts or records differ, or when either side fails.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ TREE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("extension", "wide", "consolidate")
 KINDS = ("hier", "concat", "indep", "mtl")
 METHODS = ("random", "best-sequence-score", "max-marginal")  # for the multi-model kinds
-FIELDS = ("model", "history", "preds", "collisions")
+FIELDS = ("model", "history", "preds", "collisions", "records")
+CHECKED = ("preds", "collisions", "records")  # a difference here fails the run
 
 
 def _seeds(text: str) -> list[int]:
@@ -43,6 +45,10 @@ def _seeds(text: str) -> list[int]:
         lo, _, hi = part.partition("-")
         out.extend(range(int(lo), int(hi or lo) + 1))
     return out
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
 
 
 def _params(model) -> dict[str, np.ndarray]:
@@ -54,8 +60,9 @@ def _params(model) -> dict[str, np.ndarray]:
 
 
 def _run_kind(w, eh, kind: str, directory: Path) -> tuple[dict, dict[str, np.ndarray]]:
-    from hiertag.experiments import tag_sequences, train_models
+    from hiertag.experiments import train_models
     from hiertag.model_io import load_model, save_model
+    from hiertag.models import output_tags, tag_batch
 
     models = train_models(kind, w.train, eh, w.config, dev=w.dev or None)
     paths = [directory / f"{kind}.{i}.htag" for i in range(len(models))]
@@ -64,16 +71,19 @@ def _run_kind(w, eh, kind: str, directory: Path) -> tuple[dict, dict[str, np.nda
     loaded = [load_model(path) for path in paths]
     tokens = [s.texts() for s in w.test.sequences]
     methods = METHODS if kind in ("indep", "mtl") else ("random",)
-    preds, collisions = {}, {}
+    preds, collisions, records = {}, {}, {}
     for method in methods:
-        preds[method], collisions[method] = tag_sequences(loaded, tokens, w.test_tagset,
-                                                          method, 0)
-    digest = hashlib.sha256(json.dumps(preds).encode()).hexdigest()
+        out = tag_batch(loaded, tokens, w.test_tagset, method, 0)
+        preds[method] = [output_tags(c.tags, loaded[0].hierarchy, w.test_tagset) for c in out]
+        collisions[method] = sum(c.collisions for c in out)
+        records[method] = [[(r.position, r.candidates, [p.hex() for p in r.probabilities])
+                            for r in c.collision_positions] for c in out]
     record = {
         "model": [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths],
         "history": [repr(m.history) for m in models],
-        "preds": digest,
+        "preds": _digest(preds),
         "collisions": collisions,
+        "records": _digest(records),
     }
     params = {f"{i}/{k}": v for i, m in enumerate(models) for k, v in _params(m).items()}
     return record, params
@@ -146,7 +156,7 @@ def compare(base: Path, head: Path, workloads: list[str], seeds: list[int]) -> i
                     print(a.get("error", "") + b.get("error", ""), file=sys.stderr)
                     continue
                 same = {f: a[f] == b[f] for f in FIELDS}
-                failed += not (same["preds"] and same["collisions"])
+                failed += not all(same[f] for f in CHECKED)
                 diff = _max_diff(base / f"{stem}.npz", head / f"{stem}.npz")
                 print(f"{name:<12} {seed:>4} {kind:<7} "
                       + " ".join(f"{'equal' if same[f] else 'DIFFERENT':<10}" for f in FIELDS)

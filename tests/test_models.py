@@ -6,11 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_batch_grads, reference_batch_step
+from oracles import reference_batch_grads, reference_batch_step, reference_resolve
+from test_crf import table_of
 from test_hierarchy import random_hierarchy
 from scipy import sparse
 
-from hiertag.crf import LatticeMask
+from hiertag.crf import (
+    LatticeMask,
+    PotentialBatch,
+    marginals,
+    sequence_log_prob,
+    viterbi_batch,
+)
 from hiertag.data import OTHER, Corpus, CorpusError, LabeledSequence, Token
 import hiertag.models as models_module
 from hiertag.experiments import tag_sequences
@@ -30,6 +37,7 @@ from hiertag.model_io import (
     save_model,
 )
 from hiertag.models import (
+    Consolidated,
     ConsolidationMethod,
     Head,
     ModelError,
@@ -40,6 +48,7 @@ from hiertag.models import (
     _dev_scorer,
     _domain_indices,
     _hier_mask,
+    _resolve_collisions,
     _singleton_mask,
     _Instance,
     _Request,
@@ -76,7 +85,8 @@ def decode(model, head, tokens):
     """One sequence through the batched decode: its path and potentials."""
     request = _Request([tokens])
     emissions = request.emissions(model, [head])[head.name]
-    return _decode_head(model, head, emissions, request.lengths)
+    path, _, potentials = _decode_head(model, head, emissions, request.lengths)
+    return path, potentials
 
 
 def decoded_tags(model, head, tokens):
@@ -620,6 +630,26 @@ class TestDecodePath:
             tag_sequences(concat, MIXED_REQUEST, "T4", method, 0)
             assert tag_sequences(agreeing, MIXED_REQUEST, "T1", method, 0)[1] == 0
 
+    def test_only_proposing_heads_run_forward_backward(self, tie_eh, monkeypatch):
+        sizes = []
+
+        def counted(batch):
+            sizes.append(batch.size)
+            return forward_backward(batch)
+
+        forward_backward = models_module.forward_backward
+        monkeypatch.setattr(models_module, "forward_backward", counted)
+        models = [biased_model(tie_eh, "TA", "X"), biased_model(tie_eh, "TB", "O"),
+                  biased_model(tie_eh, "TB", "Y")]
+        request = [["a", "b"], ["c"], ["d", "e", "f"]]
+        for method in ConsolidationMethod:
+            sizes.clear()
+            out = tag_batch(models, request, "TT", method)
+            assert [c.collisions for c in out] == [2, 1, 3]
+            # The two proposing heads score the three collided sequences; the
+            # head that only ever predicts O runs no sequence.
+            assert sizes == [3, 3]
+
     def test_dev_scoring_maps_each_domain_tag_once(self, toy_eh, toy_corpora, monkeypatch):
         c1, c2 = toy_corpora
         dev = [c1.with_tagset("T1", "dev"), c2.with_tagset("T2", "dev")]
@@ -669,6 +699,66 @@ def tie_eh():
     }
     nodes = {n for e in edges for n in e}
     return ExtendedHierarchy(TagHierarchy(nodes, edges, tagsets))
+
+
+LABELS = ["P1", "P2", "P3", "TT-Other"]  # sorted, as consolidation numbers its labels
+OTHER_ID = LABELS.index("TT-Other")
+
+
+@st.composite
+def collision_cases(draw):
+    """Sequence lengths and 2-5 heads over them, each a Viterbi decode of
+    random potentials plus a table from its domain to LABELS.  A head may
+    share an earlier head's potentials under a new table (exact score ties),
+    map every tag to Other (it never proposes) or repeat an earlier head."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = rng.integers(1, 6, size=draw(st.integers(1, 5)))
+    heads = []
+    for _ in range(draw(st.integers(2, 5))):
+        kind = draw(st.sampled_from(["fresh", "tie", "silent", "repeat"] if heads else ["fresh"]))
+        if kind in ("tie", "repeat"):
+            decoded, table = heads[draw(st.integers(0, len(heads) - 1))]
+            if kind == "tie":
+                table = rng.integers(0, len(LABELS), table.size)
+            heads.append((decoded, table))
+            continue
+        y = int(rng.integers(1, 5))
+        batch = PotentialBatch(rng.normal(scale=2.0, size=(lengths.sum(), y)), lengths,
+                               rng.normal(size=(y, y)), rng.normal(size=y), rng.normal(size=y))
+        table = np.full(y, OTHER_ID) if kind == "silent" else rng.integers(0, len(LABELS), y)
+        heads.append(((*viterbi_batch(batch), batch), table))
+    return lengths, heads
+
+
+class TestResolveCollisions:
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(collision_cases(), st.sampled_from(list(ConsolidationMethod)), st.integers(0, 3))
+    def test_equals_reference_resolution(self, case, method, seed):
+        lengths, heads = case
+        edges = np.concatenate(([0], np.cumsum(lengths)))
+        mapped = np.stack([table[decoded[0]] for decoded, table in heads])
+        cand = np.where(mapped == OTHER_ID, -1, mapped)
+        hits = np.array([r for r in range(edges[-1]) if len(set(cand[:, r]) - {-1}) > 1],
+                        dtype=np.int64)
+        out = [Consolidated(["-"] * n, 0, [], []) for n in lengths.tolist()]
+        if hits.size:
+            _resolve_collisions(out, cand[:, hits], hits, [d for d, _ in heads], edges, LABELS,
+                                method, seed)
+        for b, (a, z) in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
+            proposals = [[LABELS[t] if t >= 0 else None for t in row[a:z]] for row in cand]
+            log_probs, margs = [], []
+            for (path, _, batch), _ in heads:
+                table = table_of(batch, b)
+                log_probs.append(sequence_log_prob(table, path[a:z]))
+                margs.append(marginals(table)[0][np.arange(z - a), path[a:z]])
+            chosen, records = reference_resolve(proposals, log_probs, margs, method, seed)
+            assert out[b].tags == [chosen.get(i, "-") for i in range(z - a)]
+            assert out[b].collisions == len(records)
+            got = [(r.position, r.candidates, [p.hex() for p in r.probabilities])
+                   for r in out[b].collision_positions]
+            assert got == [(r.position, r.candidates, [p.hex() for p in r.probabilities])
+                           for r in records]
+            assert all(type(r.position) is int for r in out[b].collision_positions)
 
 
 class TestConsolidation:

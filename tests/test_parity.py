@@ -1,5 +1,5 @@
 """The parity tool (`tests/parity.py`) finds a tree equal to itself and
-flags a difference in predictions."""
+flags a difference in predictions or collision records."""
 
 from __future__ import annotations
 
@@ -24,11 +24,25 @@ def test_different_predictions_fail(tmp_path, capsys):
         (tmp_path / side).mkdir()
         for kind in parity.KINDS:
             record = {"model": ["m"], "history": ["h"], "collisions": {"random": 0},
-                      "preds": preds if kind == "mtl" else "p"}
+                      "preds": preds if kind == "mtl" else "p",
+                      "records": preds if kind == "indep" else "p"}
             stem = tmp_path / side / f"extension-0-{kind}"
             stem.with_suffix(".json").write_text(json.dumps(record))
             np.savez(stem.with_suffix(".npz"), w=np.full(2, shift if kind == "mtl" else 0.0))
     assert parity.compare(tmp_path / "base", tmp_path / "head", ["extension"], [0]) == 1
     rows = {line.split()[2]: line.split()[3:] for line in capsys.readouterr().out.splitlines()[1:]}
-    assert rows["hier"] == ["equal"] * 4 + ["0"]
-    assert rows["mtl"] == ["equal", "equal", "DIFFERENT", "equal", "0.001"]
+    assert rows["hier"] == ["equal"] * 5 + ["0"]
+    assert rows["indep"] == ["equal"] * 4 + ["DIFFERENT", "0"]
+    assert rows["mtl"] == ["equal", "equal", "DIFFERENT", "equal", "equal", "0.001"]
+
+
+def test_different_records_alone_fail(tmp_path):
+    for side in ("base", "head"):
+        (tmp_path / side).mkdir()
+        for kind in parity.KINDS:
+            record = {"model": ["m"], "history": ["h"], "collisions": {"random": 0},
+                      "preds": "p", "records": side if kind == "indep" else "r"}
+            stem = tmp_path / side / f"extension-0-{kind}"
+            stem.with_suffix(".json").write_text(json.dumps(record))
+            np.savez(stem.with_suffix(".npz"), w=np.zeros(2))
+    assert parity.compare(tmp_path / "base", tmp_path / "head", ["extension"], [0]) == 1

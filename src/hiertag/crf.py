@@ -115,9 +115,9 @@ class PotentialBatch:
 
 
 class LatticeMask:
-    """Per-position allowed tags, from a bool keep matrix (n, y) or one list of
-    tag indices per position.  Every position keeps at least one; `slots`
-    packs them left in ascending order, padded with tag 0."""
+    """Per-position allowed tags: a bool keep matrix (n, span), given as it
+    is or as one list of tag indices per position.  Every position keeps at
+    least one."""
 
     def __init__(self, allowed: np.ndarray | Iterable[Iterable[int]]) -> None:
         keep = allowed
@@ -129,18 +129,13 @@ class LatticeMask:
                 if r.min(initial=0) < 0:
                     raise ValueError(f"mask position {i} has a negative tag index")
                 keep[i, r] = True
+        self.keep = keep
         self.span = keep.shape[1]  # every allowed tag is below it
         self.widths = keep.sum(axis=1)
         if not self.widths.all():
             raise ValueError(f"mask position {np.argmin(self.widths)} allows no tags")
-        width = int(self.widths.max(initial=1))
-        if width == 1:  # the one kept tag of each position is its first
-            self.slots = keep.argmax(axis=1)[:, None]
-        else:
-            order = np.argsort(~keep, axis=1, kind="stable")[:, :width]
-            self.slots = np.where(np.arange(width) < self.widths[:, None], order, 0)
         # An all-singleton mask pins a unique path; recursions collapse to it.
-        self.singleton_path = self.slots[:, 0] if width == 1 else None
+        self.singleton_path = keep.argmax(axis=1) if self.widths.max(initial=1) == 1 else None
 
     @classmethod
     def full(cls, n: int, y_count: int) -> "LatticeMask":
@@ -149,7 +144,7 @@ class LatticeMask:
     @cached_property
     def allowed(self) -> tuple[np.ndarray, ...]:
         """Each position's allowed tags, ascending."""
-        return tuple(row[:w] for row, w in zip(self.slots, self.widths))
+        return tuple(np.flatnonzero(row) for row in self.keep)
 
     def __len__(self) -> int:
         return len(self.widths)
@@ -217,14 +212,18 @@ def _full(batch: PotentialBatch) -> _Lattice:
 
 
 def _restricted(batch: PotentialBatch, masks: Sequence[LatticeMask]) -> _Lattice:
-    """Each sequence's lattice restricted to its mask's allowed tags."""
-    width = max(m.slots.shape[1] for m in masks)
-    slots = np.zeros((batch.emissions.shape[0], width), dtype=np.int64)
+    """Each sequence's lattice restricted to its mask's allowed tags: a row's
+    slots are its allowed tags ascending, padded with tag 0 to the widest row."""
+    keep = np.zeros(batch.emissions.shape, dtype=bool)
     for m, first in zip(masks, batch.offsets):
-        slots[first : first + len(m), : m.slots.shape[1]] = m.slots
-    widths = np.concatenate([m.widths for m in masks])
+        keep[first : first + len(m), : m.span] = m.keep
+    widths = keep.sum(axis=1)
+    width = int(widths.max())
+    slots = np.argsort(~keep, axis=1, kind="stable")[:, :width]
+    pads = np.arange(width) >= widths[:, None]
+    slots[pads] = 0
     em = np.take_along_axis(batch.emissions, slots, axis=1)
-    em[np.arange(width) >= widths[:, None]] = -np.inf
+    em[pads] = -np.inf
     trans = batch.transitions[np.roll(slots, 1, axis=0)[:, :, None], slots[:, None, :]]
     last = batch.offsets + batch.lengths - 1
     return _Lattice(batch, em, trans, batch.start[slots[batch.offsets]],

@@ -248,6 +248,8 @@ def synth_corpus(config: GeneratorConfig, seed: int, split: str = "train") -> Co
     """Reproducible synthetic corpus.  Each token is an entity with probability
     entity_rate (type uniform over declared types, word uniform over its
     lexicon); otherwise a uniform background word."""
+    if seed < 0:
+        raise CorpusError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     type_names = list(config.types)
     docs = []

@@ -14,7 +14,8 @@ included); writers collapse them to "O" at the file boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
@@ -84,6 +85,14 @@ class TrainingConfig:
     bio: bool = False
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # numpy numbers are stored as Python ones
+            v = getattr(self, f.name)
+            kind = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}[f.type]
+            if not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
+                raise ModelError(f"{f.name} must be {f.type}, got {v!r}")
+            if kind is not bool:
+                integral = kind is numbers.Integral or isinstance(v, int)
+                object.__setattr__(self, f.name, int(v) if integral else float(v))
         if self.seed < 0:
             raise ModelError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
@@ -174,16 +183,22 @@ def _original_members(eh: ExtendedHierarchy, tagset: str) -> frozenset[str]:
     return eh.tagsets[tagset] - {other}
 
 
-def _check_datasets(datasets: Sequence[Corpus], eh: ExtendedHierarchy) -> None:
+def _check_datasets(datasets: Sequence[Corpus], eh: ExtendedHierarchy,
+                    dev: Sequence[Corpus] | None, per_tagset: bool = False) -> None:
+    """Every training and dev corpus names a known tagset and tags inside it;
+    a model with one head per tagset scores dev corpora of those tagsets only."""
     if not datasets:
         raise ModelError("no training datasets")
-    for corpus in datasets:
+    for corpus in [*datasets, *(dev or ())]:
         if not corpus.tagset_name:
-            raise ModelError("every training corpus needs a tagset name")
+            raise ModelError("every training and dev corpus needs a tagset name")
         members = _original_members(eh, corpus.tagset_name)
         if OTHER in members:
             raise ModelError(f"tagset {corpus.tagset_name} declares reserved tag O")
         corpus.check_tags(members)
+    untrained = {c.tagset_name for c in dev or ()} - {c.tagset_name for c in datasets}
+    if per_tagset and untrained:
+        raise ModelError(f"dev tagset {min(untrained)} is not a training tagset")
 
 
 @dataclass
@@ -211,44 +226,29 @@ def _vectorize_corpus(
     return _sequence_rows(token_lists, vocab, featurize(token_lists, window))
 
 
-def _domain_indices(domain: Sequence[str], bio: bool) -> dict[str, list[int]]:
-    """Base tag -> positions in the (possibly BIO-expanded) domain."""
-    out: dict[str, list[int]] = {}
-    for i, t in enumerate(domain):
-        out.setdefault(collapse_bio(t) if bio else t, []).append(i)
-    return out
-
-
-# `_fit` builds a head's masks sequence after sequence from one `pos`, which
-# nothing changes once it is built, so the table of the last one is kept.
-_last_columns: list[tuple] = [(None, None, None)]
-
-
-def _columns(pos: dict[str, list[int]]) -> tuple[dict[str, int], np.ndarray]:
-    """Each base tag's index among pos's keys, and for each column of the
-    domain the index of the base tag it expands."""
-    entry = _last_columns[0]
-    if entry[0] is not pos:
-        base = {c: k for k, cols in enumerate(pos.values()) for c in cols}
-        columns = np.array([base[c] for c in range(len(base))], dtype=np.int64)
-        entry = _last_columns[0] = (pos, {t: k for k, t in enumerate(pos)}, columns)
-    return entry[1], entry[2]
+def _domain_indices(domain: Sequence[str], bio: bool) -> tuple[dict[str, int], np.ndarray]:
+    """Each base tag's index, in first-seen order, and for each column of the
+    (possibly BIO-expanded) domain the index of the base tag it expands."""
+    index: dict[str, int] = {}
+    columns = [index.setdefault(collapse_bio(t) if bio else t, len(index)) for t in domain]
+    return index, np.array(columns, dtype=np.int64)
 
 
 def _hier_mask(
-    tags: Sequence[str], eh: ExtendedHierarchy, tagset: str, pos: dict[str, list[int]]
+    tags: Sequence[str], eh: ExtendedHierarchy, tagset: str, pos: tuple[dict[str, int], np.ndarray]
 ) -> LatticeMask:
     """Each token keeps the fine tags that its gold tag owns in the tagset
     (O reads as the tagset's Other)."""
+    index, columns = pos
     other = eh.other_tag(tagset)
-    index = eh.member_index[tagset]
-    ids = np.array([index[other if g == OTHER else g] for g in tags], dtype=np.int64)
-    owners = eh.owner[tagset][[eh.fine_index[t] for t in pos]]  # member of each base tag
-    return LatticeMask(owners[_columns(pos)[1]] == ids[:, None])
+    members = eh.member_index[tagset]
+    ids = np.array([members[other if g == OTHER else g] for g in tags], dtype=np.int64)
+    owners = eh.owner[tagset][[eh.fine_index[t] for t in index]]  # member of each base tag
+    return LatticeMask(owners[columns] == ids[:, None])
 
 
-def _singleton_mask(tags: Sequence[str], pos: dict[str, list[int]]) -> LatticeMask:
-    index, columns = _columns(pos)
+def _singleton_mask(tags: Sequence[str], pos: tuple[dict[str, int], np.ndarray]) -> LatticeMask:
+    index, columns = pos
     return LatticeMask(columns == np.array([index[g] for g in tags], dtype=np.int64)[:, None])
 
 
@@ -466,16 +466,8 @@ def _dev_scorer(dev: Sequence[Corpus] | None, eh: ExtendedHierarchy):
     return dev_f1
 
 
-# (head name, tag domain, corpora that train it, mask builder).  The builder
-# maps (gold tags, hierarchy, corpus tagset, domain positions) to a lattice mask.
-HeadSpec = tuple[str, list[str], Sequence[Corpus], Callable[..., LatticeMask]]
-
-
-def _gold_mask(
-    tags: Sequence[str], eh: ExtendedHierarchy, tagset: str, pos: dict[str, list[int]]
-) -> LatticeMask:
-    """Baselines read every annotation as complete: one allowed tag per token."""
-    return _singleton_mask(tags, pos)
+# (head name, tag domain, corpora that train it)
+HeadSpec = tuple[str, list[str], Sequence[Corpus]]
 
 
 def _domain(tags: Iterable[str], bio: bool) -> list[str]:
@@ -486,7 +478,7 @@ def _domain(tags: Iterable[str], bio: bool) -> list[str]:
 def _tagset_head(corpus: Corpus, eh: ExtendedHierarchy, cfg: TrainingConfig) -> HeadSpec:
     """A head over one corpus's own tagset, named after it."""
     ts = corpus.tagset_name
-    return ts, _domain(_original_members(eh, ts) | {OTHER}, cfg.bio), [corpus], _gold_mask
+    return ts, _domain(_original_members(eh, ts) | {OTHER}, cfg.bio), [corpus]
 
 
 def _fit(
@@ -498,9 +490,10 @@ def _fit(
     on_epoch: EpochCallback | None = None,
 ) -> TrainedModel:
     """The one training core: every kind is its head specs.  mtl shares a
-    hidden layer across its heads; the other kinds score one head linearly."""
-    vocab, vectors = _build_vocab([c for _, _, corpora, _ in specs for c in corpora], cfg.window)
-    heads = {name: _new_head(name, domain) for name, domain, _, _ in specs}
+    hidden layer across its heads; the other kinds score one head linearly.
+    Each corpus's lattice masks come from one call of the kind's builder."""
+    vocab, vectors = _build_vocab([c for _, _, corpora in specs for c in corpora], cfg.window)
+    heads = {name: _new_head(name, domain) for name, domain, _ in specs}
     if kind is ModelKind.MTL:
         emission = SharedEmissionModel.create(
             cfg.hidden_dim,
@@ -514,13 +507,16 @@ def _fit(
     model = TrainedModel(kind, eh, vocab, emission, heads, cfg)
     instances = {}
     rows = iter(vectors)
-    for name, domain, corpora, mask in specs:
+    for name, domain, corpora in specs:
         pos = _domain_indices(domain, cfg.bio)
-        instances[name] = [
-            _Instance(next(rows), mask(seq.tags(), eh, corpus.tagset_name, pos))
-            for corpus in corpora
-            for seq in corpus.sequences
-        ]
+        instances[name] = []
+        for corpus in corpora:
+            tags = [t for seq in corpus.sequences for t in seq.tags()]
+            keep = (_hier_mask(tags, eh, corpus.tagset_name, pos) if kind is ModelKind.HIER
+                    else _singleton_mask(tags, pos)).keep
+            edges = np.cumsum([0] + [len(seq.tokens) for seq in corpus.sequences]).tolist()
+            instances[name] += [_Instance(next(rows), LatticeMask(keep[a:b]))
+                                for a, b in zip(edges, edges[1:])]
     _Trainer(model, instances, cfg).run(_dev_scorer(dev, eh), on_epoch)
     return model
 
@@ -534,9 +530,9 @@ def train_hier(
 ) -> TrainedModel:
     """One CRF over the fine-grained tags, trained on every dataset at once
     with per-token masks from each dataset's tagset."""
-    _check_datasets(datasets, eh)
+    _check_datasets(datasets, eh, dev)
     fine = _domain(eh.fine_grained, cfg.bio)
-    return _fit(ModelKind.HIER, [("fine", fine, datasets, _hier_mask)], eh, cfg, dev, on_epoch)
+    return _fit(ModelKind.HIER, [("fine", fine, datasets)], eh, cfg, dev, on_epoch)
 
 
 def train_concat(
@@ -548,9 +544,9 @@ def train_concat(
 ) -> TrainedModel:
     """One CRF over the union of the training tagsets; every example is
     treated as fully tagged, so unannotated tokens train as Other."""
-    _check_datasets(datasets, eh)
+    _check_datasets(datasets, eh, dev)
     union = set().union(*(_original_members(eh, c.tagset_name) for c in datasets))
-    spec = ("union", _domain(union | {OTHER}, cfg.bio), datasets, _gold_mask)
+    spec = ("union", _domain(union | {OTHER}, cfg.bio), datasets)
     return _fit(ModelKind.CONCAT, [spec], eh, cfg, dev, on_epoch)
 
 
@@ -562,7 +558,7 @@ def train_indep(
     on_epoch: EpochCallback | None = None,
 ) -> list[TrainedModel]:
     """K fully independent CRFs, one per dataset; nothing is shared."""
-    _check_datasets(datasets, eh)
+    _check_datasets(datasets, eh, dev, per_tagset=True)
     models = []
     for corpus in datasets:
         own_dev = [d for d in dev or () if d.tagset_name == corpus.tagset_name]
@@ -580,7 +576,7 @@ def train_mtl(
 ) -> TrainedModel:
     """One shared tanh layer, one CRF head per dataset tagset; batches
     alternate round-robin across datasets and smaller datasets cycle."""
-    _check_datasets(datasets, eh)
+    _check_datasets(datasets, eh, dev, per_tagset=True)
     names = [c.tagset_name for c in datasets]
     if len(set(names)) != len(names):
         raise ModelError("mtl needs distinct tagsets per dataset")

@@ -142,6 +142,15 @@ def random_mask(rng: np.random.Generator, n: int, y: int) -> LatticeMask:
     return LatticeMask(allowed)
 
 
+def reference_slots(mask: LatticeMask) -> tuple[np.ndarray, np.ndarray]:
+    """One mask's lattice slots, packed on their own: each position's allowed
+    tags ascending (a stable argsort of ~keep), cut to the mask's widest
+    position and padded with tag 0; and each position's width."""
+    width = int(mask.widths.max(initial=1))
+    order = np.argsort(~mask.keep, axis=1, kind="stable")[:, :width]
+    return np.where(np.arange(width) < mask.widths[:, None], order, 0), mask.widths
+
+
 def log_partition_backward(table: PotentialTable, mask: LatticeMask | None = None) -> float:
     """The log-partition by the backward recursion, as a cross-check."""
     em, trans = table.emissions, table.transitions

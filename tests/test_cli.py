@@ -10,7 +10,7 @@ from hiertag.cli import _config_from, build_parser, main
 from hiertag.data import read_column_file
 from hiertag.experiments import tag_sequences
 from hiertag.hierarchy import parse_extended, parse_hierarchy
-from hiertag.model_io import load_model
+from hiertag.model_io import load_model, save_model
 from hiertag.models import ConsolidationMethod, TrainingConfig
 
 CLINICAL_TEXT = """\
@@ -294,6 +294,19 @@ class TestTrain:
         assert "seed must be >= 0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["hier", "concat", "indep", "mtl"])
+    def test_bad_dev_tagset_exits_2_before_training(self, toy_files, capsys, monkeypatch, kind):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr("hiertag.models._Trainer.run", no_training)
+        out = toy_files / "m.htag"
+        code, _, err = run(capsys, *train_args(toy_files, kind, out),
+                           "--dev", f"{toy_files / 'c1.conll'}:NOPE")
+        assert code == 2
+        assert "unknown tagset 'NOPE'" in err
+        assert not out.exists()
+
     def test_indep_writes_one_file_per_dataset(self, toy_files, capsys):
         out = toy_files / "m.htag"
         code, stdout, _ = run(capsys, *train_args(toy_files, "indep", out))
@@ -329,6 +342,21 @@ class TestTag:
         assert (toy_files / "test.conll").read_bytes() == before
         tags = got.sequences[0].tags()
         assert tags[:2] == ["Name", "Name"]
+
+    def test_model_config_of_wrong_type_exits_2(self, toy_files, capsys):
+        model = toy_files / "m.htag"
+        run(capsys, *train_args(toy_files, "hier", model, epochs=1))
+        loaded = load_model(model)
+        object.__setattr__(loaded.config, "bio", "no")  # the file's checksum stays valid
+        save_model(loaded, model)
+        code, _, err = run(
+            capsys, "tag", "--model", model,
+            "--input", toy_files / "test.conll", "--tagset", "T1",
+            "--out", toy_files / "pred.conll",
+        )
+        assert code == 2
+        assert "bio must be bool" in err
+        assert not (toy_files / "pred.conll").exists()
 
     def test_indep_models_emit_matching_collision_summary(self, toy_files, capsys):
         run(capsys, *train_args(toy_files, "indep", toy_files / "m.htag", epochs=30))
@@ -447,6 +475,15 @@ class TestSynth:
         assert a.read_bytes() != c.read_bytes()
         corpus = read_column_file(a)
         assert corpus.token_count == 18 * 8
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(GEN_BASE)
+        out = tmp_path / "a.conll"
+        code, _, err = run(capsys, "synth", "--config", cfg, "--seed", "-1", "--out", out)
+        assert code == 2
+        assert "error: seed must be >= 0, got -1" in err
+        assert not out.exists()
 
     def test_directory_config_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "synth", "--config", tmp_path, "--seed", "5",

@@ -22,6 +22,7 @@ from hiertag.crf import (
     viterbi,
     viterbi_batch,
 )
+from hiertag.crf import _restricted
 from oracles import (
     all_path_scores,
     log_partition_backward,
@@ -31,6 +32,7 @@ from oracles import (
     random_mask,
     random_table,
     reference_loss_and_grad,
+    reference_slots,
 )
 
 
@@ -564,7 +566,10 @@ class TestLatticeMaskKeepRows:
     def test_keep_rows_equal_index_lists(self, keep):
         got = LatticeMask(keep)
         want = LatticeMask([np.flatnonzero(r) for r in keep])
-        np.testing.assert_array_equal(got.slots, want.slots)
+        np.testing.assert_array_equal(got.keep, keep)
+        # The list-built mask spans up to its highest allowed tag; past it, nothing.
+        np.testing.assert_array_equal(want.keep, keep[:, : want.span])
+        assert keep[:, want.span - 1].any() and not keep[:, want.span :].any()
         np.testing.assert_array_equal(got.widths, want.widths)
         assert (got.singleton_path is None) == (want.singleton_path is None)
         if got.singleton_path is not None:
@@ -573,7 +578,7 @@ class TestLatticeMaskKeepRows:
         for a, b, row in zip(got.allowed, want.allowed, keep):
             np.testing.assert_array_equal(a, np.flatnonzero(row))
             np.testing.assert_array_equal(b, np.flatnonzero(row))
-        for mask, span in ((got, keep.shape[1]), (want, want.slots.max() + 1)):
+        for mask, span in ((got, keep.shape[1]), (want, want.span)):
             mask.validate_for(len(keep), span)
             with pytest.raises(ValueError, match="y_count"):
                 mask.validate_for(len(keep), span - 1)
@@ -583,3 +588,40 @@ class TestLatticeMaskKeepRows:
     def test_empty_keep_row_rejected(self):
         with pytest.raises(ValueError, match="position 1 allows no tags"):
             LatticeMask(np.array([[True, False], [False, False]]))
+
+
+class TestRestricted:
+    """`_restricted` packs a batch's allowed tags into lattice slots in one
+    pass; every sequence must get the slots of its mask packed alone."""
+
+    @staticmethod
+    def check(batch, masks):
+        lat = _restricted(batch, masks)
+        width = lat.slots.shape[1]
+        assert width == max(reference_slots(m)[0].shape[1] for m in masks)
+        for b, m in enumerate(masks):
+            slots, widths = reference_slots(m)
+            want = np.zeros((len(m), width), dtype=np.int64)
+            want[:, : slots.shape[1]] = slots
+            np.testing.assert_array_equal(lat.slots[rows_of(batch, b)], want)
+            np.testing.assert_array_equal(lat.widths[rows_of(batch, b)], widths)
+        return lat
+
+    @BATCH_PROPERTY
+    @given(masked_batches())
+    def test_slots_equal_per_mask_packing(self, batch_and_masks):
+        self.check(*batch_and_masks)
+
+    def test_list_masks_narrower_than_y(self):
+        rng = np.random.default_rng(3)
+        y = 6
+        masks = [LatticeMask([[0, 2], [1]]), LatticeMask([[3], [0, 1, 4], [2]]),
+                 LatticeMask([[0]])]
+        assert [m.span for m in masks] == [3, 5, 1]
+        lengths = [len(m) for m in masks]
+        batch = PotentialBatch(rng.normal(size=(sum(lengths), y)), lengths,
+                               rng.normal(size=(y, y)), rng.normal(size=y), rng.normal(size=y))
+        lat = self.check(batch, masks)
+        assert lat.slots.tolist() == [[0, 2, 0], [1, 0, 0], [3, 0, 0], [0, 1, 4], [2, 0, 0],
+                                      [0, 0, 0]]
+        assert lat.widths.tolist() == [2, 1, 1, 3, 1, 1]

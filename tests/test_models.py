@@ -1,6 +1,7 @@
 import copy
 import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -54,6 +55,7 @@ from hiertag.models import (
     _Request,
     _Trainer,
     _vectorize_corpus,
+    collapse_bio,
     expand_bio,
     output_tags,
     predict_hier,
@@ -195,14 +197,17 @@ class TestMasks:
             eh = extend_with_other(random_hierarchy(rng))
             for bio in (False, True):
                 domain = sorted(eh.fine_grained)
-                pos = _domain_indices(expand_bio(domain) if bio else domain, bio)
+                if bio:
+                    domain = expand_bio(domain)
+                pos = _domain_indices(domain, bio)
+                base = [collapse_bio(t) if bio else t for t in domain]
                 for ts in sorted(eh.tagsets):
                     golds = sorted(eh.tagsets[ts]) + [OTHER]
                     tags = [golds[i] for i in rng.integers(len(golds), size=8)]
                     mask = _hier_mask(tags, eh, ts, pos)
                     for g, row in zip(tags, mask.allowed):
                         cover = eh.fine_cover(ts, eh.other_tag(ts) if g == OTHER else g)
-                        assert row.tolist() == sorted(i for f in cover for i in pos[f])
+                        assert row.tolist() == [i for i, f in enumerate(base) if f in cover]
 
     def test_gold_outside_tagset_rejected(self, toy_eh):
         bad = corpus([tagged("elm", "Location")], "T1")
@@ -245,6 +250,29 @@ class TestConfig:
 
     def test_infinite_clip_norm_means_no_clipping(self):
         assert TrainingConfig(clip_norm=math.inf).clip_norm == math.inf
+
+    @pytest.mark.parametrize("field, value", [
+        ("bio", "no"), ("bio", 1), ("bio", np.True_),
+        ("seed", True), ("epochs", 2.0), ("batch_size", "8"), ("patience", None),
+        ("window", np.float64(2)), ("hidden_dim", False),
+        ("learning_rate", True), ("l2", "0"), ("clip_norm", None),
+    ])
+    def test_rejects_wrong_types(self, field, value):
+        with pytest.raises(ModelError, match=f"^{field} must be"):
+            TrainingConfig(**{field: value})
+
+    def test_numpy_numbers_are_stored_as_python_ones(self):
+        cfg = TrainingConfig(seed=np.int64(3), epochs=np.uint8(4), window=np.int32(1),
+                             learning_rate=np.float32(0.25), l2=np.int64(0), clip_norm=2)
+        assert [(type(v), v) for v in asdict(cfg).values()] == [
+            (int, 3), (int, 4), (int, 8), (float, 0.25), (float, 0.0), (int, 2), (int, 10),
+            (int, 1), (int, 16), (bool, False),
+        ]
+
+    def test_numpy_ints_train_and_save_like_python_ints(self, toy_eh, toy_corpora):
+        a = train_hier(list(toy_corpora), toy_eh, quick_cfg(epochs=2, window=np.int64(2)))
+        b = train_hier(list(toy_corpora), toy_eh, quick_cfg(epochs=2, window=2))
+        assert model_bytes(a) == model_bytes(b)
 
 
 class TestHierTraining:
@@ -553,6 +581,82 @@ class TestExactStep:
             assert _same_bits(g, kept[k]), k
             assert not any(np.shares_memory(g, a) for a in later.values()), k
             assert not any(np.shares_memory(g, a) for a in trainer.params.values()), k
+
+
+class TestDevChecks:
+    """Dev corpora are checked like the training corpora, before any training."""
+
+    @pytest.fixture(autouse=True)
+    def no_training(self, monkeypatch):
+        def run(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(_Trainer, "run", run)
+
+    @pytest.mark.parametrize("train", [train_hier, train_concat, train_indep, train_mtl])
+    @pytest.mark.parametrize("case, error, match", [
+        ("unknown", HierarchyError, "unknown tagset 'NOPE'"),
+        ("outside", CorpusError, "tags outside it: Location"),
+        ("unnamed", ModelError, "needs a tagset name"),
+    ])
+    def test_bad_dev_corpus_raises_before_training(self, toy_eh, toy_corpora, train,
+                                                   case, error, match):
+        c1, c2 = toy_corpora
+        dev = {"unknown": c1.with_tagset("NOPE"), "outside": c2.with_tagset("T1"),
+               "unnamed": c1.with_tagset("")}[case]
+        with pytest.raises(error, match=match):
+            train([c1, c2], toy_eh, quick_cfg(epochs=1), dev=[dev])
+
+    @pytest.mark.parametrize("train", [train_indep, train_mtl])
+    def test_per_tagset_kinds_need_a_trained_dev_tagset(self, toy_eh, toy_corpora, train):
+        c1, c2 = toy_corpora
+        with pytest.raises(ModelError, match="dev tagset T2 is not a training tagset"):
+            train([c1], toy_eh, quick_cfg(epochs=1), dev=[c2])
+
+    @pytest.mark.parametrize("train", [train_hier, train_concat])
+    def test_one_head_kinds_score_any_known_dev_tagset(self, toy_eh, toy_corpora, train):
+        c1, c2 = toy_corpora
+        with pytest.raises(AssertionError, match="training started"):
+            train([c1], toy_eh, quick_cfg(epochs=1), dev=[c2])
+
+
+class TestMaskBuilding:
+    @pytest.mark.parametrize("bio", [False, True])
+    @pytest.mark.parametrize("kind", ["hier", "concat", "mtl"])
+    def test_one_builder_call_per_head_and_corpus(self, toy_eh, toy_corpora, monkeypatch,
+                                                  kind, bio):
+        """A corpus's masks come from one builder call over its tokens, and
+        each sequence's rows equal the builder called on that sequence."""
+        real = {"hier": _hier_mask, "single": _singleton_mask}
+        calls = []
+
+        def counted(builder):
+            def build(tags, *args):
+                calls.append((builder, len(tags)))
+                return real[builder](tags, *args)
+            return build
+
+        monkeypatch.setattr(models_module, "_hier_mask", counted("hier"))
+        monkeypatch.setattr(models_module, "_singleton_mask", counted("single"))
+        built = {}
+        monkeypatch.setattr(_Trainer, "run", lambda self, *a: built.update(self.instances))
+        train = {"hier": train_hier, "concat": train_concat, "mtl": train_mtl}[kind]
+        corpora = list(toy_corpora)
+        model = train(corpora, toy_eh, quick_cfg(bio=bio))
+        builder = "hier" if kind == "hier" else "single"
+        # hier and concat have one head over both corpora, mtl one head per corpus.
+        assert calls == [(builder, c.token_count) for c in corpora]
+        assert sorted(built) == sorted(model.heads)
+        for name, insts in built.items():
+            pos = _domain_indices(model.heads[name].domain, bio)
+            seqs = [(c, seq) for c in corpora if kind != "mtl" or c.tagset_name == name
+                    for seq in c.sequences]
+            assert len(insts) == len(seqs)
+            for inst, (c, seq) in zip(insts, seqs):
+                extra = (toy_eh, c.tagset_name) if kind == "hier" else ()
+                want = real[builder](seq.tags(), *extra, pos)
+                np.testing.assert_array_equal(inst.mask.keep, want.keep)
+                assert inst.fvecs.shape[0] == len(seq.tokens)
 
 
 class TestEarlyStopping:
@@ -1063,6 +1167,15 @@ class TestModelIO:
             except ModelFormatError:
                 rejected += 1
         assert rejected == 200
+
+    def test_config_of_wrong_type_is_format_error(self, toy_eh, tmp_path):
+        model = biased_model(toy_eh, "T1", "Name")
+        object.__setattr__(model.config, "bio", "no")  # the file's checksum stays valid
+        path = tmp_path / "m.htag"
+        save_model(model, path)
+        assert b'"bio":"no"' in path.read_bytes()
+        with pytest.raises(ModelFormatError, match="bio must be bool"):
+            load_model(path)
 
     def test_parameter_shapes_must_fit_the_domain(self, toy_eh, tmp_path):
         path = tmp_path / "m.htag"

@@ -95,9 +95,13 @@ class Cell:
 def parse_experiment_spec(text: str, base_dir: Path, source: str = "<spec>") -> ExperimentSpec:
     scalars: dict[str, str] = {}
     lists: dict[str, list] = {"target": [], "dataset": [], "test": []}
+    lines: dict[str, str] = {}  # scalar key -> the spec line that set it
 
-    def path_of(raw: str) -> Path:
-        return (base_dir / raw).resolve()
+    def path_of(raw: str, where: str) -> Path:
+        try:
+            return (base_dir / raw).resolve()
+        except ValueError as exc:  # a NUL byte in the path
+            raise ExperimentError(f"{where}: bad path {raw!r}: {exc}") from None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip()
@@ -112,23 +116,23 @@ def parse_experiment_spec(text: str, base_dir: Path, source: str = "<spec>") -> 
         elif key == "dataset":
             if len(args) != 2:
                 raise ExperimentError(f"{where}: dataset takes a path and a tagset name")
-            lists["dataset"].append((path_of(args[0]), args[1]))
+            lists["dataset"].append((path_of(args[0], where), args[1]))
         elif key == "test":
             if len(args) not in (1, 2):
                 raise ExperimentError(f"{where}: test takes a path and optionally a tagset")
-            lists["test"].append((path_of(args[0]), args[1] if len(args) == 2 else ""))
+            lists["test"].append((path_of(args[0], where), args[1] if len(args) == 2 else ""))
         elif key in ("models", "seeds"):
             if not args:
                 raise ExperimentError(f"{where}: {key} needs at least one value")
             if key in scalars:
                 raise ExperimentError(f"{where}: duplicate {key}")
-            scalars[key] = " ".join(args)
+            scalars[key], lines[key] = " ".join(args), where
         else:
             if len(args) != 1:
                 raise ExperimentError(f"{where}: {key} takes one value")
             if key in scalars:
                 raise ExperimentError(f"{where}: duplicate {key}")
-            scalars[key] = args[0]
+            scalars[key], lines[key] = args[0], where
 
     def need(key: str) -> str:
         if key not in scalars:
@@ -138,8 +142,8 @@ def parse_experiment_spec(text: str, base_dir: Path, source: str = "<spec>") -> 
     kind = need("kind")
     if kind not in ("extension", "integration"):
         raise ExperimentError(f"unknown experiment kind {kind!r}")
-    hierarchy = path_of(need("hierarchy"))
-    out_dir = path_of(need("out_dir"))
+    hierarchy = path_of(need("hierarchy"), lines["hierarchy"])
+    out_dir = path_of(need("out_dir"), lines["out_dir"])
 
     models = tuple(need("models").split())
     known = {k.value for k in ModelKind}
@@ -188,8 +192,8 @@ def parse_experiment_spec(text: str, base_dir: Path, source: str = "<spec>") -> 
         out_dir=out_dir,
         training=training,
         dev_fraction=dev_fraction,
-        base=path_of(base) if base else None,
-        extending=path_of(extending) if extending else None,
+        base=path_of(base, lines["base"]) if base else None,
+        extending=path_of(extending, lines["extending"]) if extending else None,
         targets=tuple(lists["target"]),
         datasets=tuple(lists["dataset"]),
         tests=tuple(lists["test"]),

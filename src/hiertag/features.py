@@ -43,48 +43,22 @@ def word_shape(token: str) -> str:
     )
 
 
-def _marks(radius: int) -> list[tuple[int, str]]:
-    return [(off, f"+{off}" if off > 0 else str(off)) for off in range(-radius, radius + 1) if off]
-
-
-def _templates(tokens: Sequence[str], i: int, lows, shapes, marks) -> list[str]:
-    """Template features for position i, given the lowercased form and shape
-    of every token its window sees."""
-    tok, low = tokens[i], lows[i]
-    feats = [f"w0={low}", f"shape0={shapes[i]}"]
-    for k in (1, 2, 3):
-        if len(tok) >= k:
-            feats.append(f"pre{k}={low[:k]}")
-            feats.append(f"suf{k}={low[-k:]}")
-    if any(c.isdigit() for c in tok):
-        feats.append("digit")
-    for off, mark in marks:
-        j = i + off
-        if j < 0:
-            feats.append(f"w{mark}={BOS}")
-        elif j >= len(tokens):
-            feats.append(f"w{mark}={EOS}")
-        else:
-            feats.append(f"w{mark}={lows[j]}")
-            feats.append(f"shape{mark}={shapes[j]}")
-    return feats
-
-
 def feature_strings(tokens: Sequence[str], i: int, radius: int = 2) -> list[str]:
-    """Template features for position i.  Pure; depends only on the window."""
+    """Template features for position i, read out of `featurize` of the one
+    sequence.  Pure; depends only on the window."""
     if not 0 <= i < len(tokens):
         raise ValueError(f"position {i} outside sequence of length {len(tokens)}")
-    window = range(max(i - radius, 0), min(i + radius + 1, len(tokens)))
-    lows = {j: tokens[j].lower() for j in window}
-    shapes = {j: word_shape(tokens[j]) for j in window}
-    return _templates(tokens, i, lows, shapes, _marks(radius))
+    strings, positions, indptr = featurize([tokens], radius)
+    return [strings[p] for p in positions[indptr[i]:indptr[i + 1]]]
 
 
 def featurize(
     token_lists: Sequence[Sequence[str]], window: int
 ) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """`feature_strings` of every token: the distinct strings in first-seen
-    order, and per token (CSR-style indptr) the positions of its strings.
+    """The template features (module docstring) of every token, in the order
+    w0, shape0, pre1, suf1 ... suf3, digit, then w/shape per window offset
+    from -window up: the distinct strings in first-seen order, and per token
+    (CSR-style indptr) the positions of its strings.
 
     Built by token type: each distinct token's lowercase form, shape and
     affixes are interned once in a table of K parts.  Every string is a slot
@@ -104,7 +78,8 @@ def featurize(
     lens = np.fromiter(map(len, types), np.int64, len(types))
     digit = np.fromiter((any(map(str.isdigit, t)) for t in types), bool, len(types))
     made = np.column_stack([lens[:, None] >= [0, 0, 1, 1, 2, 2, 3, 3], digit])
-    k, marks = len(parts), _marks(window)
+    k = len(parts)
+    marks = [(off, f"+{off}" if off > 0 else str(off)) for off in range(-window, window + 1) if off]
     slots = ["w0=", "shape0=", "pre1=", "suf1=", "pre2=", "suf2=", "pre3=", "suf3=", "digit"]
     slots += [f"{name}{mark}=" for _, mark in marks for name in ("w", "shape")]
     keys = np.empty((tt.size, len(slots)), np.int64)

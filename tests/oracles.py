@@ -12,7 +12,14 @@ from hiertag.crf import (
     loss_and_grad_batch,
     sequence_score,
 )
-from hiertag.features import SharedEmissionModel, emission_cache, zero_gradients
+from hiertag.features import (
+    BOS,
+    EOS,
+    SharedEmissionModel,
+    emission_cache,
+    word_shape,
+    zero_gradients,
+)
 from hiertag.hierarchy import TagHierarchy
 from hiertag.models import (
     CollisionRecord,
@@ -20,6 +27,34 @@ from hiertag.models import (
     _regularized_keys,
     _transitions,
 )
+
+
+def reference_feature_strings(tokens, i: int, radius: int) -> list[str]:
+    """Template features for position i, built from the lowercased form and
+    shape of every token its window sees: the reference for `featurize`."""
+    window = range(max(i - radius, 0), min(i + radius + 1, len(tokens)))
+    lows = {j: tokens[j].lower() for j in window}
+    shapes = {j: word_shape(tokens[j]) for j in window}
+    tok, low = tokens[i], lows[i]
+    feats = [f"w0={low}", f"shape0={shapes[i]}"]
+    for k in (1, 2, 3):
+        if len(tok) >= k:
+            feats.append(f"pre{k}={low[:k]}")
+            feats.append(f"suf{k}={low[-k:]}")
+    if any(c.isdigit() for c in tok):
+        feats.append("digit")
+    for off in range(-radius, radius + 1):
+        if off == 0:
+            continue
+        mark, j = (f"+{off}" if off > 0 else f"-{-off}"), i + off
+        if j < 0:
+            feats.append(f"w{mark}={BOS}")
+        elif j >= len(tokens):
+            feats.append(f"w{mark}={EOS}")
+        else:
+            feats.append(f"w{mark}={lows[j]}")
+            feats.append(f"shape{mark}={shapes[j]}")
+    return feats
 
 
 def reference_route(graph: TagHierarchy, tag: str, members: frozenset[str]) -> str | None:

@@ -635,6 +635,27 @@ class TestExperiment:
         assert bad.split()[-1] in err
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("line", ["hierarchy h.txt", "base base.conll",
+                                      "extending ext.conll", "test test.conll",
+                                      "out_dir results"])
+    def test_nul_byte_in_path_is_usage_error(self, tmp_path, capsys, line):
+        write_experiment_inputs(tmp_path, capsys)
+        spec = tmp_path / "spec.txt"
+        spec.write_text(EXPERIMENT_SPEC.replace(line, line[:-1] + "\0" + line[-1]))
+        code, _, err = run(capsys, "experiment", spec)
+        assert code == 2
+        assert "error:" in err and f"{spec}:" in err
+        assert not (tmp_path / "results").exists()
+
+    def test_nul_byte_in_dataset_path_is_usage_error(self, tmp_path, capsys):
+        write_experiment_inputs(tmp_path, capsys)
+        spec = tmp_path / "spec.txt"
+        spec.write_text("kind integration\nhierarchy h.txt\ndataset base\0.conll All\n"
+                        "test test.conll All\nmodels hier\nseeds 1\nout_dir results\n")
+        code, _, err = run(capsys, "experiment", spec)
+        assert code == 2
+        assert f"error: {spec}:3:" in err
+
     def test_missing_file_is_validation_error(self, tmp_path, capsys):
         write_experiment_inputs(tmp_path, capsys)
         spec = tmp_path / "spec.txt"
@@ -642,6 +663,24 @@ class TestExperiment:
         code, _, err = run(capsys, "experiment", spec)
         assert code == 2
         assert "nope.conll" in err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("name, text, message", [
+        ("c1.conll", "alice Name\n", "c1.conll:1: expected 'token<TAB>tag'"),
+        ("h.txt", "edge Name\n", "line 1: edge needs exactly two tags"),
+        ("gen.cfg", "docs many\ndoc_length 8\nentity_rate 0.3\nbackground the\n", "'many'"),
+    ])
+    def test_malformed_file_exits_2(self, toy_files, capsys, name, text, message):
+        (toy_files / name).write_text(text)
+        if name == "gen.cfg":
+            argv = ["synth", "--config", toy_files / name, "--seed", "1",
+                    "--out", toy_files / "s.conll"]
+        else:
+            argv = train_args(toy_files, "hier", toy_files / "m.htag")
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "error:" in err and message in err
 
 
 class TestEntryPoint:

@@ -21,6 +21,7 @@ from hiertag.features import (
     word_shape,
     zero_gradients,
 )
+from oracles import reference_feature_strings
 
 
 def rows(token_ids, feature_count: int, values=None) -> sparse.csr_matrix:
@@ -49,12 +50,13 @@ def dense_shared(m: SharedEmissionModel, x: sparse.csr_matrix, head: str) -> np.
 
 
 def per_position(token_lists, window):
-    """`featurize` output built from per-position `feature_strings`."""
+    """`featurize` output built from the per-position reference strings."""
     seen: dict[str, int] = {}
     positions, indptr = [], [0]
     for tokens in token_lists:
         for i in range(len(tokens)):
-            positions += [seen.setdefault(s, len(seen)) for s in feature_strings(tokens, i, window)]
+            feats = reference_feature_strings(tokens, i, window)
+            positions += [seen.setdefault(s, len(seen)) for s in feats]
             indptr.append(len(positions))
     return list(seen), positions, indptr
 
@@ -361,7 +363,7 @@ class TestBatchScoring:
         vocab = vocab_for(TOKENS[:1])  # the rest is partly unknown
         x = batch_matrix(vocab, TOKENS)
         ids = {s: i for i, s in enumerate(vocab.strings_by_id()) if i}
-        want = [Counter(ids.get(s, 0) for s in feature_strings(t, i))
+        want = [Counter(ids.get(s, 0) for s in reference_feature_strings(t, i, 2))
                 for t in TOKENS for i in range(len(t))]
         assert x.shape == (len(want), vocab.size)
         assert want[-1][0] > 0  # some strings of the later tokens are unknown

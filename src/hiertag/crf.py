@@ -11,7 +11,10 @@ The kernels run on a PotentialBatch: many sequences of one head, their
 emission rows packed back to back.  Each step of a batched recursion works on
 the sequences still running, with the elementwise arithmetic of the
 one-sequence recursion, so a sequence's result does not depend on the batch
-around it.  The one-sequence functions are batches of one.
+around it.  The package runs only the batch kernels; the one-sequence
+functions are batches of one, kept as the acceptance API (`viterbi`,
+`log_partition`, `constrained_log_partition`, `loss_and_grad`) and, for the
+benchmark's tracer, `sequence_log_prob`.
 """
 
 from __future__ import annotations
@@ -313,8 +316,7 @@ def _posteriors(
             swept.append(b)
             continue
         first, n = batch.offsets[b], batch.lengths[b]
-        log_z[b] = _path_score(batch.emissions[first : first + n], batch.transitions,
-                               batch.start, batch.stop, path)
+        log_z[b] = _path_score(batch.emissions[first : first + n], batch, path)
         unary[np.arange(first, first + n), path] = 1.0
         pairwise[np.arange(first - b, first - b + n - 1), path[:-1], path[1:]] = 1.0
     if not swept:
@@ -371,35 +373,21 @@ def constrained_log_partition(table: PotentialTable, mask: LatticeMask) -> float
     return log_partition(table, mask)
 
 
-def marginals(table: PotentialTable, mask: LatticeMask | None = None):
-    """Posterior tag and tag-pair probabilities, zero outside the mask."""
-    _, unary, pairwise = _posteriors(PotentialBatch.of(table), None if mask is None else [mask])
-    return unary, pairwise
-
-
-def _path_score(em, trans, start, stop, t: np.ndarray) -> float:
-    score = start[t[0]] + em[np.arange(t.size), t].sum()
-    score += trans[t[:-1], t[1:]].sum() + stop[t[-1]]
+def _path_score(em: np.ndarray, p: PotentialTable | PotentialBatch, t: np.ndarray) -> float:
+    """Score of path t over emission rows em and p's transitions, start and stop."""
+    score = p.start[t[0]] + em[np.arange(t.size), t].sum()
+    score += p.transitions[t[:-1], t[1:]].sum() + p.stop[t[-1]]
     return float(score)
 
 
-def sequence_score(table: PotentialTable, tags: Sequence[int]) -> float:
+def sequence_log_prob(table: PotentialTable, tags: Sequence[int]) -> float:
+    """Log-probability of one tag sequence under the full lattice; always <= 0."""
     if len(tags) != table.n:
         raise ValueError(f"tag sequence length {len(tags)} != n {table.n}")
     t = np.asarray(tags, dtype=np.int64)
-    if t.size and (t.min() < 0 or t.max() >= table.y_count):
+    if t.min() < 0 or t.max() >= table.y_count:
         raise ValueError("tag index out of range")
-    return _path_score(table.emissions, table.transitions, table.start, table.stop, t)
-
-
-def sequence_log_prob(
-    table: PotentialTable, tags: Sequence[int], log_z: float | None = None
-) -> float:
-    """Log-probability of one tag sequence under the full lattice; always <= 0.
-    A log_z already computed for this table (see `forward_backward`) is reused."""
-    if log_z is None:
-        log_z = log_partition(table)
-    return sequence_score(table, tags) - log_z
+    return _path_score(table.emissions, table, t) - log_partition(table)
 
 
 def viterbi(table: PotentialTable) -> tuple[list[int], float]:
@@ -441,7 +429,7 @@ def viterbi_batch(batch: PotentialBatch) -> tuple[np.ndarray, np.ndarray]:
 
 def forward_backward(batch: PotentialBatch) -> tuple[np.ndarray, np.ndarray]:
     """Log-partition of every sequence (B,) and the unary marginals, packed
-    like the emission rows; the same arithmetic as `log_partition` and
-    `marginals` without a mask."""
+    like the emission rows; the same arithmetic as the unmasked posteriors
+    of `loss_and_grad_batch` and `log_partition`."""
     log_z, alpha, beta = _sum_product(_full(batch))
     return log_z, np.exp(alpha + beta - np.repeat(log_z, batch.lengths)[:, None])

@@ -22,17 +22,14 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
-from hiertag.crf import (
-    LatticeMask,
-    PotentialBatch,
-    forward_backward,
-    marginals,  # noqa: F401  (perfbench/spans.py wraps these names here)
-    sequence_log_prob,  # noqa: F401
-    viterbi,  # noqa: F401
-    viterbi_batch,
-)
-# perfbench/spans.py times the training lattice under this name.
+from hiertag.crf import LatticeMask, PotentialBatch
+# perfbench/spans.py times the lattice by wrapping these names in this module,
+# so the batch kernels that train, decode and score collisions are bound under
+# the names it looks up.
+from hiertag.crf import forward_backward as marginals
 from hiertag.crf import loss_and_grad_batch as loss_and_grad
+from hiertag.crf import sequence_log_prob  # noqa: F401  (wrapped there; nothing calls it)
+from hiertag.crf import viterbi_batch as viterbi
 from hiertag.data import OTHER, Corpus
 from hiertag.evaluation import score
 from hiertag.features import (
@@ -615,7 +612,7 @@ def _decode_head(
     """Viterbi paths of one head over every sequence of a request (domain
     indices packed like the emission rows), their scores and the potentials."""
     potentials = PotentialBatch(emissions, lengths, *_transitions(model, head), head.stop)
-    return *viterbi_batch(potentials), potentials
+    return *viterbi(potentials), potentials
 
 
 def _head_tags(model: TrainedModel, head: Head) -> list[str]:
@@ -758,7 +755,7 @@ def _resolve_collisions(
         seqs, where = np.unique(seq[mine], return_inverse=True)
         if seqs.size:
             sub = potentials.select(seqs)
-            log_z, unary = forward_backward(sub)
+            log_z, unary = marginals(sub)
             log_probs[k, mine] = (scores[seqs] - log_z)[where]
             margs[k, mine] = unary[sub.offsets[where] + pos[mine], path[hits[mine]]]
     # best[t, h]: the largest marginal among the heads proposing label t at hit h.

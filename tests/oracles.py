@@ -10,7 +10,6 @@ from hiertag.crf import (
     PotentialBatch,
     PotentialTable,
     loss_and_grad_batch,
-    sequence_score,
 )
 from hiertag.features import (
     BOS,
@@ -125,6 +124,16 @@ def all_path_scores(table: PotentialTable, mask: LatticeMask | None = None):
     for i in range(n - 1):
         scores = scores + table.transitions[paths[:, i], paths[:, i + 1]]
     return paths, scores
+
+
+def path_score(table: PotentialTable, path) -> float:
+    """One path's score, summed in the order of `crf._path_score` (which
+    scores paths for `sequence_log_prob` and all-singleton masks), so the
+    two agree bit for bit."""
+    t = np.asarray(path, dtype=np.int64)
+    score = table.start[t[0]] + table.emissions[np.arange(t.size), t].sum()
+    score += table.transitions[t[:-1], t[1:]].sum() + table.stop[t[-1]]
+    return float(score)
 
 
 def oracle_log_partition(table: PotentialTable, mask: LatticeMask | None = None) -> float:
@@ -251,7 +260,7 @@ def _reference_masked(table: PotentialTable, mask: LatticeMask):
         unary[np.arange(n), path] = 1.0
         pairwise = np.zeros((max(n - 1, 0), y, y))
         pairwise[np.arange(n - 1), path[:-1], path[1:]] = 1.0
-        return sequence_score(table, path), unary, pairwise
+        return path_score(table, path), unary, pairwise
     idx = mask.allowed
     blocks = [trans[idx[i][:, None], idx[i + 1]] for i in range(n - 1)]
 

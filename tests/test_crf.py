@@ -16,19 +16,18 @@ from hiertag.crf import (
     log_partition,
     loss_and_grad,
     loss_and_grad_batch,
-    marginals,
     sequence_log_prob,
-    sequence_score,
     viterbi,
     viterbi_batch,
 )
-from hiertag.crf import _restricted
+from hiertag.crf import _posteriors, _restricted
 from oracles import (
     all_path_scores,
     log_partition_backward,
     oracle_log_partition,
     oracle_marginals,
     oracle_viterbi,
+    path_score,
     random_mask,
     random_table,
     reference_loss_and_grad,
@@ -38,6 +37,12 @@ from oracles import (
 
 def zero_table(n: int, y: int) -> PotentialTable:
     return PotentialTable(np.zeros((n, y)), np.zeros((y, y)), np.zeros(y), np.zeros(y))
+
+
+def marginals(table: PotentialTable, mask: LatticeMask | None = None):
+    """Posterior tag and tag-pair probabilities of one sequence, zero outside
+    the mask: the posteriors of its batch of one."""
+    return _posteriors(PotentialBatch.of(table), None if mask is None else [mask])[1:]
 
 
 class TestLogPartition:
@@ -80,7 +85,7 @@ class TestLogPartition:
             path = [int(v) for v in rng.integers(0, y, size=n)]
             m = LatticeMask([[p] for p in path])
             assert constrained_log_partition(t, m) == pytest.approx(
-                sequence_score(t, path), abs=1e-9
+                path_score(t, path), abs=1e-9
             )
 
     def test_masked_never_exceeds_full(self):
@@ -291,12 +296,12 @@ class TestViterbi:
             assert path == opath
             assert score == oscore
 
-    def test_score_matches_sequence_score(self):
+    def test_score_matches_path_score(self):
         rng = np.random.default_rng(53)
         for _ in range(50):
             t = random_table(rng, int(rng.integers(1, 7)), int(rng.integers(1, 6)))
             path, score = viterbi(t)
-            assert score == pytest.approx(sequence_score(t, path), abs=1e-9)
+            assert score == pytest.approx(path_score(t, path), abs=1e-9)
 
 
 class TestSequenceLogProb:
@@ -367,9 +372,9 @@ class TestValidation:
         with pytest.raises(ValueError, match="y_count"):
             constrained_log_partition(t, LatticeMask([[0], [5]]))
 
-    def test_sequence_score_rejects_bad_tags(self):
+    def test_sequence_log_prob_rejects_bad_tags(self):
         with pytest.raises(ValueError, match="out of range"):
-            sequence_score(zero_table(2, 2), [0, 7])
+            sequence_log_prob(zero_table(2, 2), [0, 7])
 
 
 @st.composite
@@ -453,7 +458,7 @@ class TestBatchedKernels:
             assert log_z[b] == log_partition(table)
             assert got.tobytes() == marginals(table)[0].tobytes()
             path, _ = viterbi(table)
-            assert sequence_log_prob(table, path, log_z[b]) == sequence_log_prob(table, path)
+            assert sequence_log_prob(table, path) == path_score(table, path) - log_z[b]
 
     @BATCH_PROPERTY
     @given(masked_batches())

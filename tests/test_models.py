@@ -15,7 +15,7 @@ from scipy import sparse
 from hiertag.crf import (
     LatticeMask,
     PotentialBatch,
-    marginals,
+    forward_backward,
     sequence_log_prob,
     viterbi_batch,
 )
@@ -714,7 +714,6 @@ class TestDecodePath:
 
         monkeypatch.setattr("hiertag.models.marginals", forbidden)
         monkeypatch.setattr("hiertag.models.sequence_log_prob", forbidden)
-        monkeypatch.setattr("hiertag.models.forward_backward", forbidden)
         c1, c2 = toy_corpora
         dev = [c1.with_tagset("T1", "dev"), c2.with_tagset("T2", "dev")]
         cfg = quick_cfg(epochs=3, hidden_dim=3)
@@ -739,10 +738,10 @@ class TestDecodePath:
 
         def counted(batch):
             sizes.append(batch.size)
-            return forward_backward(batch)
+            return marginals(batch)
 
-        forward_backward = models_module.forward_backward
-        monkeypatch.setattr(models_module, "forward_backward", counted)
+        marginals = models_module.marginals
+        monkeypatch.setattr(models_module, "marginals", counted)
         models = [biased_model(tie_eh, "TA", "X"), biased_model(tie_eh, "TB", "O"),
                   biased_model(tie_eh, "TB", "Y")]
         request = [["a", "b"], ["c"], ["d", "e", "f"]]
@@ -854,7 +853,8 @@ class TestResolveCollisions:
             for (path, _, batch), _ in heads:
                 table = table_of(batch, b)
                 log_probs.append(sequence_log_prob(table, path[a:z]))
-                margs.append(marginals(table)[0][np.arange(z - a), path[a:z]])
+                unary = forward_backward(PotentialBatch.of(table))[1]
+                margs.append(unary[np.arange(z - a), path[a:z]])
             chosen, records = reference_resolve(proposals, log_probs, margs, method, seed)
             assert out[b].tags == [chosen.get(i, "-") for i in range(z - a)]
             assert out[b].collisions == len(records)

@@ -8,13 +8,14 @@ posterior expectations.  All recursions use max-shifted log-sum-exp; finite
 inputs always produce finite outputs.
 
 The kernels run on a PotentialBatch: many sequences of one head, their
-emission rows packed back to back.  Each step of a batched recursion works on
-the sequences still running, with the elementwise arithmetic of the
-one-sequence recursion, so a sequence's result does not depend on the batch
-around it.  The package runs only the batch kernels; the one-sequence
-functions are batches of one, kept as the acceptance API (`viterbi`,
-`log_partition`, `constrained_log_partition`, `loss_and_grad`) and, for the
-benchmark's tracer, `sequence_log_prob`.
+emission rows packed back to back.  A kernel lays the batch out once,
+time-major and longest first (`_Lattice`), so each recursion step slices the
+sequences still running, with the elementwise arithmetic of the one-sequence
+recursion: a sequence's result does not depend on its batch.  Transition
+marginals are summed per sequence, position by position.  The package runs
+only the batch kernels; the one-sequence functions are batches of one, kept
+as the acceptance API (`viterbi`, `log_partition`, `constrained_log_partition`,
+`loss_and_grad`) and, for the benchmark's tracer, `sequence_log_prob`.
 """
 
 from __future__ import annotations
@@ -97,24 +98,12 @@ class PotentialBatch:
     def size(self) -> int:
         return self.lengths.size
 
-    def rows(self, seqs: Sequence[int]) -> np.ndarray:
-        """The emission rows of the given sequences, in that order."""
-        return np.concatenate(
-            [np.arange(self.offsets[b], self.offsets[b] + self.lengths[b]) for b in seqs]
-        )
-
     def select(self, seqs: Sequence[int]) -> "PotentialBatch":
         """The batch of the given sequences, in that order."""
-        return PotentialBatch(self.emissions[self.rows(seqs)], self.lengths[seqs],
-                              self.transitions, self.start, self.stop)
-
-    def schedule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sequences longest first: their order, their first rows, and for each
-        position i the number of them still running at i (a prefix, since
-        they are sorted)."""
-        order = np.argsort(-self.lengths, kind="stable")
-        running = np.searchsorted(-self.lengths[order], -np.arange(self.lengths.max()), "left")
-        return order, self.offsets[order], running
+        rows = np.concatenate([np.arange(self.offsets[b], self.offsets[b] + self.lengths[b])
+                               for b in seqs])
+        return PotentialBatch(self.emissions[rows], self.lengths[seqs], self.transitions,
+                              self.start, self.stop)
 
 
 class LatticeMask:
@@ -176,163 +165,174 @@ class LatticeGradients:
 _PAD_EXACT = 7
 
 
-@dataclass
 class _Lattice:
-    """B lattices over the sequences of a batch.  Row r holds the nodes of
-    one position, packed like the emission rows: their scores `em` (-inf for
-    a node off the lattice) and, when `slots` is set, the tag of each node,
-    with the `widths[r]` nodes on the lattice first.  Without slots node j
-    is tag j at every position.  `trans` scores the step from the previous
-    row's nodes into a row's: one (W, W) block for every step, or one block
-    per row (R, W, W).  start and stop are (W,) or per sequence (B, W)."""
+    """B lattices over sequences of a batch, laid out time-major, position
+    by sequence: `seqs` are the batch's sequences longest first, so the
+    `running[i]` of them with a position i are a prefix.  `rows` (T, B) is
+    the emission row of each position (a sequence's last row past its end)
+    and `last` indexes each sequence's last position.  `em` (T, B, W) scores
+    each position's nodes (-inf for a node off the lattice) and, when
+    `slots` is set, `slots` (T, B, W) is the tag of each node, with the
+    `widths` (T, B) nodes on the lattice first (none past the end).
+    Without slots node j is tag j.  `trans[i]` (B, W, W) scores the step
+    from position i into i + 1; start and stop are (B, W)."""
 
-    batch: PotentialBatch
-    em: np.ndarray
-    trans: np.ndarray
-    start: np.ndarray
-    stop: np.ndarray
-    slots: np.ndarray | None = None
-    widths: np.ndarray | None = None
+    def __init__(self, batch: PotentialBatch, seqs: Sequence[int] | None = None) -> None:
+        """The full lattices of the given sequences (default: all)."""
+        seqs = np.arange(batch.size) if seqs is None else np.asarray(seqs, dtype=np.int64)
+        self.batch, self.slots, self.widths = batch, None, None
+        self.seqs = seqs = seqs[np.argsort(-batch.lengths[seqs], kind="stable")]
+        lengths = batch.lengths[seqs]
+        steps = np.arange(lengths[0])
+        self.running = np.searchsorted(-lengths, -steps, "left")
+        self.rows = batch.offsets[seqs] + np.minimum(steps[:, None], lengths - 1)
+        self.last = lengths - 1, np.arange(seqs.size)
+        (t, b), y = self.rows.shape, batch.emissions.shape[1]
+        self.em = batch.emissions[self.rows]
+        self.trans = np.broadcast_to(batch.transitions, (t - 1, b, y, y))
+        self.start, self.stop = (np.broadcast_to(v, (b, y)) for v in (batch.start, batch.stop))
 
-    def block(self, rows: np.ndarray) -> np.ndarray:
-        return self.trans if self.trans.ndim == 2 else self.trans[rows]
-
-    def node_sum(self, e: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Sum over the last axis, the nodes of the given rows, rounded as a
-        sum over only each row's nodes on the lattice is rounded."""
+    def node_sum(self, e: np.ndarray, at: tuple) -> np.ndarray:
+        """Sum over the last axis, the nodes of the positions `at`, rounded
+        as a sum over only each position's nodes on the lattice is rounded."""
         if self.widths is None or e.shape[-1] <= _PAD_EXACT:
             return e.sum(axis=-1)
-        widths = self.widths[rows]
+        widths = self.widths[at]
         out = np.empty(e.shape[:-1])
         for w in np.unique(widths):
             sel = widths == w
             out[sel] = e[sel, ..., :w].sum(axis=-1)
         return out
 
+    def packed(self, x: np.ndarray) -> np.ndarray:
+        """x (T, B, ...) at every emission row of a lattice over the whole batch."""
+        lengths = self.batch.lengths
+        pos = np.arange(lengths.sum()) - np.repeat(self.batch.offsets, lengths)
+        return x[pos, np.repeat(np.argsort(self.seqs), lengths)]
 
-def _full(batch: PotentialBatch) -> _Lattice:
-    return _Lattice(batch, batch.emissions, batch.transitions, batch.start, batch.stop)
 
-
-def _restricted(batch: PotentialBatch, masks: Sequence[LatticeMask]) -> _Lattice:
-    """Each sequence's lattice restricted to its mask's allowed tags: a row's
-    slots are its allowed tags ascending, padded with tag 0 to the widest row."""
-    keep = np.zeros(batch.emissions.shape, dtype=bool)
-    for m, first in zip(masks, batch.offsets):
-        keep[first : first + len(m), : m.span] = m.keep
-    widths = keep.sum(axis=1)
-    width = int(widths.max())
-    slots = np.argsort(~keep, axis=1, kind="stable")[:, :width]
-    pads = np.arange(width) >= widths[:, None]
+def _restricted(batch: PotentialBatch, masks: Sequence[LatticeMask],
+                seqs: Sequence[int] | None = None) -> _Lattice:
+    """The lattices of the given sequences (default: all), each restricted
+    to its mask's allowed tags (masks[b] for sequence b): a position's slots
+    are its allowed tags ascending, padded with tag 0 to the widest one."""
+    lat = _Lattice(batch, seqs)
+    keep = np.zeros(lat.em.shape, dtype=bool)
+    for j, b in enumerate(lat.seqs):
+        keep[: len(masks[b]), j, : masks[b].span] = masks[b].keep
+    lat.widths = keep.sum(axis=2)
+    width = int(lat.widths.max())
+    lat.slots = slots = np.argsort(~keep, axis=2, kind="stable")[:, :, :width]
+    pads = np.arange(width) >= lat.widths[..., None]
     slots[pads] = 0
-    em = np.take_along_axis(batch.emissions, slots, axis=1)
-    em[pads] = -np.inf
-    trans = batch.transitions[np.roll(slots, 1, axis=0)[:, :, None], slots[:, None, :]]
-    last = batch.offsets + batch.lengths - 1
-    return _Lattice(batch, em, trans, batch.start[slots[batch.offsets]],
-                    batch.stop[slots[last]], slots, widths)
+    lat.em = np.take_along_axis(lat.em, slots, axis=2)
+    lat.em[pads] = -np.inf
+    lat.trans = batch.transitions[slots[:-1, :, :, None], slots[1:, :, None, :]]
+    lat.start, lat.stop = batch.start[slots[0]], batch.stop[slots[lat.last]]
+    return lat
 
 
 def _sum_product(lat: _Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The forward-backward recursion: log-partition of every lattice (B,)
-    and the forward and backward scores of every node (R, W).
+    and the forward and backward scores of every node (T, B, W), -inf past
+    each sequence's end.
 
     Every sum rounds as the one-sequence recursion over the allowed tags
     alone rounds it, but one: numpy sums a lone (k >= 8, 1) block, k allowed
     tags stepping into a pinned position, in another order than this
     batched forward step, so there the scores differ in the last bits."""
-    em, batch = lat.em, lat.batch
-    order, first, running = batch.schedule()
-    last = first + batch.lengths[order] - 1
-    shape = (batch.size, em.shape[1])
-    alpha = np.empty_like(em)
-    prev = np.broadcast_to(lat.start, shape)[order] + em[first]
-    alpha[first] = prev
+    em, running, last = lat.em, lat.running, lat.last
+    alpha = np.full(em.shape, -np.inf)
+    alpha[0] = lat.start + em[0]
     for i in range(1, running.size):
         k = running[i]
-        rows = first[:k] + i
-        step = prev[:k, :, None] + lat.block(rows)
+        step = alpha[i - 1, :k, :, None] + lat.trans[i - 1, :k]
         m = step.max(axis=1)
-        prev[:k] = m + np.log(np.exp(step - m[:, None, :]).sum(axis=1)) + em[rows]
-        alpha[rows] = prev[:k]
-    stop = np.broadcast_to(lat.stop, shape)[order]
-    ends = prev + stop
+        alpha[i, :k] = m + np.log(np.exp(step - m[:, None, :]).sum(axis=1)) + em[i, :k]
+    ends = alpha[last] + lat.stop
     m = ends.max(axis=1)
-    log_z = np.empty(batch.size)
-    log_z[order] = m + np.log(lat.node_sum(np.exp(ends - m[:, None]), last))
+    log_z = m + np.log(lat.node_sum(np.exp(ends - m[:, None]), last))
 
-    beta = np.empty_like(em)
-    prev = stop
-    beta[last] = prev
+    beta = np.full(em.shape, -np.inf)
+    beta[last] = lat.stop
     for i in range(running.size - 2, -1, -1):
         k = running[i + 1]  # sequences with a position after i
-        rows = first[:k] + i + 1
-        step = lat.block(rows) + (em[rows] + prev[:k])[:, None, :]
+        step = lat.trans[i, :k] + (em[i + 1, :k] + beta[i + 1, :k])[:, None, :]
         m = step.max(axis=2)
-        prev[:k] = m + np.log(lat.node_sum(np.exp(step - m[:, :, None]), rows))
-        beta[rows - 1] = prev[:k]
+        beta[i, :k] = m + np.log(lat.node_sum(np.exp(step - m[:, :, None]), (i + 1, slice(k))))
     return log_z, alpha, beta
 
 
-def _node_posteriors(lat: _Lattice) -> tuple[np.ndarray, ...]:
-    """Log-partition (B,), the marginal of every node (R, W) and of every
-    pair of nodes at adjacent positions: one (W, W) block per row with a
-    successor in its sequence, for the rows `src` also returned."""
-    batch = lat.batch
+def _node_posteriors(lat: _Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log-partition (B,), the marginal of every node (T, B, W) and of every
+    pair of nodes at adjacent positions (T - 1, B, W, W), zero past each
+    sequence's end: each run of steps with the same sequences running at once
+    computes its pairs, so no pair past an end is computed."""
     log_z, alpha, beta = _sum_product(lat)
-    unary = np.exp(alpha + beta - np.repeat(log_z, batch.lengths)[:, None])
-    src = np.delete(np.arange(alpha.shape[0]), batch.offsets + batch.lengths - 1)
-    pairwise = np.exp(
-        alpha[src][:, :, None]
-        + lat.block(src + 1)
-        + (lat.em[src + 1] + beta[src + 1])[:, None, :]
-        - np.repeat(log_z, batch.lengths - 1)[:, None, None]
-    )
-    return log_z, unary, pairwise, src
+    unary = np.exp(alpha + beta - log_z[:, None])
+    pairwise = np.zeros(lat.trans.shape)
+    running = lat.running[1:]  # sequences with a pair at each step
+    starts = np.flatnonzero(np.diff(running, prepend=-1))
+    for a, b in zip(starts, [*starts[1:], running.size]):
+        k = running[a]
+        np.exp(alpha[a:b, :k, :, None] + lat.trans[a:b, :k]
+               + (lat.em[a + 1 : b + 1, :k] + beta[a + 1 : b + 1, :k])[:, :, None, :]
+               - log_z[:k, None, None], out=pairwise[a:b, :k])
+    return log_z, unary, pairwise
+
+
+def _time_sum(pairwise: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Each sequence's pairwise marginals (T - 1, B, y, y), zero past its
+    `steps` pairs, summed over positions as numpy sums its own (steps, y, y)
+    block: row after row, so the zeros add nothing, but a lone column (y = 1)
+    pairwise, whose rounding depends on the count past _PAD_EXACT."""
+    if pairwise.shape[-1] > 1 or pairwise.shape[0] <= _PAD_EXACT:
+        return pairwise.sum(axis=0)
+    return np.stack([pairwise[:s, b].sum(axis=0) for b, s in enumerate(steps)])
 
 
 def _posteriors(
     batch: PotentialBatch, masks: Sequence[LatticeMask] | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Log-partition (B,), unary marginals packed like the emission rows, and
-    pairwise marginals (one (y, y) block per row with a successor in its
-    sequence; row r of sequence b gives block r - b) of every sequence's full
-    lattice, or of its lattice restricted to its mask.  A mask that pins one
-    path gets the closed form: that path's score and one-hot marginals."""
+    """Log-partition (B,), unary marginals packed like the emission rows and
+    transition sums (B, y, y) of every sequence's full lattice, or of its
+    lattice restricted to its mask.  A transition sum adds the sequence's
+    pairwise marginals position by position; a restricted lattice adds its
+    live node pairs only, in tag space.  A mask that pins one path gets the
+    closed form: the path's score, one-hot marginals and transition counts."""
+    size, y = batch.size, batch.emissions.shape[1]
+    log_z = np.empty(size)
     if masks is None:
-        return _node_posteriors(_full(batch))[:3]
-    if len(masks) != batch.size:
-        raise ValueError(f"{len(masks)} masks for {batch.size} sequences")
-    n_rows, y = batch.emissions.shape
+        lat = _Lattice(batch)
+        log_z[lat.seqs], unary, pairwise = _node_posteriors(lat)
+        sums = np.empty((size, y, y))
+        sums[lat.seqs] = _time_sum(pairwise, batch.lengths[lat.seqs] - 1)
+        return log_z, lat.packed(unary), sums
+    if len(masks) != size:
+        raise ValueError(f"{len(masks)} masks for {size} sequences")
     for mask, n in zip(masks, batch.lengths):
         mask.validate_for(n, y)
-    log_z = np.empty(batch.size)
-    unary = np.zeros((n_rows, y))
-    pairwise = np.zeros((n_rows - batch.size, y, y))
-    swept = []
-    for b, mask in enumerate(masks):
-        path = mask.singleton_path
-        if path is None:
-            swept.append(b)
-            continue
+    unary = np.zeros(batch.emissions.shape)
+    pairs, counts = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    pinned = [(b, m.singleton_path) for b, m in enumerate(masks) if m.singleton_path is not None]
+    swept = [b for b, m in enumerate(masks) if m.singleton_path is None]
+    for b, path in pinned:
         first, n = batch.offsets[b], batch.lengths[b]
         log_z[b] = _path_score(batch.emissions[first : first + n], batch, path)
         unary[np.arange(first, first + n), path] = 1.0
-        pairwise[np.arange(first - b, first - b + n - 1), path[:-1], path[1:]] = 1.0
-    if not swept:
-        return log_z, unary, pairwise
-
-    sub = batch.select(swept)
-    lat = _restricted(sub, [masks[b] for b in swept])
-    log_z[swept], node_unary, node_pairwise, src = _node_posteriors(lat)
-    rows = batch.rows(swept)  # sub's rows in the batch
-    pairs = rows[src] - np.repeat(swept, sub.lengths)[src]
-    live = np.arange(lat.em.shape[1]) < lat.widths[:, None]
-    r, j = np.nonzero(live)
-    unary[rows[r], lat.slots[r, j]] = node_unary[r, j]
-    p, a, c = np.nonzero(live[src][:, :, None] & live[src + 1][:, None, :])
-    pairwise[pairs[p], lat.slots[src[p], a], lat.slots[src[p] + 1, c]] = node_pairwise[p, a, c]
-    return log_z, unary, pairwise
+        pairs.append((b * y + path[:-1]) * y + path[1:])
+        counts.append(np.ones(n - 1))
+    if swept:
+        lat = _restricted(batch, masks, swept)
+        log_z[lat.seqs], node_unary, node_pairwise = _node_posteriors(lat)
+        live = np.arange(lat.em.shape[2]) < lat.widths[..., None]
+        t, j, a = np.nonzero(live)
+        unary[lat.rows[t, j], lat.slots[t, j, a]] = node_unary[t, j, a]
+        t, j, a, c = np.nonzero(live[:-1, :, :, None] & live[1:, :, None, :])
+        pairs.append((lat.seqs[j] * y + lat.slots[t, j, a]) * y + lat.slots[t + 1, j, c])
+        counts.append(node_pairwise[t, j, a, c])
+    sums = np.bincount(np.concatenate(pairs), np.concatenate(counts), size * y * y)
+    return log_z, unary, sums.reshape(size, y, y)
 
 
 def loss_and_grad_batch(
@@ -340,19 +340,17 @@ def loss_and_grad_batch(
 ) -> tuple[list[float], list[LatticeGradients]]:
     """Each sequence's gap between its full and masked log-partitions, with
     its gradients: the full and the masked lattices of the whole batch run
-    through one packed recursion each.
+    through one time-major recursion each.
 
     The gradient w.r.t. each potential entry is the unconstrained posterior
     expectation of that entry's indicator minus the masked one.
     """
-    log_z_m, unary_m, pairwise_m = _posteriors(batch, masks)
-    log_z, unary, pairwise = _posteriors(batch)
+    log_z_m, unary_m, sums_m = _posteriors(batch, masks)
+    log_z, unary, sums = _posteriors(batch)
     d_emissions = unary - unary_m
     grads = []
-    for b, (first, n) in enumerate(zip(batch.offsets, batch.lengths)):
+    for first, n, d_trans in zip(batch.offsets, batch.lengths, sums - sums_m):
         d_em = d_emissions[first : first + n]
-        pairs = slice(first - b, first - b + n - 1)
-        d_trans = pairwise[pairs].sum(axis=0) - pairwise_m[pairs].sum(axis=0)
         grads.append(LatticeGradients(d_em, d_trans, d_em[0].copy(), d_em[-1].copy()))
     return (log_z - log_z_m).tolist(), grads
 
@@ -403,33 +401,35 @@ def viterbi_batch(batch: PotentialBatch) -> tuple[np.ndarray, np.ndarray]:
     np.argmax takes the first maximum, so every backpointer decision breaks
     ties toward the lower tag index.
     """
-    em, trans = batch.emissions, batch.transitions
-    order, first, running = batch.schedule()
-    delta = batch.start + em[first]
+    lat = _Lattice(batch)
+    em, running = lat.em, lat.running
+    delta = lat.start + em[0]
     back = np.empty(em.shape, dtype=np.int64)
     for i in range(1, running.size):
         k = running[i]
-        rows = first[:k] + i
-        step = delta[:k, :, None] + trans
+        step = delta[:k, :, None] + lat.trans[i - 1, :k]
         best = np.argmax(step, axis=1)
-        back[rows] = best
-        delta[:k] = np.take_along_axis(step, best[:, None, :], axis=1)[:, 0] + em[rows]
-    delta = delta + batch.stop
+        back[i, :k] = best
+        delta[:k] = np.take_along_axis(step, best[:, None, :], axis=1)[:, 0] + em[i, :k]
+    delta = delta + lat.stop
     tag = np.argmax(delta, axis=1)
     scores = np.empty(batch.size)
-    scores[order] = delta[np.arange(batch.size), tag]
-    paths = np.empty(em.shape[0], dtype=np.int64)
-    for i in range(running.size - 1, -1, -1):
-        if i + 1 < running.size:  # sequences running past i step back to their tag at i
-            k = running[i + 1]
-            tag[:k] = back[first[:k] + i + 1, tag[:k]]
-        paths[first[: running[i]] + i] = tag[: running[i]]
-    return paths, scores
+    scores[lat.seqs] = delta[np.arange(batch.size), tag]
+    paths = np.empty(lat.rows.shape, dtype=np.int64)
+    paths[-1] = tag
+    for i in range(running.size - 2, -1, -1):
+        k = running[i + 1]  # sequences running past i step back to their tag at i
+        tag[:k] = back[i + 1, np.arange(k), tag[:k]]
+        paths[i] = tag
+    return lat.packed(paths), scores
 
 
 def forward_backward(batch: PotentialBatch) -> tuple[np.ndarray, np.ndarray]:
     """Log-partition of every sequence (B,) and the unary marginals, packed
-    like the emission rows; the same arithmetic as the unmasked posteriors
-    of `loss_and_grad_batch` and `log_partition`."""
-    log_z, alpha, beta = _sum_product(_full(batch))
-    return log_z, np.exp(alpha + beta - np.repeat(log_z, batch.lengths)[:, None])
+    like the emission rows: the full lattice's node marginals of
+    `_posteriors`, without its transition sums."""
+    lat = _Lattice(batch)
+    log_z, alpha, beta = _sum_product(lat)
+    out = np.empty(batch.size)
+    out[lat.seqs] = log_z
+    return out, lat.packed(np.exp(alpha + beta - log_z[:, None]))

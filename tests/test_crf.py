@@ -40,9 +40,11 @@ def zero_table(n: int, y: int) -> PotentialTable:
 
 
 def marginals(table: PotentialTable, mask: LatticeMask | None = None):
-    """Posterior tag and tag-pair probabilities of one sequence, zero outside
-    the mask: the posteriors of its batch of one."""
-    return _posteriors(PotentialBatch.of(table), None if mask is None else [mask])[1:]
+    """Posterior tag probabilities (n, y) of one sequence and its tag-pair
+    probabilities summed over positions (y, y), zero outside the mask: the
+    posteriors of its batch of one."""
+    unary, sums = _posteriors(PotentialBatch.of(table), None if mask is None else [mask])[1:]
+    return unary, sums[0]
 
 
 class TestLogPartition:
@@ -152,10 +154,10 @@ class TestMarginals:
             n, y = int(rng.integers(1, 6)), int(rng.integers(1, 5))
             t = random_table(rng, n, y)
             for m in (None, random_mask(rng, n, y)):
-                unary, pairwise = marginals(t, m)
+                unary, sums = marginals(t, m)
                 ou, op = oracle_marginals(t, m)
                 assert np.allclose(unary, ou, atol=1e-8)
-                assert np.allclose(pairwise, op, atol=1e-8)
+                assert np.allclose(sums, op.sum(axis=0), atol=1e-8)
 
     def test_rows_sum_to_one_and_consistency(self):
         rng = np.random.default_rng(32)
@@ -163,11 +165,11 @@ class TestMarginals:
             n, y = int(rng.integers(2, 7)), int(rng.integers(1, 6))
             t = random_table(rng, n, y)
             for m in (None, random_mask(rng, n, y)):
-                unary, pairwise = marginals(t, m)
+                unary, sums = marginals(t, m)
                 assert np.allclose(unary.sum(axis=1), 1.0, atol=1e-9)
-                assert np.allclose(pairwise.sum(axis=(1, 2)), 1.0, atol=1e-9)
-                assert np.allclose(pairwise.sum(axis=2), unary[:-1], atol=1e-9)
-                assert np.allclose(pairwise.sum(axis=1), unary[1:], atol=1e-9)
+                assert sums.sum() == pytest.approx(n - 1, abs=1e-9)
+                assert np.allclose(sums.sum(axis=1), unary[:-1].sum(axis=0), atol=1e-9)
+                assert np.allclose(sums.sum(axis=0), unary[1:].sum(axis=0), atol=1e-9)
 
 
 class TestLossAndGrad:
@@ -518,6 +520,64 @@ class TestBatchedKernels:
                                                rtol=0, atol=1e-12)
         assert exact > 200
 
+    def test_long_wide_batches_equal_per_sequence_kernels(self):
+        # Sequences of up to 60 tokens over up to 41 tags, so each
+        # sequence's transition sums add up to 59 positions; lengths are
+        # mixed and sometimes tied.  Outside the (k >= 8, 1) step every
+        # result is the one-sequence kernels' bit for bit.
+        rng = np.random.default_rng(72)
+        kinds = ("full", "singleton", "partly", "random", "wide")
+        exact = 0
+        for case in range(40):
+            y = int(rng.choice([1, 2, 3, 5, 8, 9, 13, 21, 41]))
+            lengths = rng.integers(1, 61, size=int(rng.integers(1, 9)))
+            if case % 3 == 0:
+                lengths[rng.integers(lengths.size)] = lengths[0]
+            batch = PotentialBatch(rng.uniform(-3, 3, (lengths.sum(), y)), lengths,
+                                   rng.uniform(-3, 3, (y, y)), rng.uniform(-3, 3, y),
+                                   rng.uniform(-3, 3, y))
+            masks = []
+            for n in lengths.tolist():
+                kind = kinds[int(rng.integers(len(kinds)))]
+                if kind == "full":
+                    masks.append(LatticeMask.full(n, y))
+                elif kind == "singleton":
+                    masks.append(LatticeMask([[int(t)] for t in rng.integers(0, y, size=n)]))
+                elif kind == "partly":
+                    masks.append(LatticeMask([
+                        [int(rng.integers(y))] if rng.random() < 0.5 else range(y)
+                        for _ in range(n)
+                    ]))
+                elif kind == "random":
+                    masks.append(random_mask(rng, n, y))
+                else:  # past _PAD_EXACT wherever y allows it
+                    masks.append(LatticeMask([
+                        rng.choice(y, size=int(rng.integers(min(8, y), y + 1)), replace=False)
+                        for _ in range(n)
+                    ]))
+            losses, grads = loss_and_grad_batch(batch, masks)
+            paths, scores = viterbi_batch(batch)
+            log_z, unary = forward_backward(batch)
+            for b, mask in enumerate(masks):
+                table = table_of(batch, b)
+                path, score = viterbi(table)
+                assert paths[rows_of(batch, b)].tolist() == path
+                assert scores[b] == score
+                assert log_z[b] == log_partition(table)
+                assert unary[rows_of(batch, b)].tobytes() == marginals(table)[0].tobytes()
+                loss, want = reference_loss_and_grad(table, mask)
+                w = mask.widths
+                if not ((w[:-1] >= 8) & (w[1:] == 1)).any():
+                    exact += 1
+                    assert losses[b] == loss
+                    for name in GRADIENT_FIELDS:
+                        assert getattr(grads[b], name).tobytes() == getattr(want, name).tobytes()
+                assert losses[b] == pytest.approx(loss, abs=1e-12)
+                for name in GRADIENT_FIELDS:
+                    np.testing.assert_allclose(getattr(grads[b], name), getattr(want, name),
+                                               rtol=0, atol=1e-12)
+        assert exact > 120
+
     def test_training_kernel_rejects_masks_that_do_not_fit(self):
         batch = PotentialBatch(np.zeros((5, 2)), [2, 3], np.zeros((2, 2)), np.zeros(2),
                                np.zeros(2))
@@ -596,21 +656,26 @@ class TestLatticeMaskKeepRows:
 
 
 class TestRestricted:
-    """`_restricted` packs a batch's allowed tags into lattice slots in one
-    pass; every sequence must get the slots of its mask packed alone."""
+    """`_restricted` packs a batch's allowed tags into time-major lattice
+    slots in one pass; every sequence must get the slots of its mask packed
+    alone."""
 
     @staticmethod
     def check(batch, masks):
+        """The lattice's slots and widths, read back into emission-row order."""
         lat = _restricted(batch, masks)
-        width = lat.slots.shape[1]
+        slots, widths = lat.packed(lat.slots), lat.packed(lat.widths)
+        width = slots.shape[1]
         assert width == max(reference_slots(m)[0].shape[1] for m in masks)
         for b, m in enumerate(masks):
-            slots, widths = reference_slots(m)
+            want_slots, want_widths = reference_slots(m)
             want = np.zeros((len(m), width), dtype=np.int64)
-            want[:, : slots.shape[1]] = slots
-            np.testing.assert_array_equal(lat.slots[rows_of(batch, b)], want)
-            np.testing.assert_array_equal(lat.widths[rows_of(batch, b)], widths)
-        return lat
+            want[:, : want_slots.shape[1]] = want_slots
+            np.testing.assert_array_equal(slots[rows_of(batch, b)], want)
+            np.testing.assert_array_equal(widths[rows_of(batch, b)], want_widths)
+        # Past its end a sequence has no node on the lattice.
+        assert lat.widths.sum() == widths.sum()
+        return slots, widths
 
     @BATCH_PROPERTY
     @given(masked_batches())
@@ -626,7 +691,7 @@ class TestRestricted:
         lengths = [len(m) for m in masks]
         batch = PotentialBatch(rng.normal(size=(sum(lengths), y)), lengths,
                                rng.normal(size=(y, y)), rng.normal(size=y), rng.normal(size=y))
-        lat = self.check(batch, masks)
-        assert lat.slots.tolist() == [[0, 2, 0], [1, 0, 0], [3, 0, 0], [0, 1, 4], [2, 0, 0],
-                                      [0, 0, 0]]
-        assert lat.widths.tolist() == [2, 1, 1, 3, 1, 1]
+        slots, widths = self.check(batch, masks)
+        assert slots.tolist() == [[0, 2, 0], [1, 0, 0], [3, 0, 0], [0, 1, 4], [2, 0, 0],
+                                  [0, 0, 0]]
+        assert widths.tolist() == [2, 1, 1, 3, 1, 1]

@@ -6,17 +6,18 @@ the token and every window neighbor (offset marker inside the name, "w0",
 the center token only.  Out-of-window positions contribute identity pseudo
 features "w-1=<BOS>" / "w+1=<EOS>".
 
-Features have one representation: CSR rows, one row per token, each holding
-the counts of the token's feature ids.  `FeatureVocabulary.matrix` builds
+Features have one representation: CSR rows, one row per token, each counting
+the token's feature ids (`count_rows`).  `FeatureVocabulary.matrix` builds
 them from an immutable id table of the training strings, in which unknown
 strings map to the reserved UNK id 0.
 
 Emission scorers turn feature rows into CRF emission rows with one sparse
-product.  Training scores a whole batch over the columns it uses (`_active`)
-and keeps that view for the backward, which pushes the batch's d_emissions
-into parameter gradients in one pass; tagging scores a whole request over all
-columns.  Each CSR row sums its terms in the same order either way, so a
-token's training row equals its tagging row bit for bit.
+product.  Training scores a whole batch over the columns it uses (`_active`
+marks them in one bool array over the vocabulary) and keeps that view for
+the backward, which pushes the batch's d_emissions into parameter gradients
+in one pass; tagging scores a whole request over all columns.  Each CSR row
+sums its terms in the same order either way, so a token's training row
+equals its tagging row bit for bit.
 The linear scorer is a single weight matrix; the shared scorer squashes one
 tanh hidden layer shared by all heads, with one output layer per head.
 """
@@ -119,18 +120,11 @@ class FeatureVocabulary:
     def matrix(
         self, strings: Sequence[str], positions: np.ndarray, indptr: np.ndarray
     ) -> sparse.csr_matrix:
-        """Summed indicator rows for many tokens at once: token t holds the
-        strings at positions[indptr[t]:indptr[t + 1]].  Each string is looked
-        up once; unknown ones count toward UNK, so row t counts token t's
-        strings by id."""
+        """`count_rows` of many tokens' strings, token t's at positions[indptr[t]:
+        indptr[t + 1]]; each is looked up once, unknown ones counting as UNK."""
         get = self._ids.get
         ids = np.fromiter((get(s, UNK_ID) for s in strings), dtype=np.int64, count=len(strings))
-        out = sparse.csr_matrix(
-            (np.ones(len(positions)), ids[positions], indptr),
-            shape=(len(indptr) - 1, self.size),
-        )
-        out.sum_duplicates()
-        return out
+        return count_rows(ids[positions], indptr, self.size)
 
     def strings_by_id(self) -> list[str]:
         """The id-ordered table, UNK slot first."""
@@ -140,11 +134,27 @@ class FeatureVocabulary:
         return table
 
 
-def _active(x: sparse.csr_matrix) -> tuple[np.ndarray, sparse.csr_matrix]:
-    """The columns x uses, and x over just those columns.  Each row keeps its
+def count_rows(ids: np.ndarray, indptr: np.ndarray, width: int) -> sparse.csr_matrix:
+    """Row t of `width` columns counts ids[indptr[t]:indptr[t + 1]] by id."""
+    out = sparse.csr_matrix((np.ones(len(ids)), ids, indptr), shape=(len(indptr) - 1, width))
+    out.sum_duplicates()
+    return out
+
+
+def _active(x: sparse.csr_matrix, feature_count: int) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """The columns x uses, ascending, and x over just those columns, once
+    its ids are checked against feature_count.  The columns are marked, not
+    sorted, and a lookup set only at them maps each entry.  Rows keep their
     terms in order, so a product with x_local sums them as one with x does."""
-    cols, local = np.unique(x.indices, return_inverse=True)
-    return cols, sparse.csr_matrix((x.data, local, x.indptr), shape=(x.shape[0], cols.size))
+    _check_ids(x.indices, feature_count)
+    ids = x.indices.astype(np.intp)  # numpy indexes by intp arrays fastest
+    mark = np.zeros(x.shape[1], bool)
+    mark[ids] = True
+    cols = np.flatnonzero(mark)
+    local = np.empty(x.shape[1], x.indices.dtype)
+    local[cols] = np.arange(cols.size)
+    x_local = sparse.csr_matrix((x.data, local[ids], x.indptr), shape=(x.shape[0], cols.size))
+    return cols.astype(x.indices.dtype), x_local
 
 
 def _check_rows(d_rows: Sequence[np.ndarray], n_rows: int, width: int) -> None:
@@ -153,10 +163,9 @@ def _check_rows(d_rows: Sequence[np.ndarray], n_rows: int, width: int) -> None:
 
 
 def _check_ids(indices: np.ndarray, feature_count: int) -> None:
-    if indices.size and indices.max() >= feature_count:
-        raise ValueError(
-            f"feature id {int(indices.max())} out of bounds for {feature_count} features"
-        )
+    if indices.size and not 0 <= indices.min() <= indices.max() < feature_count:
+        bad = indices.min() if indices.min() < 0 else indices.max()
+        raise ValueError(f"feature id {int(bad)} out of bounds for {feature_count} features")
 
 
 class LinearEmissionModel:
@@ -187,8 +196,7 @@ class LinearEmissionModel:
         """Emission rows of a training batch, scored over the columns x uses
         (the same rows as `batch_emissions`), and the cache `backprop` reads:
         those columns and x over them."""
-        _check_ids(x.indices, self.feature_count)
-        cols, x_local = _active(x)
+        cols, x_local = _active(x, self.feature_count)
         return x_local @ self.weights[:, cols].T + self.bias, (cols, x_local)
 
     def batch_emissions(self, x: sparse.csr_matrix, heads: Sequence[str]) -> dict[str, np.ndarray]:
@@ -289,8 +297,7 @@ class SharedEmissionModel:
     ) -> tuple[np.ndarray, tuple[np.ndarray, sparse.csr_matrix, np.ndarray]]:
         """As `LinearEmissionModel.emissions`, for one head; the cache also
         holds the hidden layer."""
-        _check_ids(x.indices, self.feature_count)
-        cols, x_local = _active(x)
+        cols, x_local = _active(x, self.feature_count)
         hidden = np.tanh(x_local @ self.shared_weights[:, cols].T + self.shared_bias)
         return self._output(hidden, head), (cols, x_local, hidden)
 

@@ -36,6 +36,7 @@ from hiertag.features import (
     FeatureVocabulary,
     LinearEmissionModel,
     SharedEmissionModel,
+    count_rows,
     emission_backprop,
     emission_cache,
     feature_strings,  # noqa: F401  (perfbench/spans.py counts calls of this name)
@@ -204,23 +205,17 @@ class _Instance:
     mask: LatticeMask
 
 
-def _sequence_rows(
-    token_lists: Sequence[Sequence[str]],
-    vocab: FeatureVocabulary,
-    features: tuple[list[str], np.ndarray, np.ndarray],
-) -> list[sparse.csr_matrix]:
-    """Each sequence's rows of the feature-id matrix of `featurize` output."""
-    x = vocab.matrix(*features)
-    edges = np.cumsum([0] + [len(t) for t in token_lists]).tolist()
-    return [x[a:b] for a, b in zip(edges[:-1], edges[1:])]
+def _stack_rows(blocks: Sequence[sparse.csr_matrix]) -> sparse.csr_matrix:
+    """`sparse.vstack(blocks, format="csr")`, one concatenation per array."""
+    offsets = np.cumsum([0] + [b.nnz for b in blocks[:-1]]).tolist()
+    indptr = np.concatenate([[0], *(b.indptr[1:] + o for b, o in zip(blocks, offsets))])
+    data, indices = (np.concatenate([getattr(b, k) for b in blocks]) for k in ("data", "indices"))
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, blocks[0].shape[1]))
 
 
-def _vectorize_corpus(
-    corpus: Corpus, vocab: FeatureVocabulary, window: int
-) -> list[sparse.csr_matrix]:
+def _vectorize_corpus(corpus: Corpus, vocab: FeatureVocabulary, window: int) -> list:
     """Each sequence's feature rows under the vocabulary."""
-    token_lists = [seq.texts() for seq in corpus.sequences]
-    return _sequence_rows(token_lists, vocab, featurize(token_lists, window))
+    return [vocab.matrix(*featurize([seq.texts()], window)) for seq in corpus.sequences]
 
 
 def _domain_indices(domain: Sequence[str], bio: bool) -> tuple[dict[str, int], np.ndarray]:
@@ -332,14 +327,10 @@ class _Trainer:
         head = model.heads[head_name]
         sparse_key = model.emission.sparse_key
         grads = zero_gradients({k: v for k, v in self.params.items() if k != sparse_key})
-        x = sparse.vstack([inst.fvecs for inst in batch], format="csr")
+        x = _stack_rows([inst.fvecs for inst in batch])
         emissions, cache = emission_cache(model.emission, x, head_name)
-        potentials = PotentialBatch(
-            emissions,
-            [inst.fvecs.shape[0] for inst in batch],
-            *_transitions(model, head),
-            head.stop,
-        )
+        lengths = [inst.fvecs.shape[0] for inst in batch]
+        potentials = PotentialBatch(emissions, lengths, *_transitions(model, head), head.stop)
         losses, lattice_grads = loss_and_grad(potentials, [inst.mask for inst in batch])
         total = 0.0
         for loss, g in zip(losses, lattice_grads):
@@ -347,9 +338,8 @@ class _Trainer:
             grads[f"trans:{head_name}"] += g.d_transitions
             grads[f"start:{head_name}"] += g.d_start
             grads[f"stop:{head_name}"] += g.d_stop
-        cols, block = emission_backprop(
-            model.emission, head_name, [g.d_emissions for g in lattice_grads], cache, grads
-        )
+        d_emissions = [g.d_emissions for g in lattice_grads]
+        cols, block = emission_backprop(model.emission, head_name, d_emissions, cache, grads)
         n = len(batch)
         reg = _regularized_keys(head_name, self.params) if cfg.l2 else set()
         for k, g in grads.items():
@@ -430,16 +420,19 @@ def _new_head(name: str, domain: list[str]) -> Head:
     return Head(name, domain, np.zeros((y, y)), np.zeros(y), np.zeros(y))
 
 
-def _build_vocab(
-    datasets: Sequence[Corpus], window: int
-) -> tuple[FeatureVocabulary, list[sparse.csr_matrix]]:
-    """The vocabulary of every training feature string, ids in
-    first-seen order, and the feature rows of every sequence of every
-    corpus in turn, from one featurization pass."""
+def _build_vocab(datasets: Sequence[Corpus], window: int) -> tuple[FeatureVocabulary, list]:
+    """The vocabulary of every training feature string, a string's id its
+    first-seen position + 1, and each sequence's feature rows (a CSR over
+    slices of one matrix), every corpus in turn, from one featurization."""
     token_lists = [seq.texts() for corpus in datasets for seq in corpus.sequences]
-    features = featurize(token_lists, window)
-    vocab = FeatureVocabulary(["<UNK>", *features[0]])
-    return vocab, _sequence_rows(token_lists, vocab, features)
+    strings, positions, indptr = featurize(token_lists, window)
+    vocab = FeatureVocabulary(["<UNK>", *strings])
+    x = count_rows(positions + 1, indptr, vocab.size)
+    at = np.cumsum([0] + [len(t) for t in token_lists]).tolist()
+    ptr = x.indptr[at].tolist()
+    return vocab, [sparse.csr_matrix((x.data[p:q], x.indices[p:q], x.indptr[a:b + 1] - p),
+                                     shape=(b - a, vocab.size))
+                   for a, b, p, q in zip(at, at[1:], ptr, ptr[1:])]
 
 
 def _dev_scorer(dev: Sequence[Corpus] | None, eh: ExtendedHierarchy):

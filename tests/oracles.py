@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from hiertag.crf import (
     LatticeGradients,
@@ -26,6 +27,15 @@ from hiertag.models import (
     _regularized_keys,
     _transitions,
 )
+
+
+def reference_active(blocks):
+    """A batch's active columns and its rows over them, the scipy way: stack
+    the per-sequence CSR blocks with `sparse.vstack`, then sort every stored
+    entry with `np.unique` to find the columns and each entry's local one."""
+    x = sparse.vstack(blocks, format="csr")
+    cols, local = np.unique(x.indices, return_inverse=True)
+    return cols, sparse.csr_matrix((x.data, local, x.indptr), shape=(x.shape[0], cols.size))
 
 
 def reference_feature_strings(tokens, i: int, radius: int) -> list[str]:

@@ -419,6 +419,19 @@ class TestBatchScoring:
             with pytest.raises(ValueError, match="out of bounds"):
                 model.batch_emissions(x, ["A"])
 
+    def test_negative_id_rejected(self):
+        # scipy accepts a negative column id; unchecked, `emissions` scored it
+        # as the last column and `batch_emissions` read outside the weights.
+        x = rows([[1]], 4)
+        x.indices[0] = -1
+        rng = np.random.default_rng(94)
+        linear = LinearEmissionModel(rng.normal(size=(3, 4)), rng.normal(size=3))
+        for model, head in ((linear, None), (TestSharedModel().build(rng, fc=4), "A")):
+            with pytest.raises(ValueError, match="feature id -1 out of bounds"):
+                model.emissions(x, head)
+            with pytest.raises(ValueError, match="feature id -1 out of bounds"):
+                model.batch_emissions(x, [head])
+
 
 class TestEndToEndGradients:
     def check_model(self, rng, model, head, n):

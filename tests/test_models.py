@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_batch_grads, reference_batch_step, reference_resolve
+from oracles import (
+    reference_active,
+    reference_batch_grads,
+    reference_batch_step,
+    reference_resolve,
+)
 from test_crf import table_of
 from test_hierarchy import random_hierarchy
 from scipy import sparse
@@ -22,7 +27,14 @@ from hiertag.crf import (
 from hiertag.data import OTHER, Corpus, CorpusError, LabeledSequence, Token
 import hiertag.models as models_module
 from hiertag.experiments import tag_sequences
-from hiertag.features import FeatureVocabulary, LinearEmissionModel, SharedEmissionModel
+from hiertag.features import (
+    FeatureVocabulary,
+    LinearEmissionModel,
+    SharedEmissionModel,
+    _active,
+    count_rows,
+    featurize,
+)
 from hiertag.hierarchy import (
     ExtendedHierarchy,
     HierarchyError,
@@ -45,12 +57,14 @@ from hiertag.models import (
     ModelKind,
     TrainedModel,
     TrainingConfig,
+    _build_vocab,
     _decode_head,
     _dev_scorer,
     _domain_indices,
     _hier_mask,
     _resolve_collisions,
     _singleton_mask,
+    _stack_rows,
     _Instance,
     _Request,
     _Trainer,
@@ -581,6 +595,72 @@ class TestExactStep:
             assert _same_bits(g, kept[k]), k
             assert not any(np.shares_memory(g, a) for a in later.values()), k
             assert not any(np.shares_memory(g, a) for a in trainer.params.values()), k
+
+
+def assert_same_csr(got, want):
+    """Equal shape, and equal indptr, indices and data in values and dtype."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@st.composite
+def feature_blocks(draw):
+    """Per-sequence feature rows as training stacks them: 1-8 sequences of
+    1-60 tokens over up to wide's 52,620 columns.  Most ids come from a pool
+    shared by every sequence that holds columns 0 and F - 1, so columns
+    repeat within and across sequences; some rows hold no entries."""
+    width = draw(st.sampled_from([1, 2, 7, 1000, 52620]) | st.integers(1, 52620))
+    lengths = draw(st.lists(st.integers(1, 60), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.unique(np.r_[0, width - 1, rng.integers(0, width, 6)])
+    blocks = []
+    for n in lengths:
+        counts = rng.integers(0, 7, n)
+        k = int(counts.sum())
+        ids = np.where(rng.random(k) < 0.7, rng.choice(pool, k), rng.integers(0, width, k))
+        blocks.append(count_rows(ids, np.r_[0, np.cumsum(counts)], width))
+    return blocks
+
+
+class TestBatchRows:
+    """The batch plumbing of a training step against the scipy routes it
+    replaced, and the training rows against the vocabulary's own lookups."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(blocks=feature_blocks())
+    def test_stack_and_active_columns_equal_vstack_and_unique(self, blocks):
+        x = _stack_rows(blocks)
+        assert_same_csr(x, sparse.vstack(blocks, format="csr"))
+        cols, x_local = _active(x, x.shape[1])
+        want_cols, want_local = reference_active(blocks)
+        assert cols.dtype == want_cols.dtype and np.array_equal(cols, want_cols)
+        assert_same_csr(x_local, want_local)
+
+    @pytest.mark.parametrize("style", ["repeated", "wide"])
+    def test_position_built_rows_equal_looked_up_rows(self, style):
+        rng = np.random.default_rng(11)
+        if style == "repeated":  # a few words, each seen many times
+            words = ["Alice", "alice", "the", "3", "Elm", "x", "B2B"]
+            docs = [[str(w) for w in rng.choice(words, int(n))] for n in rng.integers(1, 30, 40)]
+        else:  # wide's background: random codes, nearly every token distinct
+            codes = ["".join(rng.choice(list("abcdefghjkmnpqrstuvwxyz0123456789"), 6))
+                     for _ in range(8000)]
+            docs = [list(rng.choice(codes, 40)) for _ in range(160)]
+        corpora = [corpus([[(w, "O") for w in d] for d in docs[::2]], "A"),
+                   corpus([[(w, "O") for w in d] for d in docs[1::2]], "B")]
+        vocab, rows = _build_vocab(corpora, 2)
+        token_lists = [s.texts() for c in corpora for s in c.sequences]
+        x = vocab.matrix(*featurize(token_lists, 2))
+        edges = np.cumsum([0] + [len(t) for t in token_lists])
+        assert len(rows) == len(token_lists)
+        assert style == "repeated" or vocab.size > 30000
+        for r, a, b in zip(rows, edges, edges[1:]):
+            assert_same_csr(r, x[a:b])
+        vectorized = [r for c in corpora for r in _vectorize_corpus(c, vocab, 2)]
+        for r, v in zip(rows, vectorized, strict=True):
+            assert_same_csr(v, r)
 
 
 class TestDevChecks:

@@ -1,19 +1,19 @@
 """Linear-chain CRF lattice algorithms in log-space.
 
-Everything here is a pure function of a PotentialTable (per-position emission
-scores plus transition/start/stop scores) and an optional LatticeMask that
-restricts each position to a subset of tags.  The loss is the gap between the
+Everything here is a pure function of a PotentialBatch (the emission rows of
+one head's sequences back to back, plus the transition/start/stop scores
+they share) and optional LatticeMasks that restrict each position to a
+subset of tags.  The loss is the gap between the
 full and the masked log-partition, so its gradients are differences of
 posterior expectations.  All recursions use max-shifted log-sum-exp; finite
-inputs always produce finite outputs.
+inputs produce finite outputs unless a path's score overflows.
 
-The kernels run on a PotentialBatch: many sequences of one head, their
-emission rows packed back to back.  A kernel lays the batch out once,
-time-major and longest first (`_Lattice`), so each recursion step slices the
-sequences still running, with the elementwise arithmetic of the one-sequence
-recursion: a sequence's result does not depend on its batch.  Transition
-marginals are summed per sequence, position by position.  The package runs
-only the batch kernels; the one-sequence functions are batches of one, kept
+A kernel lays the batch out once, time-major and longest first (`_Lattice`),
+so each recursion step slices the sequences still running, with the
+elementwise arithmetic of the one-sequence recursion: a sequence's result
+does not depend on its batch.  Transition marginals are summed per sequence,
+position by position.  A PotentialTable is the batch of one sequence, which
+the one-sequence functions pass straight to the batch kernels; they are kept
 as the acceptance API (`viterbi`, `log_partition`, `constrained_log_partition`,
 `loss_and_grad`) and, for the benchmark's tracer, `sequence_log_prob`.
 """
@@ -27,29 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
-@dataclass
-class PotentialTable:
-    """Log-potentials for one sequence: emissions (n, y), transitions (y, y),
-    start (y,), stop (y,)."""
-
-    emissions: np.ndarray
-    transitions: np.ndarray
-    start: np.ndarray
-    stop: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_potentials(self)
-
-    @property
-    def n(self) -> int:
-        return self.emissions.shape[0]
-
-    @property
-    def y_count(self) -> int:
-        return self.emissions.shape[1]
-
-
-def _check_potentials(p: PotentialTable | PotentialBatch) -> None:
+def _check_potentials(p: PotentialBatch) -> None:
     """Convert to float64 in place and require consistent shapes and finite values."""
     for name in ("emissions", "transitions", "start", "stop"):
         setattr(p, name, np.asarray(getattr(p, name), dtype=np.float64))
@@ -89,21 +67,29 @@ class PotentialBatch:
             raise ValueError("lengths must add up to the number of emission rows")
         self.offsets = np.concatenate(([0], np.cumsum(self.lengths[:-1])))
 
-    @classmethod
-    def of(cls, table: PotentialTable) -> "PotentialBatch":
-        """The batch of one sequence."""
-        return cls(table.emissions, [table.n], table.transitions, table.start, table.stop)
-
     @property
     def size(self) -> int:
         return self.lengths.size
 
-    def select(self, seqs: Sequence[int]) -> "PotentialBatch":
-        """The batch of the given sequences, in that order."""
-        rows = np.concatenate([np.arange(self.offsets[b], self.offsets[b] + self.lengths[b])
-                               for b in seqs])
-        return PotentialBatch(self.emissions[rows], self.lengths[seqs], self.transitions,
-                              self.start, self.stop)
+
+class PotentialTable(PotentialBatch):
+    """Log-potentials for one sequence, the batch of one: emissions (n, y),
+    transitions (y, y), start (y,), stop (y,)."""
+
+    def __init__(self, emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray,
+                 stop: np.ndarray) -> None:
+        emissions = np.asarray(emissions, dtype=np.float64)
+        if emissions.ndim != 2 or emissions.shape[0] < 1:  # before the batch checks lengths
+            raise ValueError("emissions must be (n, y_count) with n >= 1")
+        super().__init__(emissions, [emissions.shape[0]], transitions, start, stop)
+
+    @property
+    def n(self) -> int:
+        return self.emissions.shape[0]
+
+    @property
+    def y_count(self) -> int:
+        return self.emissions.shape[1]
 
 
 class LatticeMask:
@@ -151,7 +137,7 @@ class LatticeMask:
 
 @dataclass
 class LatticeGradients:
-    """d(loss)/d(potential) for every PotentialTable entry."""
+    """d(loss)/d(potential) for every potential entry of one sequence."""
 
     d_emissions: np.ndarray
     d_transitions: np.ndarray
@@ -167,22 +153,24 @@ _PAD_EXACT = 7
 
 class _Lattice:
     """B lattices over sequences of a batch, laid out time-major, position
-    by sequence: `seqs` are the batch's sequences longest first, so the
-    `running[i]` of them with a position i are a prefix.  `rows` (T, B) is
-    the emission row of each position (a sequence's last row past its end)
-    and `last` indexes each sequence's last position.  `em` (T, B, W) scores
-    each position's nodes (-inf for a node off the lattice) and, when
-    `slots` is set, `slots` (T, B, W) is the tag of each node, with the
-    `widths` (T, B) nodes on the lattice first (none past the end).
-    Without slots node j is tag j.  `trans[i]` (B, W, W) scores the step
-    from position i into i + 1; start and stop are (B, W)."""
+    by sequence: `seqs` are the batch's sequences longest first (lattice j
+    runs the `order[j]`-th sequence given), so the `running[i]` of them with
+    a position i are a prefix.  `rows` (T, B) is the emission row of each
+    position (a sequence's last row past its end) and `last` indexes each
+    sequence's last position.  `em` (T, B, W) scores each position's nodes
+    (-inf for a node off the lattice) and, when `slots` is set, `slots`
+    (T, B, W) is the tag of each node, with the `widths` (T, B) nodes on the
+    lattice first (none past the end).  Without slots node j is tag j.
+    `trans[i]` (B, W, W) scores the step from position i into i + 1; start
+    and stop are (B, W)."""
 
     def __init__(self, batch: PotentialBatch, seqs: Sequence[int] | None = None) -> None:
         """The full lattices of the given sequences (default: all)."""
         seqs = np.arange(batch.size) if seqs is None else np.asarray(seqs, dtype=np.int64)
         self.batch, self.slots, self.widths = batch, None, None
-        self.seqs = seqs = seqs[np.argsort(-batch.lengths[seqs], kind="stable")]
-        lengths = batch.lengths[seqs]
+        self.order = np.argsort(-batch.lengths[seqs], kind="stable")
+        self.seqs = seqs = seqs[self.order]
+        self.lengths = lengths = batch.lengths[seqs]
         steps = np.arange(lengths[0])
         self.running = np.searchsorted(-lengths, -steps, "left")
         self.rows = batch.offsets[seqs] + np.minimum(steps[:, None], lengths - 1)
@@ -205,10 +193,13 @@ class _Lattice:
         return out
 
     def packed(self, x: np.ndarray) -> np.ndarray:
-        """x (T, B, ...) at every emission row of a lattice over the whole batch."""
-        lengths = self.batch.lengths
-        pos = np.arange(lengths.sum()) - np.repeat(self.batch.offsets, lengths)
-        return x[pos, np.repeat(np.argsort(self.seqs), lengths)]
+        """x (T, B, ...) at the sequences' positions, back to back in the order
+        given (packed like the emission rows, for the whole batch)."""
+        given = np.argsort(self.order)  # each given sequence's lattice
+        lengths = self.lengths[given]
+        starts = np.cumsum(lengths) - lengths
+        pos = np.arange(starts[-1] + lengths[-1]) - np.repeat(starts, lengths)
+        return x[pos, np.repeat(given, lengths)]
 
 
 def _restricted(batch: PotentialBatch, masks: Sequence[LatticeMask],
@@ -358,20 +349,20 @@ def loss_and_grad_batch(
 def loss_and_grad(table: PotentialTable, mask: LatticeMask) -> tuple[float, LatticeGradients]:
     """Gap between full and masked log-partitions, with its gradients
     (`loss_and_grad_batch` of one)."""
-    losses, grads = loss_and_grad_batch(PotentialBatch.of(table), [mask])
+    losses, grads = loss_and_grad_batch(table, [mask])
     return losses[0], grads[0]
 
 
 def log_partition(table: PotentialTable, mask: LatticeMask | None = None) -> float:
     """Log of the summed exp-scores of all (mask-compatible) tag sequences."""
-    return float(_posteriors(PotentialBatch.of(table), None if mask is None else [mask])[0][0])
+    return float(_posteriors(table, None if mask is None else [mask])[0][0])
 
 
 def constrained_log_partition(table: PotentialTable, mask: LatticeMask) -> float:
     return log_partition(table, mask)
 
 
-def _path_score(em: np.ndarray, p: PotentialTable | PotentialBatch, t: np.ndarray) -> float:
+def _path_score(em: np.ndarray, p: PotentialBatch, t: np.ndarray) -> float:
     """Score of path t over emission rows em and p's transitions, start and stop."""
     score = p.start[t[0]] + em[np.arange(t.size), t].sum()
     score += p.transitions[t[:-1], t[1:]].sum() + p.stop[t[-1]]
@@ -390,7 +381,7 @@ def sequence_log_prob(table: PotentialTable, tags: Sequence[int]) -> float:
 
 def viterbi(table: PotentialTable) -> tuple[list[int], float]:
     """Highest-scoring tag sequence and its score (`viterbi_batch` of one)."""
-    paths, scores = viterbi_batch(PotentialBatch.of(table))
+    paths, scores = viterbi_batch(table)
     return paths.tolist(), float(scores[0])
 
 
@@ -424,12 +415,15 @@ def viterbi_batch(batch: PotentialBatch) -> tuple[np.ndarray, np.ndarray]:
     return lat.packed(paths), scores
 
 
-def forward_backward(batch: PotentialBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Log-partition of every sequence (B,) and the unary marginals, packed
-    like the emission rows: the full lattice's node marginals of
-    `_posteriors`, without its transition sums."""
-    lat = _Lattice(batch)
+def forward_backward(
+    batch: PotentialBatch, seqs: Sequence[int] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log-partition and unary marginals of the given sequences (default:
+    all), in the order given, their rows back to back (packed like the
+    emission rows for the whole batch): `_posteriors`' full-lattice node
+    marginals without the transition sums, over those lattices only."""
+    lat = _Lattice(batch, seqs)
     log_z, alpha, beta = _sum_product(lat)
-    out = np.empty(batch.size)
-    out[lat.seqs] = log_z
+    out = np.empty(lat.seqs.size)
+    out[lat.order] = log_z
     return out, lat.packed(np.exp(alpha + beta - log_z[:, None]))

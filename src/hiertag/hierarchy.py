@@ -13,8 +13,6 @@ import re
 from collections import deque
 from typing import Iterable, Mapping
 
-import numpy as np
-
 FG_OTHER = "FG-Other"
 EXTENDED_MARKER = "extended"
 
@@ -130,17 +128,14 @@ class ExtendedHierarchy:
 
     `graph` is the full post-extension DAG (synthesized tags included).  For
     every tagset the fine-grained tags partition into exactly one owning tag.
-    `fine_index` and, per tagset, `member_index` number the tags in sorted
-    order; `owner[tagset]` gives each fine tag's member (member m's cover is
-    `owner == m`) and `routes[tagset]` each tag's (see `map_by_traversal`).
+    Per tagset, `member_index` numbers the members in sorted order and
+    `routes[tagset]` gives each tag's member (see `map_by_traversal`).
     """
 
     def __init__(self, graph: TagHierarchy) -> None:
         self.graph = graph
         self.fine_grained = graph.fine_grained
-        self.fine_index = {f: i for i, f in enumerate(sorted(self.fine_grained))}
         self.member_index: dict[str, dict[str, int]] = {}
-        self.owner: dict[str, np.ndarray] = {}
         self.routes: dict[str, dict[str, str]] = {}
         for ts_name, members in sorted(graph.tagsets.items()):
             # A tag's route is the member above it.  Covers must be disjoint,
@@ -160,8 +155,7 @@ class ExtendedHierarchy:
                 raise HierarchyError(
                     f"tagset {ts_name} does not cover fine tags: {', '.join(uncovered)}"
                 )
-            index = self.member_index[ts_name] = {t: m for m, t in enumerate(sorted(members))}
-            self.owner[ts_name] = np.array([index[routes[f]] for f in self.fine_index])
+            self.member_index[ts_name] = {t: m for m, t in enumerate(sorted(members))}
 
     @property
     def tagsets(self) -> dict[str, frozenset[str]]:

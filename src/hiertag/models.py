@@ -233,9 +233,9 @@ def _hier_mask(
     (O reads as the tagset's Other)."""
     index, columns = pos
     other = eh.other_tag(tagset)
-    members = eh.member_index[tagset]
+    members, routes = eh.member_index[tagset], eh.routes[tagset]
     ids = np.array([members[other if g == OTHER else g] for g in tags], dtype=np.int64)
-    owners = eh.owner[tagset][[eh.fine_index[t] for t in index]]  # member of each base tag
+    owners = np.array([members[routes[t]] for t in index])  # member of each base tag
     return LatticeMask(owners[columns] == ids[:, None])
 
 
@@ -329,6 +329,8 @@ class _Trainer:
         grads = zero_gradients({k: v for k, v in self.params.items() if k != sparse_key})
         x = _stack_rows([inst.fvecs for inst in batch])
         emissions, cache = emission_cache(model.emission, x, head_name)
+        if not np.isfinite(emissions).all():  # scipy's sparse product ignores np.errstate
+            raise FloatingPointError("emission scores overflow")
         lengths = [inst.fvecs.shape[0] for inst in batch]
         potentials = PotentialBatch(emissions, lengths, *_transitions(model, head), head.stop)
         losses, lattice_grads = loss_and_grad(potentials, [inst.mask for inst in batch])
@@ -604,6 +606,8 @@ def _decode_head(
 ) -> tuple[np.ndarray, np.ndarray, PotentialBatch]:
     """Viterbi paths of one head over every sequence of a request (domain
     indices packed like the emission rows), their scores and the potentials."""
+    if not np.isfinite(emissions).all():  # scipy's sparse product ignores np.errstate
+        raise ModelError(f"emission scores of head {head.name!r} overflow")
     potentials = PotentialBatch(emissions, lengths, *_transitions(model, head), head.stop)
     return *viterbi(potentials), potentials
 
@@ -747,10 +751,10 @@ def _resolve_collisions(
         mine = cand[k] >= 0
         seqs, where = np.unique(seq[mine], return_inverse=True)
         if seqs.size:
-            sub = potentials.select(seqs)
-            log_z, unary = marginals(sub)
+            log_z, unary = marginals(potentials, seqs)
+            first = np.concatenate(([0], np.cumsum(potentials.lengths[seqs])))  # starts in unary
             log_probs[k, mine] = (scores[seqs] - log_z)[where]
-            margs[k, mine] = unary[sub.offsets[where] + pos[mine], path[hits[mine]]]
+            margs[k, mine] = unary[first[where] + pos[mine], path[hits[mine]]]
     # best[t, h]: the largest marginal among the heads proposing label t at hit h.
     best = np.where(cand == np.arange(len(labels))[:, None, None], margs, -np.inf).max(axis=1)
     # argmax takes the first maximum: an exact tie goes to the lowest head index.

@@ -4,6 +4,7 @@ import sys
 import warnings
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from hiertag.cli import _config_from, build_parser, main
@@ -256,6 +257,18 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["hier", "indep"])
+    def test_overflowing_emission_scores_exit_2_naming_the_step(self, toy_files, capsys, kind):
+        # scipy's sparse emission product ignores np.errstate: the overflow
+        # shows only as an infinite score.
+        out = toy_files / "m.htag"
+        code, _, err = run(capsys, *train_args(toy_files, kind, out), "--learning-rate", "5e307",
+                           "--clip-norm", "inf", "--l2", "0")
+        assert code == 2
+        assert re.search(rf"^error: {kind} training diverged on head '\w+' at epoch \d+, "
+                         r"step \d+: emission scores overflow$", err, re.M), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["hier", "indep"])
     def test_epoch_lines_stream_while_training(self, toy_files, capsys, monkeypatch, kind):
         from hiertag.models import _Trainer
 
@@ -356,6 +369,22 @@ class TestTag:
         )
         assert code == 2
         assert "bio must be bool" in err
+        assert not (toy_files / "pred.conll").exists()
+
+    def test_overflowing_emission_scores_exit_2_naming_the_head(self, toy_files, capsys):
+        model = toy_files / "m.htag"
+        run(capsys, *train_args(toy_files, "hier", model, epochs=1))
+        loaded = load_model(model)
+        weights = loaded.emission.weights
+        weights[...] = np.where(weights >= 0, 1e308, -1e308)  # finite, so the file loads
+        save_model(loaded, model)
+        code, _, err = run(
+            capsys, "tag", "--model", model,
+            "--input", toy_files / "test.conll", "--tagset", "T1",
+            "--out", toy_files / "pred.conll",
+        )
+        assert code == 2
+        assert "emission scores of head 'fine' overflow" in err
         assert not (toy_files / "pred.conll").exists()
 
     def test_indep_models_emit_matching_collision_summary(self, toy_files, capsys):

@@ -43,7 +43,7 @@ def marginals(table: PotentialTable, mask: LatticeMask | None = None):
     """Posterior tag probabilities (n, y) of one sequence and its tag-pair
     probabilities summed over positions (y, y), zero outside the mask: the
     posteriors of its batch of one."""
-    unary, sums = _posteriors(PotentialBatch.of(table), None if mask is None else [mask])[1:]
+    unary, sums = _posteriors(table, None if mask is None else [mask])[1:]
     return unary, sums[0]
 
 
@@ -588,14 +588,16 @@ class TestBatchedKernels:
         with pytest.raises(ValueError, match="y_count"):
             loss_and_grad_batch(batch, [LatticeMask.full(2, 2), LatticeMask([[0], [1], [2]])])
 
-    def test_select_keeps_each_sequence(self):
+    @pytest.mark.parametrize("seqs", [[2, 0], [1], [0, 1, 2], [2, 1, 0], [1, 3]])
+    def test_forward_backward_of_chosen_sequences_equals_whole_batch(self, seqs):
         rng = np.random.default_rng(70)
-        batch = PotentialBatch(rng.normal(size=(9, 3)), [2, 4, 3], rng.normal(size=(3, 3)),
+        batch = PotentialBatch(rng.normal(size=(12, 3)), [2, 4, 3, 3], rng.normal(size=(3, 3)),
                                np.zeros(3), np.zeros(3))
-        sub = batch.select(np.array([2, 0]))
-        assert sub.lengths.tolist() == [3, 2]
-        for j, b in enumerate([2, 0]):
-            assert table_of(sub, j).emissions.tobytes() == table_of(batch, b).emissions.tobytes()
+        log_z, unary = forward_backward(batch)
+        sub_log_z, sub_unary = forward_backward(batch, np.array(seqs))
+        assert sub_log_z.tobytes() == log_z[seqs].tobytes()
+        rows = np.concatenate([np.arange(12)[rows_of(batch, b)] for b in seqs])
+        assert sub_unary.tobytes() == unary[rows].tobytes()
 
     @pytest.mark.parametrize(
         "lengths, em, match",

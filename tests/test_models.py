@@ -57,6 +57,7 @@ from hiertag.models import (
     ModelKind,
     TrainedModel,
     TrainingConfig,
+    TrainingDiverged,
     _build_vocab,
     _decode_head,
     _dev_scorer,
@@ -513,12 +514,13 @@ def _random_rows(rng, n, ids, width):
 
 
 def _step_case(seed, shared, l2, clip, disjoint):
-    """A fresh trainer and four batches of up to three sequences for it:
+    """A fresh trainer and four batches of up to twelve sequences for it,
+    past the eight terms where numpy's reductions start summing pairwise:
     (trainer, [(head, batch), ...])."""
     rng = np.random.default_rng(seed)
-    features = 30
+    features = 120
     sizes = {"A": int(rng.integers(2, 5)), "B": int(rng.integers(2, 5))} if shared else {
-        "fine": int(rng.integers(2, 5))
+        "fine": int(rng.integers(1, 5))  # a one-tag head sums its lone column per sequence
     }
     heads = {
         name: Head(name, [f"t{i}" for i in range(y)], rng.normal(size=(y, y)),
@@ -540,7 +542,7 @@ def _step_case(seed, shared, l2, clip, disjoint):
     for s in range(4):
         name = sorted(sizes)[s % len(sizes)]
         batch = []
-        for j in range(int(rng.integers(1, 4))):
+        for j in range(int(rng.integers(1, 13))):
             n = int(rng.integers(1, 5))
             # Disjoint: each sequence of the batch has its own ten columns.
             ids = list(range(10 * j, 10 * j + 10)) if disjoint else list(range(8))
@@ -760,6 +762,25 @@ class TestEarlyStopping:
         assert all(r.dev_f1 is None for r in model.history)
 
 
+class TestOverflow:
+    """scipy's sparse emission product ignores np.errstate, so a score that
+    overflows arrives as inf; it still fails with the package's own errors."""
+
+    @pytest.mark.parametrize("train", [train_hier, train_indep])
+    def test_training_diverges_naming_the_step(self, toy_eh, toy_corpora, train):
+        cfg = quick_cfg(learning_rate=5e307, clip_norm=math.inf, l2=0.0)
+        with pytest.raises(TrainingDiverged, match=r"training diverged on head '\w+' at epoch 1, "
+                                                   r"step \d+: emission scores overflow$"):
+            train(list(toy_corpora), toy_eh, cfg)
+
+    def test_tagging_raises_model_error_naming_the_head(self, toy_eh, toy_corpora):
+        model = train_hier(list(toy_corpora), toy_eh, quick_cfg(epochs=1))
+        weights = model.emission.weights
+        weights[...] = np.where(weights >= 0, 1e308, -1e308)
+        with pytest.raises(ModelError, match="emission scores of head 'fine' overflow"):
+            predict_hier(model, "alice smith walked down elm".split(), "T1")
+
+
 class TestEpochCallback:
     def test_fires_once_per_epoch_as_it_ends(self, toy_eh, toy_corpora):
         c1, c2 = toy_corpora
@@ -816,9 +837,9 @@ class TestDecodePath:
     def test_only_proposing_heads_run_forward_backward(self, tie_eh, monkeypatch):
         sizes = []
 
-        def counted(batch):
-            sizes.append(batch.size)
-            return marginals(batch)
+        def counted(batch, seqs):
+            sizes.append(len(seqs))
+            return marginals(batch, seqs)
 
         marginals = models_module.marginals
         monkeypatch.setattr(models_module, "marginals", counted)
@@ -933,7 +954,7 @@ class TestResolveCollisions:
             for (path, _, batch), _ in heads:
                 table = table_of(batch, b)
                 log_probs.append(sequence_log_prob(table, path[a:z]))
-                unary = forward_backward(PotentialBatch.of(table))[1]
+                unary = forward_backward(table)[1]
                 margs.append(unary[np.arange(z - a), path[a:z]])
             chosen, records = reference_resolve(proposals, log_probs, margs, method, seed)
             assert out[b].tags == [chosen.get(i, "-") for i in range(z - a)]

@@ -6,7 +6,10 @@ they share) and optional LatticeMasks that restrict each position to a
 subset of tags.  The loss is the gap between the
 full and the masked log-partition, so its gradients are differences of
 posterior expectations.  All recursions use max-shifted log-sum-exp; finite
-inputs produce finite outputs unless a path's score overflows.
+inputs produce finite outputs unless a path's score overflows.  Training
+and decoding run these kernels under np.errstate(over="raise",
+invalid="raise"), so such an overflow fails there (TrainingDiverged or
+ModelError naming the head) instead of decoding inf or nan.
 
 A kernel lays the batch out once, time-major and longest first (`_Lattice`),
 so each recursion step slices the sequences still running, with the

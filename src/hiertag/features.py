@@ -25,6 +25,7 @@ tanh hidden layer shared by all heads, with one output layer per head.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from typing import Any, Sequence
 
 import numpy as np
@@ -122,8 +123,8 @@ class FeatureVocabulary:
     ) -> sparse.csr_matrix:
         """`count_rows` of many tokens' strings, token t's at positions[indptr[t]:
         indptr[t + 1]]; each is looked up once, unknown ones counting as UNK."""
-        get = self._ids.get
-        ids = np.fromiter((get(s, UNK_ID) for s in strings), dtype=np.int64, count=len(strings))
+        ids = np.fromiter(map(self._ids.get, strings, repeat(UNK_ID)), dtype=np.int64,
+                          count=len(strings))
         return count_rows(ids[positions], indptr, self.size)
 
     def strings_by_id(self) -> list[str]:

@@ -4,10 +4,13 @@ Layout, all little-endian: magic, format version, the payload's length and
 CRC-32, then the payload: model kind, the training configuration as
 canonical JSON, the extended hierarchy in its text form, the feature string
 table, the emission parameters, then each head (sorted by name) with its tag
-domain and transition parameters.  Arrays are stored as dimension counts
-plus raw float64 bytes, so reruns of the same training job produce
-byte-identical files and a loaded model predicts bitwise identically to the
-one saved.  The checksum is verified before any of the payload is parsed.
+domain and transition parameters.  Strings are stored as tables (a single
+string is a table of one): a u32 count, the u32 code-point lengths, a u64
+byte length and one UTF-8 blob, decoded once and sliced.  Arrays are stored
+as dimension counts plus raw float64 bytes, so reruns of the same training
+job produce byte-identical files and a loaded model predicts bitwise
+identically to the one saved.  The checksum is verified before any of the
+payload is parsed.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from hiertag.hierarchy import parse_extended
 from hiertag.models import Head, ModelKind, TrainedModel, TrainingConfig
 
 MAGIC = b"HTAG"
-FORMAT_VERSION = 2
-_U32 = struct.Struct("<I")
+FORMAT_VERSION = 3
 _HEADER = struct.Struct("<IQI")  # version, payload length, payload CRC-32
 
 
@@ -45,9 +47,14 @@ class _Writer:
         self.parts.append(struct.pack("<Q", v))
 
     def text(self, s: str) -> None:
-        raw = s.encode("utf-8")
-        self.u32(len(raw))
-        self.parts.append(raw)
+        self.texts([s])
+
+    def texts(self, strings: list[str]) -> None:
+        blob = "".join(strings).encode("utf-8")
+        self.u32(len(strings))
+        self.parts.append(np.fromiter(map(len, strings), "<u4", len(strings)).tobytes())
+        self.u64(len(blob))
+        self.parts.append(blob)
 
     def array(self, a: np.ndarray) -> None:
         a = np.ascontiguousarray(a, dtype=np.float64)
@@ -79,26 +86,22 @@ class _Reader:
         return struct.unpack("<Q", self.take(8))[0]
 
     def text(self) -> str:
-        return self.texts(1)[0]
+        strings = self.texts()
+        if len(strings) != 1:
+            raise ModelFormatError(f"corrupt model file: {len(strings)} strings where one belongs")
+        return strings[0]
 
-    def texts(self, count: int) -> list[str]:
-        """`count` length-prefixed strings, read in one pass."""
-        raw, off, end = self.raw, self.off, len(self.raw)
-        spans = []
-        for _ in range(count):
-            if off + 4 > end:
-                raise ModelFormatError("corrupt or truncated model file")
-            size = _U32.unpack_from(raw, off)[0]
-            spans.append((off + 4, off + 4 + size))
-            off += 4 + size
-        if off > end:
-            raise ModelFormatError("corrupt or truncated model file")
+    def texts(self) -> list[str]:
+        """One string table: its blob is decoded once, then sliced."""
+        lengths = np.frombuffer(self.take(4 * self.u32()), "<u4")
         try:
-            out = [raw[a:b].decode("utf-8") for a, b in spans]
+            blob = self.take(self.u64()).decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ModelFormatError("corrupt or truncated model file") from exc
-        self.off = off
-        return out
+            raise ModelFormatError("corrupt model file: invalid UTF-8") from exc
+        starts = [0, *np.cumsum(lengths, dtype=np.int64).tolist()]
+        if starts[-1] != len(blob):
+            raise ModelFormatError("corrupt model file: string lengths disagree with their text")
+        return [blob[a:b] for a, b in zip(starts, starts[1:])]
 
     def array(self) -> np.ndarray:
         ndim = self.u32()
@@ -155,18 +158,13 @@ def model_bytes(model: TrainedModel) -> bytes:
     w.text(model.kind.value)
     w.text(json.dumps(asdict(model.config), sort_keys=True, separators=(",", ":")))
     w.text(model.hierarchy.to_text())
-    table = model.vocab.strings_by_id()
-    w.u32(len(table))
-    for s in table:
-        w.text(s)
+    w.texts(model.vocab.strings_by_id())
     _write_emission(w, model.emission)
     w.u32(len(model.heads))
     for name in sorted(model.heads):
         head = model.heads[name]
         w.text(name)
-        w.u32(len(head.domain))
-        for t in head.domain:
-            w.text(t)
+        w.texts(head.domain)
         w.array(head.transitions)
         w.array(head.start)
         w.array(head.stop)
@@ -231,12 +229,12 @@ def _parse_model(raw: bytes) -> TrainedModel:
     kind = ModelKind(r.text())
     config = TrainingConfig(**json.loads(r.text()))
     hierarchy = parse_extended(r.text())
-    vocab = FeatureVocabulary(r.texts(r.u32()))
+    vocab = FeatureVocabulary(r.texts())
     emission = _read_emission(r)
     heads = {}
     for _ in range(r.u32()):
         name = r.text()
-        domain = r.texts(r.u32())
+        domain = r.texts()
         heads[name] = Head(name, domain, r.array(), r.array(), r.array())
     r.done()
     _check_shapes(kind, vocab, emission, heads)

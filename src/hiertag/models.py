@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -399,7 +400,11 @@ class _Trainer:
                     seen += len(batch)
             record = EpochRecord(epoch, loss_sum / seen, None)
             if dev_f1 is not None:
-                f1 = dev_f1(self.model)
+                try:
+                    f1 = dev_f1(self.model)
+                except ModelError as exc:
+                    raise TrainingDiverged(f"{self.model.kind.value} dev scoring diverged at "
+                                           f"epoch {epoch}: {exc}") from exc
                 record.dev_f1 = f1
                 if f1 > best_f1 + 1e-12:
                     best_f1 = f1
@@ -598,7 +603,19 @@ class _Request:
         key = (model.vocab, window)
         if self._matrix is None or self._matrix[0] != key:
             self._matrix = key, model.vocab.matrix(*self._features[window])
-        return model.emission.batch_emissions(self._matrix[1], [h.name for h in heads])
+        # A score that overflows stays non-finite, and `_decode_head` rejects it per head.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return model.emission.batch_emissions(self._matrix[1], [h.name for h in heads])
+
+
+@contextmanager
+def _decoding(head: str):
+    """Decoding arithmetic that overflows on a finite model raises ModelError."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ModelError(f"decoding head {head!r} overflows: {exc}") from exc
 
 
 def _decode_head(
@@ -608,8 +625,9 @@ def _decode_head(
     indices packed like the emission rows), their scores and the potentials."""
     if not np.isfinite(emissions).all():  # scipy's sparse product ignores np.errstate
         raise ModelError(f"emission scores of head {head.name!r} overflow")
-    potentials = PotentialBatch(emissions, lengths, *_transitions(model, head), head.stop)
-    return *viterbi(potentials), potentials
+    with _decoding(head.name):
+        potentials = PotentialBatch(emissions, lengths, *_transitions(model, head), head.stop)
+        return *viterbi(potentials), potentials
 
 
 def _head_tags(model: TrainedModel, head: Head) -> list[str]:
@@ -726,7 +744,8 @@ def _tag_request(
         for a, b in zip(edges[:-1], edges[1:])
     ]
     if hits.size:
-        _resolve_collisions(out, cand[:, hits], hits, decoded, edges, labels, method, seed)
+        _resolve_collisions(out, cand[:, hits], hits, decoded, [h.name for _, h in pairs], edges,
+                            labels, method, seed)
     return out
 
 
@@ -735,13 +754,15 @@ def _resolve_collisions(
     cand: np.ndarray,
     hits: np.ndarray,
     decoded: Sequence[tuple[np.ndarray, np.ndarray, PotentialBatch]],
+    names: Sequence[str],
     edges: np.ndarray,
     labels: Sequence[str],
     method: ConsolidationMethod,
     seed: int,
 ) -> None:
     """Rewrite the collided rows `hits` of the request in place; cand[k, h]
-    is head k's label id at hit h, -1 where it proposes nothing."""
+    is head k's label id at hit h, -1 where it proposes nothing, and names[k]
+    the head's name."""
     seq = np.searchsorted(edges, hits, side="right") - 1
     pos = hits - edges[seq]
     # Per head and hit: the log-probability of the head's Viterbi path and
@@ -751,9 +772,10 @@ def _resolve_collisions(
         mine = cand[k] >= 0
         seqs, where = np.unique(seq[mine], return_inverse=True)
         if seqs.size:
-            log_z, unary = marginals(potentials, seqs)
+            with _decoding(names[k]):
+                log_z, unary = marginals(potentials, seqs)
+                log_probs[k, mine] = (scores[seqs] - log_z)[where]
             first = np.concatenate(([0], np.cumsum(potentials.lengths[seqs])))  # starts in unary
-            log_probs[k, mine] = (scores[seqs] - log_z)[where]
             margs[k, mine] = unary[first[where] + pos[mine], path[hits[mine]]]
     # best[t, h]: the largest marginal among the heads proposing label t at hit h.
     best = np.where(cand == np.arange(len(labels))[:, None, None], margs, -np.inf).max(axis=1)

@@ -1,7 +1,11 @@
 import copy
 import math
 import struct
+import tempfile
+import warnings
+import zlib
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from hiertag.crf import (
     sequence_log_prob,
     viterbi_batch,
 )
+from hiertag.cli import main
 from hiertag.data import OTHER, Corpus, CorpusError, LabeledSequence, Token
 import hiertag.models as models_module
 from hiertag.experiments import tag_sequences
@@ -45,6 +50,7 @@ from hiertag.model_io import (
     FORMAT_VERSION,
     MAGIC,
     ModelFormatError,
+    _Writer,
     load_model,
     model_bytes,
     save_model,
@@ -780,6 +786,76 @@ class TestOverflow:
         with pytest.raises(ModelError, match="emission scores of head 'fine' overflow"):
             predict_hier(model, "alice smith walked down elm".split(), "T1")
 
+    @pytest.mark.parametrize("kind", [ModelKind.HIER, ModelKind.INDEP, ModelKind.MTL])
+    def test_decoding_overflow_raises_model_error_naming_the_head(self, kind):
+        models = salem_models(kind)
+        for head in (h for m in models for h in m.heads.values()):
+            head.transitions[...] = 1e308
+            head.start[...] = 1e308
+        with pytest.raises(ModelError, match=r"decoding head '\w+' overflows: overflow"):
+            tag_batch(models, MIXED_REQUEST, "T4", ConsolidationMethod.MAX_MARGINAL)
+
+    def test_dev_scoring_diverges_naming_the_epoch(self, toy_eh, toy_corpora, monkeypatch):
+        def overflowing_viterbi(potentials):
+            return np.full(2, 1e308) * 10
+
+        monkeypatch.setattr(models_module, "viterbi", overflowing_viterbi)
+        c1, c2 = toy_corpora
+        dev = [c1.with_tagset("T1", "dev"), c2.with_tagset("T2", "dev")]
+        with pytest.raises(TrainingDiverged, match=r"^hier dev scoring diverged at epoch 1: "
+                                                   r"decoding head 'fine' overflows"):
+            train_hier(list(toy_corpora), toy_eh, quick_cfg(epochs=2), dev)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(kind=st.sampled_from(["hier", "indep", "mtl"]),
+           targets=st.sets(st.sampled_from(["emission", "transitions", "start", "stop"]),
+                           min_size=1),
+           signs=st.sampled_from([(1.0,), (-1.0,), (1.0, -1.0)]),
+           share=st.sampled_from([0.2, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_extreme_finite_parameters_tag_or_raise_model_error(self, extreme_base, kind,
+                                                                targets, signs, share, seed):
+        """Checksum-valid files whose parameters sit at +-1e300..1e308: each
+        tags, or raises ModelError and makes `hiertag tag` exit 2."""
+        rng = np.random.default_rng(seed)
+        models = copy.deepcopy(extreme_base[kind])
+        for model in models:
+            arrays = list(model.emission.params().values()) if "emission" in targets else []
+            arrays += [getattr(h, t) for h in model.heads.values() for t in targets
+                       if t != "emission"]
+            for a in arrays:
+                huge = rng.choice(signs, a.shape) * 10.0 ** rng.uniform(300, 308, a.shape)
+                a[...] = np.where(rng.random(a.shape) < share, huge, a)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp) / f"m{i}.htag" for i in range(len(models))]
+            for model, path in zip(models, paths):
+                path.write_bytes(model_bytes(model))
+            loaded = [load_model(p) for p in paths]
+            text = "\n".join("\n".join(f"{w}\tO" for w in toks) + "\n" for toks in MIXED_REQUEST)
+            (Path(tmp) / "in.conll").write_text(text)
+            for method in ConsolidationMethod:
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        out = tag_batch(loaded, MIXED_REQUEST, "T4", method)
+                    expected = 0
+                    probs = [p for c in out for r in c.collision_positions for p in r.probabilities]
+                    assert not any(math.isnan(p) for p in probs)
+                except ModelError:
+                    expected = 2
+                argv = ["tag", *(a for p in paths for a in ("--model", str(p))), "--input",
+                        str(Path(tmp) / "in.conll"), "--tagset", "T4", "--method", method.value,
+                        "--out", str(Path(tmp) / f"{method.value}.out")]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert main(argv) == expected
+
+
+@pytest.fixture(scope="module")
+def extreme_base():
+    return {kind.value: salem_models(kind)
+            for kind in (ModelKind.HIER, ModelKind.INDEP, ModelKind.MTL)}
+
 
 class TestEpochCallback:
     def test_fires_once_per_epoch_as_it_ends(self, toy_eh, toy_corpora):
@@ -946,8 +1022,8 @@ class TestResolveCollisions:
                         dtype=np.int64)
         out = [Consolidated(["-"] * n, 0, [], []) for n in lengths.tolist()]
         if hits.size:
-            _resolve_collisions(out, cand[:, hits], hits, [d for d, _ in heads], edges, LABELS,
-                                method, seed)
+            _resolve_collisions(out, cand[:, hits], hits, [d for d, _ in heads],
+                                [f"h{k}" for k in range(len(heads))], edges, LABELS, method, seed)
         for b, (a, z) in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
             proposals = [[LABELS[t] if t >= 0 else None for t in row[a:z]] for row in cand]
             log_probs, margs = [], []
@@ -1225,6 +1301,44 @@ class TestModelIO:
         with pytest.raises(ModelFormatError, match="version"):
             load_model(path)
 
+    def test_version_2_files_are_rejected(self, toy_eh, tmp_path):
+        payload = model_bytes(biased_model(toy_eh, "T1", "Name"))[20:]
+        with pytest.raises(ModelFormatError, match="version 2"):
+            load_bytes(tmp_path, rewrapped(payload, version=2))
+
+    def test_string_table_faults_behind_a_valid_checksum(self, toy_eh, tmp_path):
+        raw = model_bytes(biased_model(toy_eh, "T1", "Name"))
+        assert rewrapped(raw[20:]) == raw
+        kind = table(["indep"])  # the payload's first table
+        assert raw[20:].startswith(kind)
+        rest = raw[20 + len(kind):]
+        cases = [
+            ("disagree", struct.pack("<IIQ", 1, 4, 5) + b"indep"),
+            ("invalid UTF-8", struct.pack("<IIQ", 1, 5, 5) + b"ind\xffp"),
+            ("truncated", struct.pack("<I", 2**32 - 1) + kind[4:]),  # count past the payload
+            ("truncated", struct.pack("<IIQ", 1, 5, 2**40) + b"indep"),  # byte length past it
+            ("2 strings where one belongs", table(["ind", "ep"])),
+        ]
+        for message, edited in cases:
+            with pytest.raises(ModelFormatError, match=message):
+                load_bytes(tmp_path, rewrapped(edited + rest))
+
+    def test_string_tables_store_code_point_lengths(self, toy_eh, tmp_path):
+        strings = ["<UNK>", "é", "", "日本", "𝔘", "a𝔘é\x00b"]
+        model = biased_model(toy_eh, "T1", "Name")
+        y = len(model.single_head().domain)
+        model.vocab = FeatureVocabulary(strings)
+        model.emission = LinearEmissionModel(np.zeros((y, len(strings))), model.emission.bias)
+        blob = "".join(strings).encode("utf-8")
+        pinned = (struct.pack("<I", 6) + np.array([5, 1, 0, 2, 1, 5], "<u4").tobytes()
+                  + struct.pack("<Q", len(blob)) + blob)
+        assert table(strings) == pinned
+        raw = model_bytes(model)
+        assert pinned in raw
+        loaded = load_bytes(tmp_path, raw)
+        assert loaded.vocab.strings_by_id() == strings
+        assert model_bytes(loaded) == raw
+
     def test_trailing_garbage_is_detected(self, toy_eh, toy_corpora, tmp_path):
         model = train_hier(list(toy_corpora), toy_eh, quick_cfg(epochs=1))
         path = tmp_path / "m.htag"
@@ -1305,6 +1419,24 @@ class TestModelIO:
         for ref, got in zip(models, loaded):
             assert got.kind is ModelKind.INDEP
             assert_same_decode(ref, ref.single_head(), got, got.single_head(), toks)
+
+
+def rewrapped(payload: bytes, version: int = FORMAT_VERSION) -> bytes:
+    """A model file around an edited payload, with a fresh length and CRC-32:
+    the checksum passes, so the reader itself must catch the fault."""
+    return MAGIC + struct.pack("<IQI", version, len(payload), zlib.crc32(payload)) + payload
+
+
+def table(strings):
+    w = _Writer()
+    w.texts(strings)
+    return w.blob()
+
+
+def load_bytes(tmp_path, raw: bytes):
+    path = tmp_path / "m.htag"
+    path.write_bytes(raw)
+    return load_model(path)
 
 
 class TestOutputTags:

@@ -14,11 +14,18 @@ ModelError naming the head) instead of decoding inf or nan.
 A kernel lays the batch out once, time-major and longest first (`_Lattice`),
 so each recursion step slices the sequences still running, with the
 elementwise arithmetic of the one-sequence recursion: a sequence's result
-does not depend on its batch.  Transition marginals are summed per sequence,
-position by position.  A PotentialTable is the batch of one sequence, which
-the one-sequence functions pass straight to the batch kernels; they are kept
-as the acceptance API (`viterbi`, `log_partition`, `constrained_log_partition`,
-`loss_and_grad`) and, for the benchmark's tracer, `sequence_log_prob`.
+does not depend on its batch.  Each step is a tag-major tensor reduced over
+axis 0, which numpy runs as a few long loops, not k*W loops of W: forward
+and Viterbi steps are (W_from, k, W_to), backward steps (W_to, k, W_from)
+up to _PAD_EXACT nodes (wider ones keep a contiguous last-axis sum, whose
+pairwise rounding the one-sequence recursion fixes).  They are added with
+order="C", because the default "K" copies the transposed operands' strides
+and leaves the reduced axis in the middle.  Transition marginals are summed
+per sequence, position by position.  A PotentialTable is the batch of one
+sequence, which the one-sequence functions pass straight to the batch
+kernels; they are kept as the acceptance API (`viterbi`, `log_partition`,
+`constrained_log_partition`, `loss_and_grad`) and, for the benchmark's
+tracer, `sequence_log_prob`.
 """
 
 from __future__ import annotations
@@ -169,7 +176,14 @@ class _Lattice:
 
     def __init__(self, batch: PotentialBatch, seqs: Sequence[int] | None = None) -> None:
         """The full lattices of the given sequences (default: all)."""
-        seqs = np.arange(batch.size) if seqs is None else np.asarray(seqs, dtype=np.int64)
+        if seqs is None:
+            seqs = np.arange(batch.size)
+        else:
+            seqs = np.asarray(seqs, dtype=np.int64)
+            bad = seqs[(seqs < 0) | (seqs >= batch.size)]
+            if bad.size or not seqs.size:
+                raise ValueError(f"sequence index {bad[0]} is not in a batch of {batch.size}"
+                                 if bad.size else "no sequence selected")
         self.batch, self.slots, self.widths = batch, None, None
         self.order = np.argsort(-batch.lengths[seqs], kind="stable")
         self.seqs = seqs = seqs[self.order]
@@ -231,6 +245,10 @@ def _sum_product(lat: _Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and the forward and backward scores of every node (T, B, W), -inf past
     each sequence's end.
 
+    Steps are C-ordered (W_from, k, W_to) forward and, up to _PAD_EXACT
+    nodes, (W_to, k, W_from) backward: axis 0 sums term after term, as so
+    short a contiguous sum does.  Wider backward steps sum their contiguous
+    last axis pairwise, as the one-sequence recursion does.
     Every sum rounds as the one-sequence recursion over the allowed tags
     alone rounds it, but one: numpy sums a lone (k >= 8, 1) block, k allowed
     tags stepping into a pinned position, in another order than this
@@ -240,20 +258,29 @@ def _sum_product(lat: _Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     alpha[0] = lat.start + em[0]
     for i in range(1, running.size):
         k = running[i]
-        step = alpha[i - 1, :k, :, None] + lat.trans[i - 1, :k]
-        m = step.max(axis=1)
-        alpha[i, :k] = m + np.log(np.exp(step - m[:, None, :]).sum(axis=1)) + em[i, :k]
+        step = np.add(alpha[i - 1, :k].T[:, :, None], lat.trans[i - 1, :k].transpose(1, 0, 2),
+                      order="C")  # (W_from, k, W_to)
+        m = step.max(axis=0)
+        alpha[i, :k] = m + np.log(np.exp(step - m).sum(axis=0)) + em[i, :k]
     ends = alpha[last] + lat.stop
     m = ends.max(axis=1)
     log_z = m + np.log(lat.node_sum(np.exp(ends - m[:, None]), last))
 
     beta = np.full(em.shape, -np.inf)
     beta[last] = lat.stop
+    tag_major = em.shape[2] <= _PAD_EXACT  # so few terms sum alike in either layout
     for i in range(running.size - 2, -1, -1):
         k = running[i + 1]  # sequences with a position after i
-        step = lat.trans[i, :k] + (em[i + 1, :k] + beta[i + 1, :k])[:, None, :]
-        m = step.max(axis=2)
-        beta[i, :k] = m + np.log(lat.node_sum(np.exp(step - m[:, :, None]), (i + 1, slice(k))))
+        nxt = em[i + 1, :k] + beta[i + 1, :k]
+        if tag_major:  # (W_to, k, W_from)
+            step = np.add(lat.trans[i, :k].transpose(2, 0, 1), nxt.T[:, :, None], order="C")
+            m = step.max(axis=0)
+            beta[i, :k] = m + np.log(np.exp(step - m).sum(axis=0))
+        else:  # (k, W_from, W_to), summed over contiguous nodes
+            step = lat.trans[i, :k] + nxt[:, None, :]
+            m = step.max(axis=2)
+            beta[i, :k] = m + np.log(lat.node_sum(np.exp(step - m[:, :, None]),
+                                                  (i + 1, slice(k))))
     return log_z, alpha, beta
 
 
@@ -392,8 +419,9 @@ def viterbi_batch(batch: PotentialBatch) -> tuple[np.ndarray, np.ndarray]:
     """Highest-scoring tag sequence of every sequence in the batch: the tags,
     packed like the emission rows, and the scores (B,).
 
-    np.argmax takes the first maximum, so every backpointer decision breaks
-    ties toward the lower tag index.
+    Each step is C-ordered (W_from, k, W_to), tag-major as in
+    `_sum_product`; its backpointer is the first W_from at the max over axis
+    0, so every decision breaks ties toward the lower tag index.
     """
     lat = _Lattice(batch)
     em, running = lat.em, lat.running
@@ -401,10 +429,11 @@ def viterbi_batch(batch: PotentialBatch) -> tuple[np.ndarray, np.ndarray]:
     back = np.empty(em.shape, dtype=np.int64)
     for i in range(1, running.size):
         k = running[i]
-        step = delta[:k, :, None] + lat.trans[i - 1, :k]
-        best = np.argmax(step, axis=1)
-        back[i, :k] = best
-        delta[:k] = np.take_along_axis(step, best[:, None, :], axis=1)[:, 0] + em[i, :k]
+        step = np.add(delta[:k].T[:, :, None], lat.trans[i - 1, :k].transpose(1, 0, 2),
+                      order="C")  # (W_from, k, W_to)
+        m = step.max(axis=0)
+        back[i, :k] = (step == m).argmax(axis=0)
+        delta[:k] = m + em[i, :k]
     delta = delta + lat.stop
     tag = np.argmax(delta, axis=1)
     scores = np.empty(batch.size)
@@ -424,7 +453,8 @@ def forward_backward(
     """Log-partition and unary marginals of the given sequences (default:
     all), in the order given, their rows back to back (packed like the
     emission rows for the whole batch): `_posteriors`' full-lattice node
-    marginals without the transition sums, over those lattices only."""
+    marginals without the transition sums, over those lattices only.  A
+    negative or out-of-range index, or no index, raises ValueError."""
     lat = _Lattice(batch, seqs)
     log_z, alpha, beta = _sum_product(lat)
     out = np.empty(lat.seqs.size)

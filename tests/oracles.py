@@ -179,6 +179,26 @@ def oracle_viterbi(table: PotentialTable):
     return best[1].tolist(), float(-best[0][0])
 
 
+def reference_viterbi(table: PotentialTable) -> tuple[list[int], float]:
+    """The one-sequence Viterbi recursion over (y, y) steps: each step's
+    backpointers are the first maximum over the previous tag (axis 0), and
+    its scores that maximum plus the emissions.  `crf.viterbi_batch` must
+    equal it bit for bit."""
+    em, trans = table.emissions, table.transitions
+    n = em.shape[0]
+    back = np.zeros(em.shape, dtype=np.int64)
+    prev = table.start + em[0]
+    for i in range(1, n):
+        step = prev[:, None] + trans
+        back[i] = step.argmax(axis=0)
+        prev = step.max(axis=0) + em[i]
+    last = prev + table.stop
+    path = [int(last.argmax())]
+    for i in range(n - 1, 0, -1):
+        path.append(int(back[i, path[-1]]))
+    return path[::-1], float(last[path[0]])
+
+
 def random_table(rng: np.random.Generator, n: int, y: int, scale: float = 2.0) -> PotentialTable:
     return PotentialTable(
         emissions=rng.uniform(-scale, scale, size=(n, y)),

@@ -22,6 +22,7 @@ from hiertag.crf import (
 )
 from hiertag.crf import _posteriors, _restricted
 from oracles import (
+    _reference_dense,
     all_path_scores,
     log_partition_backward,
     oracle_log_partition,
@@ -32,6 +33,7 @@ from oracles import (
     random_table,
     reference_loss_and_grad,
     reference_slots,
+    reference_viterbi,
 )
 
 
@@ -578,6 +580,34 @@ class TestBatchedKernels:
                                                rtol=0, atol=1e-12)
         assert exact > 120
 
+    @pytest.mark.parametrize("y", [1, 2, 5, 7, 8, 9, 33, 41])
+    def test_decode_kernels_equal_one_sequence_references_bitwise(self, y):
+        # Oracles with their own one-sequence (y, y) recursions, not the
+        # batch kernels run on a batch of one.  Integer-valued potentials
+        # make ties, and batches of up to 300 mixed lengths.
+        rng = np.random.default_rng(80 + y)
+        values = lambda *shape: rng.integers(-3, 4, size=shape).astype(float)  # noqa: E731
+        for size in (1, int(rng.integers(2, 40)), 300):
+            lengths = rng.integers(1, 61, size=size)
+            batch = PotentialBatch(values(lengths.sum(), y), lengths, values(y, y), values(y),
+                                   values(y))
+            paths, scores = viterbi_batch(batch)
+            log_z, unary = forward_backward(batch)
+            want = [_reference_dense(table_of(batch, b))[:2] for b in range(size)]
+            for b in range(size):
+                path, score = reference_viterbi(table_of(batch, b))
+                assert paths[rows_of(batch, b)].tolist() == path
+                assert scores[b] == score
+                assert log_z[b] == want[b][0]
+                assert unary[rows_of(batch, b)].tobytes() == want[b][1].tobytes()
+            seqs = rng.permutation(size)[: int(rng.integers(1, size + 1))]
+            sub_log_z, sub_unary = forward_backward(batch, seqs)
+            first = np.cumsum(lengths[seqs]) - lengths[seqs]
+            for j, b in enumerate(seqs.tolist()):
+                assert sub_log_z[j] == want[b][0]
+                got = sub_unary[first[j] : first[j] + lengths[b]]
+                assert got.tobytes() == want[b][1].tobytes()
+
     def test_training_kernel_rejects_masks_that_do_not_fit(self):
         batch = PotentialBatch(np.zeros((5, 2)), [2, 3], np.zeros((2, 2)), np.zeros(2),
                                np.zeros(2))
@@ -598,6 +628,14 @@ class TestBatchedKernels:
         assert sub_log_z.tobytes() == log_z[seqs].tobytes()
         rows = np.concatenate([np.arange(12)[rows_of(batch, b)] for b in seqs])
         assert sub_unary.tobytes() == unary[rows].tobytes()
+
+    @pytest.mark.parametrize("seqs, match", [([-1], "index -1 is not"), ([1, 3], "index 3 is not"),
+                                             ([], "no sequence")])
+    def test_forward_backward_rejects_bad_sequence_indices(self, seqs, match):
+        batch = PotentialBatch(np.zeros((6, 2)), [1, 2, 3], np.zeros((2, 2)), np.zeros(2),
+                               np.zeros(2))
+        with pytest.raises(ValueError, match=match):
+            forward_backward(batch, seqs)
 
     @pytest.mark.parametrize(
         "lengths, em, match",

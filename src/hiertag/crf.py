@@ -21,11 +21,11 @@ up to _PAD_EXACT nodes (wider ones keep a contiguous last-axis sum, whose
 pairwise rounding the one-sequence recursion fixes).  They are added with
 order="C", because the default "K" copies the transposed operands' strides
 and leaves the reduced axis in the middle.  Transition marginals are summed
-per sequence, position by position.  A PotentialTable is the batch of one
-sequence, which the one-sequence functions pass straight to the batch
-kernels; they are kept as the acceptance API (`viterbi`, `log_partition`,
-`constrained_log_partition`, `loss_and_grad`) and, for the benchmark's
-tracer, `sequence_log_prob`.
+per sequence, position by position.  The batch kernels are the only API
+(`loss_and_grad_batch`, `viterbi_batch`, `forward_backward`): each returns
+per-sequence arrays (B, ...) and arrays packed like the emission rows, which
+training hands on to the emission backward pass without splitting them.
+`sequence_log_prob` scores one path of a batch of one sequence.
 """
 
 from __future__ import annotations
@@ -35,24 +35,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-
-
-def _check_potentials(p: PotentialBatch) -> None:
-    """Convert to float64 in place and require consistent shapes and finite values."""
-    for name in ("emissions", "transitions", "start", "stop"):
-        setattr(p, name, np.asarray(getattr(p, name), dtype=np.float64))
-    if p.emissions.ndim != 2 or p.emissions.shape[0] < 1:
-        raise ValueError("emissions must be (n, y_count) with n >= 1")
-    y = p.emissions.shape[1]
-    if y < 1:
-        raise ValueError("y_count must be >= 1")
-    if p.transitions.shape != (y, y):
-        raise ValueError("transitions must be (y_count, y_count)")
-    if p.start.shape != (y,) or p.stop.shape != (y,):
-        raise ValueError("start and stop must be (y_count,)")
-    for arr in (p.emissions, p.transitions, p.start, p.stop):
-        if not np.isfinite(arr).all():
-            raise ValueError("potentials must be finite")
 
 
 @dataclass
@@ -69,10 +51,22 @@ class PotentialBatch:
     offsets: np.ndarray = field(init=False, repr=False)  # first row of each sequence
 
     def __post_init__(self) -> None:
+        """Convert to int64 and float64; require consistent shapes and finite values."""
         self.lengths = np.asarray(self.lengths, dtype=np.int64)
         if self.lengths.ndim != 1 or self.lengths.size < 1 or self.lengths.min() < 1:
             raise ValueError("lengths must be a non-empty 1-d array of values >= 1")
-        _check_potentials(self)
+        for name in ("emissions", "transitions", "start", "stop"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        if self.emissions.ndim != 2 or self.emissions.shape[1] < 1:
+            raise ValueError("emissions must be (n, y_count) with y_count >= 1")
+        y = self.emissions.shape[1]
+        if self.transitions.shape != (y, y):
+            raise ValueError("transitions must be (y_count, y_count)")
+        if self.start.shape != (y,) or self.stop.shape != (y,):
+            raise ValueError("start and stop must be (y_count,)")
+        for arr in (self.emissions, self.transitions, self.start, self.stop):
+            if not np.isfinite(arr).all():
+                raise ValueError("potentials must be finite")
         if int(self.lengths.sum()) != self.emissions.shape[0]:
             raise ValueError("lengths must add up to the number of emission rows")
         self.offsets = np.concatenate(([0], np.cumsum(self.lengths[:-1])))
@@ -80,26 +74,6 @@ class PotentialBatch:
     @property
     def size(self) -> int:
         return self.lengths.size
-
-
-class PotentialTable(PotentialBatch):
-    """Log-potentials for one sequence, the batch of one: emissions (n, y),
-    transitions (y, y), start (y,), stop (y,)."""
-
-    def __init__(self, emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray,
-                 stop: np.ndarray) -> None:
-        emissions = np.asarray(emissions, dtype=np.float64)
-        if emissions.ndim != 2 or emissions.shape[0] < 1:  # before the batch checks lengths
-            raise ValueError("emissions must be (n, y_count) with n >= 1")
-        super().__init__(emissions, [emissions.shape[0]], transitions, start, stop)
-
-    @property
-    def n(self) -> int:
-        return self.emissions.shape[0]
-
-    @property
-    def y_count(self) -> int:
-        return self.emissions.shape[1]
 
 
 class LatticeMask:
@@ -125,10 +99,6 @@ class LatticeMask:
         # An all-singleton mask pins a unique path; recursions collapse to it.
         self.singleton_path = keep.argmax(axis=1) if self.widths.max(initial=1) == 1 else None
 
-    @classmethod
-    def full(cls, n: int, y_count: int) -> "LatticeMask":
-        return cls(np.ones((n, y_count), dtype=bool))
-
     @cached_property
     def allowed(self) -> tuple[np.ndarray, ...]:
         """Each position's allowed tags, ascending."""
@@ -143,16 +113,6 @@ class LatticeMask:
             raise ValueError(f"mask length {len(self)} != sequence length {n}")
         if self.span > y_count:
             raise ValueError(f"mask over {self.span} tags exceeds y_count {y_count}")
-
-
-@dataclass
-class LatticeGradients:
-    """d(loss)/d(potential) for every potential entry of one sequence."""
-
-    d_emissions: np.ndarray
-    d_transitions: np.ndarray
-    d_start: np.ndarray
-    d_stop: np.ndarray
 
 
 # numpy sums up to this many contiguous terms one after another, so zeros
@@ -358,38 +318,19 @@ def _posteriors(
 
 def loss_and_grad_batch(
     batch: PotentialBatch, masks: Sequence[LatticeMask]
-) -> tuple[list[float], list[LatticeGradients]]:
-    """Each sequence's gap between its full and masked log-partitions, with
-    its gradients: the full and the masked lattices of the whole batch run
-    through one time-major recursion each.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each sequence's gap between its full and masked log-partitions (B,),
+    with its gradients: the full and the masked lattices of the whole batch
+    run through one time-major recursion each.
 
     The gradient w.r.t. each potential entry is the unconstrained posterior
-    expectation of that entry's indicator minus the masked one.
+    expectation of that entry's indicator minus the masked one: d_emissions
+    packed like the emission rows, d_transitions (B, y, y).  A sequence's
+    start and stop gradients are its first and last d_emissions rows.
     """
     log_z_m, unary_m, sums_m = _posteriors(batch, masks)
     log_z, unary, sums = _posteriors(batch)
-    d_emissions = unary - unary_m
-    grads = []
-    for first, n, d_trans in zip(batch.offsets, batch.lengths, sums - sums_m):
-        d_em = d_emissions[first : first + n]
-        grads.append(LatticeGradients(d_em, d_trans, d_em[0].copy(), d_em[-1].copy()))
-    return (log_z - log_z_m).tolist(), grads
-
-
-def loss_and_grad(table: PotentialTable, mask: LatticeMask) -> tuple[float, LatticeGradients]:
-    """Gap between full and masked log-partitions, with its gradients
-    (`loss_and_grad_batch` of one)."""
-    losses, grads = loss_and_grad_batch(table, [mask])
-    return losses[0], grads[0]
-
-
-def log_partition(table: PotentialTable, mask: LatticeMask | None = None) -> float:
-    """Log of the summed exp-scores of all (mask-compatible) tag sequences."""
-    return float(_posteriors(table, None if mask is None else [mask])[0][0])
-
-
-def constrained_log_partition(table: PotentialTable, mask: LatticeMask) -> float:
-    return log_partition(table, mask)
+    return log_z - log_z_m, unary - unary_m, sums - sums_m
 
 
 def _path_score(em: np.ndarray, p: PotentialBatch, t: np.ndarray) -> float:
@@ -399,20 +340,18 @@ def _path_score(em: np.ndarray, p: PotentialBatch, t: np.ndarray) -> float:
     return float(score)
 
 
-def sequence_log_prob(table: PotentialTable, tags: Sequence[int]) -> float:
-    """Log-probability of one tag sequence under the full lattice; always <= 0."""
-    if len(tags) != table.n:
-        raise ValueError(f"tag sequence length {len(tags)} != n {table.n}")
+def sequence_log_prob(batch: PotentialBatch, tags: Sequence[int]) -> float:
+    """Log-probability of a tag sequence under the full lattice of a batch of
+    one sequence; always <= 0."""
+    if batch.size != 1:
+        raise ValueError(f"a batch of {batch.size} sequences is not one sequence")
+    n, y = batch.emissions.shape
+    if len(tags) != n:
+        raise ValueError(f"tag sequence length {len(tags)} != n {n}")
     t = np.asarray(tags, dtype=np.int64)
-    if t.min() < 0 or t.max() >= table.y_count:
+    if t.min() < 0 or t.max() >= y:
         raise ValueError("tag index out of range")
-    return _path_score(table.emissions, table, t) - log_partition(table)
-
-
-def viterbi(table: PotentialTable) -> tuple[list[int], float]:
-    """Highest-scoring tag sequence and its score (`viterbi_batch` of one)."""
-    paths, scores = viterbi_batch(table)
-    return paths.tolist(), float(scores[0])
+    return _path_score(batch.emissions, batch, t) - float(_sum_product(_Lattice(batch))[0][0])
 
 
 def viterbi_batch(batch: PotentialBatch) -> tuple[np.ndarray, np.ndarray]:

@@ -158,8 +158,8 @@ def _active(x: sparse.csr_matrix, feature_count: int) -> tuple[np.ndarray, spars
     return cols.astype(x.indices.dtype), x_local
 
 
-def _check_rows(d_rows: Sequence[np.ndarray], n_rows: int, width: int) -> None:
-    if sum(len(d) for d in d_rows) != n_rows or any(d.shape[1:] != (width,) for d in d_rows):
+def _check_rows(d_rows: np.ndarray, lengths: Sequence[int], n_rows: int, width: int) -> None:
+    if d_rows.shape != (n_rows, width) or sum(lengths) != n_rows:
         raise ValueError("d_emissions shape mismatch")
 
 
@@ -208,20 +208,21 @@ class LinearEmissionModel:
     def backprop(
         self,
         head: str | None,
-        d_emissions: Sequence[np.ndarray],
+        d_emissions: np.ndarray,
+        lengths: Sequence[int],
         cache: tuple[np.ndarray, sparse.csr_matrix],
         out: dict[str, np.ndarray],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Backward pass of the batch `emissions` scored into cache, given each
-        sequence's d_emissions in batch order.  Adds the bias gradient into
-        out one sequence at a time; returns the weights' gradient as (the
-        columns the batch uses, the (y, len(columns)) block over them), which
-        one transposed-CSR product sums in token order."""
+        """Backward pass of the batch `emissions` scored into cache, given its
+        d_emissions rows and the lengths of its sequences in batch order.
+        Adds the bias gradient into out one sequence at a time; returns the
+        weights' gradient as (the columns the batch uses, the (y, len(columns))
+        block over them), which one transposed-CSR product sums in token order."""
         cols, x_local = cache
-        _check_rows(d_emissions, x_local.shape[0], self.weights.shape[0])
-        for d in d_emissions:
+        _check_rows(d_emissions, lengths, x_local.shape[0], self.weights.shape[0])
+        for d in np.split(d_emissions, np.cumsum(lengths)[:-1]):
             out["bias"] += d.sum(axis=0)
-        return cols, (x_local.T @ np.concatenate(d_emissions)).T
+        return cols, (x_local.T @ d_emissions).T
 
     def params(self) -> dict[str, np.ndarray]:
         return {"weights": self.weights, "bias": self.bias}
@@ -312,7 +313,8 @@ class SharedEmissionModel:
     def backprop(
         self,
         head: str,
-        d_emissions: Sequence[np.ndarray],
+        d_emissions: np.ndarray,
+        lengths: Sequence[int],
         cache: tuple[np.ndarray, sparse.csr_matrix, np.ndarray],
         out: dict[str, np.ndarray],
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -320,9 +322,9 @@ class SharedEmissionModel:
         head and bias terms still sum one sequence at a time."""
         cols, x_local, hidden = cache
         head_w, _ = self._head(head)
-        _check_rows(d_emissions, x_local.shape[0], head_w.shape[0])
-        d_hidden = []
-        for d, h in zip(d_emissions, np.split(hidden, np.cumsum([len(d) for d in d_emissions]))):
+        _check_rows(d_emissions, lengths, x_local.shape[0], head_w.shape[0])
+        d_hidden, bounds = [], np.cumsum(lengths)[:-1]
+        for d, h in zip(np.split(d_emissions, bounds), np.split(hidden, bounds)):
             out[f"head:{head}:weights"] += d.T @ h
             out[f"head:{head}:bias"] += d.sum(axis=0)
             d_hidden.append((d @ head_w) * (1.0 - h * h))
@@ -349,12 +351,7 @@ def emission_cache(model: Any, x: sparse.csr_matrix, head: str | None):
     return model.emissions(x, head)
 
 
-def emission_backprop(
-    model: Any,
-    head: str | None,
-    d_emissions: Sequence[np.ndarray],
-    cache: Any,
-    out: dict[str, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
+def emission_backprop(model: Any, head: str | None, d_emissions: np.ndarray,
+                      lengths: Sequence[int], cache: Any, out: dict[str, np.ndarray]):
     """Either scorer's backward pass over one batch (see `backprop`)."""
-    return model.backprop(head, d_emissions, cache, out)
+    return model.backprop(head, d_emissions, lengths, cache, out)

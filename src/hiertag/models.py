@@ -334,15 +334,15 @@ class _Trainer:
             raise FloatingPointError("emission scores overflow")
         lengths = [inst.fvecs.shape[0] for inst in batch]
         potentials = PotentialBatch(emissions, lengths, *_transitions(model, head), head.stop)
-        losses, lattice_grads = loss_and_grad(potentials, [inst.mask for inst in batch])
-        total = 0.0
-        for loss, g in zip(losses, lattice_grads):
-            total += loss
-            grads[f"trans:{head_name}"] += g.d_transitions
-            grads[f"start:{head_name}"] += g.d_start
-            grads[f"stop:{head_name}"] += g.d_stop
-        d_emissions = [g.d_emissions for g in lattice_grads]
-        cols, block = emission_backprop(model.emission, head_name, d_emissions, cache, grads)
+        losses, d_emissions, d_transitions = loss_and_grad(
+            potentials, [inst.mask for inst in batch])
+        first = potentials.offsets
+        for key, terms in ((f"trans:{head_name}", d_transitions),
+                           (f"start:{head_name}", d_emissions[first]),
+                           (f"stop:{head_name}", d_emissions[first + potentials.lengths - 1])):
+            grads[key] += np.add.accumulate(terms)[-1]  # term after term, in batch order
+        total = float(np.add.accumulate(losses)[-1])
+        cols, block = emission_backprop(model.emission, head_name, d_emissions, lengths, cache, grads)
         n = len(batch)
         reg = _regularized_keys(head_name, self.params) if cfg.l2 else set()
         for k, g in grads.items():

@@ -11,7 +11,8 @@ positions and a random subset of up to half the tags at the others.  The
 sides alternate within every one of REPEATS repeats; each sample is the
 mean of as many calls as fill about 20 ms.  It prints the median ms per
 call of each side and change/parent, and writes every sample as JSON with
---out.  It checks that both sides return the same bytes.
+--out.  It exits 1 unless both sides return the same bytes, gradients packed
+like the emission rows (older trees return one gradient object per sequence).
 """
 
 from __future__ import annotations
@@ -62,21 +63,25 @@ def _case(crf, seed: int, size: int, y: int):
     return batch, masks
 
 
-def _call(crf, kernel: str, batch, masks):
+def _run(crf, kernel: str, batch, masks):
     if kernel == "loss_and_grad_batch":
-        losses, grads = crf.loss_and_grad_batch(batch, masks)
-        return [np.asarray(losses)] + [getattr(g, f) for g in grads
-                                       for f in ("d_emissions", "d_transitions")]
-    if kernel == "viterbi_batch":
-        return list(crf.viterbi_batch(batch))
-    return list(crf.forward_backward(batch))
+        return crf.loss_and_grad_batch(batch, masks)
+    return getattr(crf, kernel)(batch)
+
+
+def _call(crf, kernel: str, batch, masks) -> list[np.ndarray]:
+    out = list(_run(crf, kernel, batch, masks))
+    if kernel == "loss_and_grad_batch" and isinstance(out[1], list):  # one object per sequence
+        out[1:] = [np.concatenate([g.d_emissions for g in out[1]]),
+                   np.stack([g.d_transitions for g in out[1]])]
+    return [np.asarray(a) for a in out]
 
 
 def _sample(crf, kernel: str, case) -> float:
     """Mean seconds per call over as many calls as fill about 20 ms."""
     start, calls = time.perf_counter(), 0
     while True:
-        _call(crf, kernel, *case)
+        _run(crf, kernel, *case)
         calls += 1
         elapsed = time.perf_counter() - start
         if elapsed >= 0.02:

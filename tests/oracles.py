@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy import sparse
 
-from hiertag.crf import (
-    LatticeGradients,
-    LatticeMask,
-    PotentialBatch,
-    PotentialTable,
-    loss_and_grad_batch,
-)
+from hiertag.crf import LatticeMask, PotentialBatch, _posteriors, loss_and_grad_batch, viterbi_batch
 from hiertag.features import (
     BOS,
     EOS,
@@ -27,6 +23,58 @@ from hiertag.models import (
     _regularized_keys,
     _transitions,
 )
+
+
+# The one-sequence CRF API of the tests and the acceptance criteria.  Each
+# function is a single call into `crf`'s batch kernels on the batch of one
+# sequence, with no arithmetic of its own, so they check the package's lattice.
+
+class PotentialTable(PotentialBatch):
+    """One sequence's log-potentials, the batch of one: emissions (n, y)."""
+
+    def __init__(self, emissions, transitions, start, stop) -> None:
+        emissions = np.asarray(emissions, dtype=np.float64)
+        if emissions.ndim != 2 or emissions.shape[0] < 1:  # before the batch checks lengths
+            raise ValueError("emissions must be (n, y_count) with n >= 1")
+        super().__init__(emissions, [emissions.shape[0]], transitions, start, stop)
+
+    @property
+    def n(self) -> int:
+        return self.emissions.shape[0]
+
+
+class SequenceGrads(NamedTuple):
+    """d(loss)/d(potential) for every potential entry of one sequence."""
+    d_emissions: np.ndarray
+    d_transitions: np.ndarray
+    d_start: np.ndarray
+    d_stop: np.ndarray
+
+
+def split_grads(batch: PotentialBatch, d_emissions, d_transitions) -> list[SequenceGrads]:
+    """`loss_and_grad_batch`'s packed gradients, sequence by sequence: a
+    sequence's start and stop gradients are its first and last emission rows."""
+    rows = np.split(d_emissions, batch.offsets[1:])
+    return [SequenceGrads(d, t, d[0], d[-1]) for d, t in zip(rows, d_transitions)]
+
+
+def loss_and_grad(table: PotentialTable, mask: LatticeMask) -> tuple[float, SequenceGrads]:
+    losses, *packed = loss_and_grad_batch(table, [mask])
+    return float(losses[0]), split_grads(table, *packed)[0]
+
+
+def log_partition(table: PotentialTable, mask: LatticeMask | None = None) -> float:
+    """Log of the summed exp-scores of all (mask-compatible) tag sequences."""
+    return float(_posteriors(table, None if mask is None else [mask])[0][0])
+
+
+def constrained_log_partition(table: PotentialTable, mask: LatticeMask) -> float:
+    return log_partition(table, mask)
+
+
+def viterbi(table: PotentialTable) -> tuple[list[int], float]:
+    paths, scores = viterbi_batch(table)
+    return paths.tolist(), float(scores[0])
 
 
 def reference_active(blocks):
@@ -228,13 +276,13 @@ def reference_slots(mask: LatticeMask) -> tuple[np.ndarray, np.ndarray]:
 def log_partition_backward(table: PotentialTable, mask: LatticeMask | None = None) -> float:
     """The log-partition by the backward recursion, as a cross-check."""
     em, trans = table.emissions, table.transitions
-    n = table.n
+    n, y = table.emissions.shape
     if mask is None:
         beta = table.stop.copy()
         for i in range(n - 2, -1, -1):
             beta = logsumexp(trans + (em[i + 1] + beta)[None, :], axis=1)
         return float(logsumexp(table.start + em[0] + beta))
-    mask.validate_for(table.n, table.y_count)
+    mask.validate_for(n, y)
     idx = mask.allowed
     beta = table.stop[idx[-1]].copy()
     for i in range(n - 2, -1, -1):
@@ -326,10 +374,10 @@ def _reference_masked(table: PotentialTable, mask: LatticeMask):
 
 
 def reference_loss_and_grad(table: PotentialTable, mask: LatticeMask):
-    mask.validate_for(table.n, table.y_count)
+    mask.validate_for(*table.emissions.shape)
     log_z, unary, pairwise = _reference_dense(table)
     log_z_m, unary_m, pairwise_m = _reference_masked(table, mask)
-    return log_z - log_z_m, LatticeGradients(
+    return log_z - log_z_m, SequenceGrads(
         d_emissions=unary - unary_m,
         d_transitions=pairwise.sum(axis=0) - pairwise_m.sum(axis=0),
         d_start=unary[0] - unary_m[0],
@@ -370,9 +418,9 @@ def reference_batch_grads(trainer, head_name: str, batch):
         *_transitions(model, head),
         head.stop,
     )
-    losses, lattice_grads = loss_and_grad_batch(potentials, [inst.mask for inst in batch])
+    losses, *packed = loss_and_grad_batch(potentials, [inst.mask for inst in batch])
     total = 0.0
-    for inst, (_, cache), loss, g in zip(batch, scored, losses, lattice_grads):
+    for inst, (_, cache), loss, g in zip(batch, scored, losses, split_grads(potentials, *packed)):
         total += loss
         reference_backprop(model.emission, inst.fvecs, head_name, g.d_emissions, cache, grads)
         grads[f"trans:{head_name}"] += g.d_transitions

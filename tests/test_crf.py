@@ -10,21 +10,20 @@ from hypothesis import strategies as st
 from hiertag.crf import (
     LatticeMask,
     PotentialBatch,
-    PotentialTable,
-    constrained_log_partition,
     forward_backward,
-    log_partition,
-    loss_and_grad,
     loss_and_grad_batch,
     sequence_log_prob,
-    viterbi,
     viterbi_batch,
 )
 from hiertag.crf import _posteriors, _restricted
 from oracles import (
+    PotentialTable,
     _reference_dense,
     all_path_scores,
+    constrained_log_partition,
+    log_partition,
     log_partition_backward,
+    loss_and_grad,
     oracle_log_partition,
     oracle_marginals,
     oracle_viterbi,
@@ -34,7 +33,13 @@ from oracles import (
     reference_loss_and_grad,
     reference_slots,
     reference_viterbi,
+    split_grads,
+    viterbi,
 )
+
+
+def full_mask(n: int, y: int) -> LatticeMask:
+    return LatticeMask(np.ones((n, y), dtype=bool))
 
 
 def zero_table(n: int, y: int) -> PotentialTable:
@@ -77,7 +82,7 @@ class TestLogPartition:
         for _ in range(50):
             n, y = int(rng.integers(1, 7)), int(rng.integers(1, 6))
             t = random_table(rng, n, y)
-            assert constrained_log_partition(t, LatticeMask.full(n, y)) == pytest.approx(
+            assert constrained_log_partition(t, full_mask(n, y)) == pytest.approx(
                 log_partition(t), abs=1e-9
             )
 
@@ -180,7 +185,7 @@ class TestLossAndGrad:
         for _ in range(30):
             n, y = int(rng.integers(1, 7)), int(rng.integers(1, 6))
             t = random_table(rng, n, y)
-            loss, g = loss_and_grad(t, LatticeMask.full(n, y))
+            loss, g = loss_and_grad(t, full_mask(n, y))
             assert abs(loss) < 1e-12
             for arr in (g.d_emissions, g.d_transitions, g.d_start, g.d_stop):
                 assert np.abs(arr).max() < 1e-12
@@ -313,6 +318,9 @@ class TestSequenceLogProb:
         t = zero_table(1, 2)
         assert sequence_log_prob(t, [0]) == pytest.approx(math.log(0.5), abs=1e-12)
         assert sequence_log_prob(t, [1]) == pytest.approx(math.log(0.5), abs=1e-12)
+        # A plain batch of one sequence is scored the same.
+        batch = PotentialBatch(t.emissions, [1], t.transitions, t.start, t.stop)
+        assert sequence_log_prob(batch, [1]) == sequence_log_prob(t, [1])
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(60)
@@ -379,6 +387,9 @@ class TestValidation:
     def test_sequence_log_prob_rejects_bad_tags(self):
         with pytest.raises(ValueError, match="out of range"):
             sequence_log_prob(zero_table(2, 2), [0, 7])
+        batch = PotentialBatch(np.zeros((3, 2)), [1, 2], np.zeros((2, 2)), np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match="batch of 2 sequences"):
+            sequence_log_prob(batch, [0, 1, 0])
 
 
 @st.composite
@@ -410,7 +421,7 @@ def masked_batches(draw):
     for n in batch.lengths.tolist():
         kind = draw(st.sampled_from(["full", "singleton", "partly", "random"]))
         if kind == "full":
-            masks.append(LatticeMask.full(n, y))
+            masks.append(full_mask(n, y))
         elif kind == "singleton":
             masks.append(LatticeMask([[int(t)] for t in rng.integers(0, y, size=n)]))
         elif kind == "partly":
@@ -433,6 +444,27 @@ def table_of(batch, b):
     """Sequence b of the batch on its own."""
     return PotentialTable(batch.emissions[rows_of(batch, b)], batch.transitions, batch.start,
                           batch.stop)
+
+
+def check_training_kernel(batch, masks) -> int:
+    """Check every sequence's loss and gradients against the one-sequence
+    reference kernel: to 1e-12, and bit for bit unless a mask allows eight
+    or more tags just before a position it pins.  Returns how many sequences
+    were checked bit for bit."""
+    losses, *packed = loss_and_grad_batch(batch, masks)
+    exact = 0
+    for b, (mask, got) in enumerate(zip(masks, split_grads(batch, *packed))):
+        loss, want = reference_loss_and_grad(table_of(batch, b), mask)
+        w = mask.widths
+        if not ((w[:-1] >= 8) & (w[1:] == 1)).any():
+            exact += 1
+            assert losses[b] == loss
+            for name in GRADIENT_FIELDS:
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert losses[b] == pytest.approx(loss, abs=1e-12)
+        for name in GRADIENT_FIELDS:
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-12)
+    return exact
 
 
 class TestBatchedKernels:
@@ -468,13 +500,15 @@ class TestBatchedKernels:
     @given(masked_batches())
     def test_training_kernel_equals_per_sequence_kernel_and_oracles(self, case):
         batch, masks = case
-        losses, grads = loss_and_grad_batch(batch, masks)
-        assert len(losses) == len(grads) == batch.size
-        for b, (mask, got) in enumerate(zip(masks, grads)):
+        losses, *packed = loss_and_grad_batch(batch, masks)
+        # A loss and a (y, y) block per sequence; emission gradients packed like the rows.
+        y, size = batch.emissions.shape[1], batch.size
+        shapes = [(size,), batch.emissions.shape, (size, y, y)]
+        assert [(a.shape, a.dtype) for a in (losses, *packed)] == [(s, np.float64) for s in shapes]
+        for b, (mask, got) in enumerate(zip(masks, split_grads(batch, *packed))):
             table = table_of(batch, b)
             # Bit for bit the one-sequence reference kernel.
             loss, want = reference_loss_and_grad(table, mask)
-            assert type(losses[b]) is float
             assert losses[b] == loss
             for name in GRADIENT_FIELDS:
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -506,20 +540,7 @@ class TestBatchedKernels:
             batch = PotentialBatch(rng.uniform(-3, 3, (lengths.sum(), y)), lengths,
                                    rng.uniform(-3, 3, (y, y)), rng.uniform(-3, 3, y),
                                    rng.uniform(-3, 3, y))
-            masks = [random_mask(rng, n, y) for n in lengths.tolist()]
-            losses, grads = loss_and_grad_batch(batch, masks)
-            for b, mask in enumerate(masks):
-                loss, want = reference_loss_and_grad(table_of(batch, b), mask)
-                w = mask.widths
-                if not ((w[:-1] >= 8) & (w[1:] == 1)).any():
-                    exact += 1
-                    assert losses[b] == loss
-                    for name in GRADIENT_FIELDS:
-                        assert getattr(grads[b], name).tobytes() == getattr(want, name).tobytes()
-                assert losses[b] == pytest.approx(loss, abs=1e-12)
-                for name in GRADIENT_FIELDS:
-                    np.testing.assert_allclose(getattr(grads[b], name), getattr(want, name),
-                                               rtol=0, atol=1e-12)
+            exact += check_training_kernel(batch, [random_mask(rng, n, y) for n in lengths.tolist()])
         assert exact > 200
 
     def test_long_wide_batches_equal_per_sequence_kernels(self):
@@ -542,7 +563,7 @@ class TestBatchedKernels:
             for n in lengths.tolist():
                 kind = kinds[int(rng.integers(len(kinds)))]
                 if kind == "full":
-                    masks.append(LatticeMask.full(n, y))
+                    masks.append(full_mask(n, y))
                 elif kind == "singleton":
                     masks.append(LatticeMask([[int(t)] for t in rng.integers(0, y, size=n)]))
                 elif kind == "partly":
@@ -557,27 +578,16 @@ class TestBatchedKernels:
                         rng.choice(y, size=int(rng.integers(min(8, y), y + 1)), replace=False)
                         for _ in range(n)
                     ]))
-            losses, grads = loss_and_grad_batch(batch, masks)
+            exact += check_training_kernel(batch, masks)
             paths, scores = viterbi_batch(batch)
             log_z, unary = forward_backward(batch)
-            for b, mask in enumerate(masks):
+            for b in range(batch.size):
                 table = table_of(batch, b)
                 path, score = viterbi(table)
                 assert paths[rows_of(batch, b)].tolist() == path
                 assert scores[b] == score
                 assert log_z[b] == log_partition(table)
                 assert unary[rows_of(batch, b)].tobytes() == marginals(table)[0].tobytes()
-                loss, want = reference_loss_and_grad(table, mask)
-                w = mask.widths
-                if not ((w[:-1] >= 8) & (w[1:] == 1)).any():
-                    exact += 1
-                    assert losses[b] == loss
-                    for name in GRADIENT_FIELDS:
-                        assert getattr(grads[b], name).tobytes() == getattr(want, name).tobytes()
-                assert losses[b] == pytest.approx(loss, abs=1e-12)
-                for name in GRADIENT_FIELDS:
-                    np.testing.assert_allclose(getattr(grads[b], name), getattr(want, name),
-                                               rtol=0, atol=1e-12)
         assert exact > 120
 
     @pytest.mark.parametrize("y", [1, 2, 5, 7, 8, 9, 33, 41])
@@ -612,11 +622,11 @@ class TestBatchedKernels:
         batch = PotentialBatch(np.zeros((5, 2)), [2, 3], np.zeros((2, 2)), np.zeros(2),
                                np.zeros(2))
         with pytest.raises(ValueError, match="masks for"):
-            loss_and_grad_batch(batch, [LatticeMask.full(2, 2)])
+            loss_and_grad_batch(batch, [full_mask(2, 2)])
         with pytest.raises(ValueError, match="mask length"):
-            loss_and_grad_batch(batch, [LatticeMask.full(2, 2), LatticeMask.full(2, 2)])
+            loss_and_grad_batch(batch, [full_mask(2, 2), full_mask(2, 2)])
         with pytest.raises(ValueError, match="y_count"):
-            loss_and_grad_batch(batch, [LatticeMask.full(2, 2), LatticeMask([[0], [1], [2]])])
+            loss_and_grad_batch(batch, [full_mask(2, 2), LatticeMask([[0], [1], [2]])])
 
     @pytest.mark.parametrize("seqs", [[2, 0], [1], [0, 1, 2], [2, 1, 0], [1, 3]])
     def test_forward_backward_of_chosen_sequences_equals_whole_batch(self, seqs):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from hiertag.crf import LatticeMask, PotentialTable, loss_and_grad
+from hiertag.crf import LatticeMask
 from hiertag.features import (
     FeatureVocabulary,
     LinearEmissionModel,
@@ -21,7 +21,7 @@ from hiertag.features import (
     word_shape,
     zero_gradients,
 )
-from oracles import reference_feature_strings
+from oracles import PotentialTable, loss_and_grad, reference_feature_strings
 
 
 def rows(token_ids, feature_count: int, values=None) -> sparse.csr_matrix:
@@ -220,7 +220,7 @@ class TestLinearModel:
         m = LinearEmissionModel.zeros(2, 4)
         grads = zero_gradients(m.params())
         _, cache = m.emissions(rows([[1], [2, 3]], 4), None)
-        cols, block = m.backprop(None, [np.zeros((2, 2))], cache, grads)
+        cols, block = m.backprop(None, np.zeros((2, 2)), [2], cache, grads)
         assert cols.tolist() == [1, 2, 3] and block.shape == (2, 3)
         assert np.all(block == 0)
         assert all(np.all(g == 0) for g in grads.values())
@@ -230,7 +230,7 @@ class TestLinearModel:
         d_em = np.array([[0.5, -0.5], [0.25, 0.75]])
         grads = zero_gradients(m.params())
         _, cache = m.emissions(rows([[3], [3]], 4), None)
-        cols, block = m.backprop(None, [d_em[:1], d_em[1:]], cache, grads)
+        cols, block = m.backprop(None, d_em, [1, 1], cache, grads)
         assert cols.tolist() == [3]
         assert np.allclose(block[:, 0], d_em.sum(axis=0))
         assert np.allclose(grads["bias"], d_em.sum(axis=0))
@@ -238,9 +238,10 @@ class TestLinearModel:
     def test_backprop_shape_mismatch(self):
         m = LinearEmissionModel.zeros(2, 4)
         _, cache = m.emissions(rows([[0]], 4), None)
-        for d_emissions in ([np.zeros((1, 3))], [np.zeros((2, 2))], [np.zeros((1, 2))] * 2):
+        for d_emissions, lengths in ((np.zeros((1, 3)), [1]), (np.zeros((2, 2)), [2]),
+                                     (np.zeros((2, 2)), [1, 1]), (np.zeros((1, 2)), [1, 1])):
             with pytest.raises(ValueError, match="mismatch"):
-                m.backprop(None, d_emissions, cache, zero_gradients(m.params()))
+                m.backprop(None, d_emissions, lengths, cache, zero_gradients(m.params()))
 
 
 class TestSharedModel:
@@ -310,7 +311,7 @@ class TestSharedModel:
         x = rows([random_ids(rng, m.feature_count) for _ in range(3)], m.feature_count)
         em, cache = m.emissions(x, "A")
         grads = zero_gradients(m.params())
-        _, block = m.backprop("A", [np.ones_like(em)], cache, grads)
+        _, block = m.backprop("A", np.ones_like(em), [len(em)], cache, grads)
         assert np.all(grads["head:B:weights"] == 0)
         assert np.all(grads["head:B:bias"] == 0)
         assert np.abs(block).sum() > 0
@@ -336,7 +337,7 @@ def end_to_end_grads(model, head, fs, trans, start, stop, mask):
     em, cache = emission_cache(model, fs, head)
     _, g = loss_and_grad(PotentialTable(em, trans, start, stop), mask)
     grads = zero_gradients(model.params())
-    cols, block = emission_backprop(model, head, [g.d_emissions], cache, grads)
+    cols, block = emission_backprop(model, head, g.d_emissions, [len(em)], cache, grads)
     grads[model.sparse_key][:, cols] += block
     return grads
 

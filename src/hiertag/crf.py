@@ -2,14 +2,16 @@
 
 Everything here is a pure function of a PotentialBatch (the emission rows of
 one head's sequences back to back, plus the transition/start/stop scores
-they share) and optional LatticeMasks that restrict each position to a
-subset of tags.  The loss is the gap between the
-full and the masked log-partition, so its gradients are differences of
-posterior expectations.  All recursions use max-shifted log-sum-exp; finite
-inputs produce finite outputs unless a path's score overflows.  Training
-and decoding run these kernels under np.errstate(over="raise",
-invalid="raise"), so such an overflow fails there (TrainingDiverged or
-ModelError naming the head) instead of decoding inf or nan.
+they share) and optional LatticeMasks, each one bool keep row per position.
+The loss is the gap between the full and the masked log-partition, so its
+gradients are differences of posterior expectations.  `_posteriors` packs
+a batch's masks like the emission rows and finds pinned sequences there;
+`_restricted` gathers the others' rows time-major.  All recursions use
+max-shifted log-sum-exp; finite inputs produce finite outputs unless a
+path's score overflows.  Training and decoding run these kernels under
+np.errstate(over="raise", invalid="raise"), so such an overflow fails
+there (TrainingDiverged or ModelError naming the head) instead of decoding
+inf or nan.
 
 A kernel lays the batch out once, time-major and longest first (`_Lattice`),
 so each recursion step slices the sequences still running, with the
@@ -37,6 +39,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+def _whole(values, name: str) -> np.ndarray:
+    """values as int64; ValueError naming them unless each is a finite whole number."""
+    a = np.asarray(values)
+    if not (a.dtype.kind in "iu" or a.dtype.kind == "f" and (np.isfinite(a) & (a == a.round())).all()):
+        raise ValueError(f"{name} must be whole numbers")
+    return a.astype(np.int64, copy=False)
+
+
 @dataclass
 class PotentialBatch:
     """Log-potentials for B sequences of one head: the emission rows of every
@@ -52,7 +62,7 @@ class PotentialBatch:
 
     def __post_init__(self) -> None:
         """Convert to int64 and float64; require consistent shapes and finite values."""
-        self.lengths = np.asarray(self.lengths, dtype=np.int64)
+        self.lengths = _whole(self.lengths, "lengths")
         if self.lengths.ndim != 1 or self.lengths.size < 1 or self.lengths.min() < 1:
             raise ValueError("lengths must be a non-empty 1-d array of values >= 1")
         for name in ("emissions", "transitions", "start", "stop"):
@@ -84,35 +94,21 @@ class LatticeMask:
     def __init__(self, allowed: np.ndarray | Iterable[Iterable[int]]) -> None:
         keep = allowed
         if not (isinstance(keep, np.ndarray) and keep.dtype == bool):
-            rows = [np.asarray(list(a), dtype=np.int64) for a in allowed]
+            rows = [_whole(list(a), f"tags of mask position {i}") for i, a in enumerate(allowed)]
             keep = np.zeros((len(rows), 1 + max([r.max(initial=0) for r in rows], default=0)),
                             dtype=bool)
             for i, r in enumerate(rows):
                 if r.min(initial=0) < 0:
                     raise ValueError(f"mask position {i} has a negative tag index")
                 keep[i, r] = True
+        if not keep.any(axis=1).all():
+            raise ValueError(f"mask position {np.argmin(keep.any(axis=1))} allows no tags")
         self.keep = keep
-        self.span = keep.shape[1]  # every allowed tag is below it
-        self.widths = keep.sum(axis=1)
-        if not self.widths.all():
-            raise ValueError(f"mask position {np.argmin(self.widths)} allows no tags")
-        # An all-singleton mask pins a unique path; recursions collapse to it.
-        self.singleton_path = keep.argmax(axis=1) if self.widths.max(initial=1) == 1 else None
 
     @cached_property
     def allowed(self) -> tuple[np.ndarray, ...]:
         """Each position's allowed tags, ascending."""
         return tuple(np.flatnonzero(row) for row in self.keep)
-
-    def __len__(self) -> int:
-        return len(self.widths)
-
-    def validate_for(self, n: int, y_count: int) -> None:
-        """Require one position per token of an n-token sequence over y_count tags."""
-        if len(self) != n:
-            raise ValueError(f"mask length {len(self)} != sequence length {n}")
-        if self.span > y_count:
-            raise ValueError(f"mask over {self.span} tags exceeds y_count {y_count}")
 
 
 # numpy sums up to this many contiguous terms one after another, so zeros
@@ -139,12 +135,12 @@ class _Lattice:
         if seqs is None:
             seqs = np.arange(batch.size)
         else:
-            seqs = np.asarray(seqs, dtype=np.int64)
+            seqs = _whole(seqs, "sequence indices")
             bad = seqs[(seqs < 0) | (seqs >= batch.size)]
             if bad.size or not seqs.size:
                 raise ValueError(f"sequence index {bad[0]} is not in a batch of {batch.size}"
                                  if bad.size else "no sequence selected")
-        self.batch, self.slots, self.widths = batch, None, None
+        self.slots = self.widths = None
         self.order = np.argsort(-batch.lengths[seqs], kind="stable")
         self.seqs = seqs = seqs[self.order]
         self.lengths = lengths = batch.lengths[seqs]
@@ -179,15 +175,13 @@ class _Lattice:
         return x[pos, np.repeat(given, lengths)]
 
 
-def _restricted(batch: PotentialBatch, masks: Sequence[LatticeMask],
+def _restricted(batch: PotentialBatch, keep: np.ndarray,
                 seqs: Sequence[int] | None = None) -> _Lattice:
     """The lattices of the given sequences (default: all), each restricted
-    to its mask's allowed tags (masks[b] for sequence b): a position's slots
-    are its allowed tags ascending, padded with tag 0 to the widest one."""
+    to its rows of keep (bool, packed like the emission rows): a position's
+    slots are its allowed tags ascending, padded with tag 0 to the widest."""
     lat = _Lattice(batch, seqs)
-    keep = np.zeros(lat.em.shape, dtype=bool)
-    for j, b in enumerate(lat.seqs):
-        keep[: len(masks[b]), j, : masks[b].span] = masks[b].keep
+    keep = keep[lat.rows] & (np.arange(lat.seqs.size) < lat.running[:, None])[..., None]
     lat.widths = keep.sum(axis=2)
     width = int(lat.widths.max())
     lat.slots = slots = np.argsort(~keep, axis=2, kind="stable")[:, :, :width]
@@ -279,8 +273,8 @@ def _posteriors(
     transition sums (B, y, y) of every sequence's full lattice, or of its
     lattice restricted to its mask.  A transition sum adds the sequence's
     pairwise marginals position by position; a restricted lattice adds its
-    live node pairs only, in tag space.  A mask that pins one path gets the
-    closed form: the path's score, one-hot marginals and transition counts."""
+    live node pairs only, in tag space.  The masks are packed into one keep
+    array; a pinned sequence (one tag per row) gets its path's closed form."""
     size, y = batch.size, batch.emissions.shape[1]
     log_z = np.empty(size)
     if masks is None:
@@ -291,20 +285,26 @@ def _posteriors(
         return log_z, lat.packed(unary), sums
     if len(masks) != size:
         raise ValueError(f"{len(masks)} masks for {size} sequences")
-    for mask, n in zip(masks, batch.lengths):
-        mask.validate_for(n, y)
+    keep = np.zeros(batch.emissions.shape, dtype=bool)  # every mask, packed like the rows
+    for mask, first, n in zip(masks, batch.offsets, batch.lengths):
+        rows, span = mask.keep.shape
+        if rows != n:
+            raise ValueError(f"mask length {rows} != sequence length {n}")
+        if span > y:
+            raise ValueError(f"mask over {span} tags exceeds y_count {y}")
+        keep[first : first + n, :span] = mask.keep
     unary = np.zeros(batch.emissions.shape)
     pairs, counts = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    pinned = [(b, m.singleton_path) for b, m in enumerate(masks) if m.singleton_path is not None]
-    swept = [b for b, m in enumerate(masks) if m.singleton_path is None]
-    for b, path in pinned:
+    pinned = np.maximum.reduceat(keep.sum(axis=1), batch.offsets) == 1
+    for b in np.flatnonzero(pinned):
         first, n = batch.offsets[b], batch.lengths[b]
+        path = keep[first : first + n].argmax(axis=1)
         log_z[b] = _path_score(batch.emissions[first : first + n], batch, path)
         unary[np.arange(first, first + n), path] = 1.0
         pairs.append((b * y + path[:-1]) * y + path[1:])
         counts.append(np.ones(n - 1))
-    if swept:
-        lat = _restricted(batch, masks, swept)
+    if not pinned.all():
+        lat = _restricted(batch, keep, np.flatnonzero(~pinned))
         log_z[lat.seqs], node_unary, node_pairwise = _node_posteriors(lat)
         live = np.arange(lat.em.shape[2]) < lat.widths[..., None]
         t, j, a = np.nonzero(live)

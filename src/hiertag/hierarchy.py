@@ -183,9 +183,9 @@ class ExtendedHierarchy:
         return self.map_by_traversal(fine_tag, tagset)
 
     def map_by_traversal(self, tag: str, tagset: str) -> str:
-        """Map any tag onto the named tagset: the first member met walking
-        out-edges level by level, which is the only member above the tag.
-        For fine-grained tags this agrees with `map_to_tagset`."""
+        """Map any tag onto the named tagset: one lookup in `routes`, filled
+        from each member's hyponym closure, so it is the only member above the
+        tag (the breadth-first ascent is tests/oracles.py::reference_route)."""
         self._require_tagset(tagset)
         self.graph._require(tag)
         if tag not in self.routes[tagset]:

@@ -268,9 +268,10 @@ def reference_slots(mask: LatticeMask) -> tuple[np.ndarray, np.ndarray]:
     """One mask's lattice slots, packed on their own: each position's allowed
     tags ascending (a stable argsort of ~keep), cut to the mask's widest
     position and padded with tag 0; and each position's width."""
-    width = int(mask.widths.max(initial=1))
+    widths = mask.keep.sum(axis=1)
+    width = int(widths.max(initial=1))
     order = np.argsort(~mask.keep, axis=1, kind="stable")[:, :width]
-    return np.where(np.arange(width) < mask.widths[:, None], order, 0), mask.widths
+    return np.where(np.arange(width) < widths[:, None], order, 0), widths
 
 
 def log_partition_backward(table: PotentialTable, mask: LatticeMask | None = None) -> float:
@@ -282,7 +283,7 @@ def log_partition_backward(table: PotentialTable, mask: LatticeMask | None = Non
         for i in range(n - 2, -1, -1):
             beta = logsumexp(trans + (em[i + 1] + beta)[None, :], axis=1)
         return float(logsumexp(table.start + em[0] + beta))
-    mask.validate_for(n, y)
+    assert len(mask.keep) == n and mask.keep.shape[1] <= y, "the mask does not fit the table"
     idx = mask.allowed
     beta = table.stop[idx[-1]].copy()
     for i in range(n - 2, -1, -1):
@@ -332,8 +333,8 @@ def _reference_dense(table: PotentialTable):
 def _reference_masked(table: PotentialTable, mask: LatticeMask):
     em, trans = table.emissions, table.transitions
     n, y = em.shape
-    if mask.singleton_path is not None:
-        path = mask.singleton_path
+    if all(a.size == 1 for a in mask.allowed):  # the mask pins one path
+        path = np.concatenate(mask.allowed)
         unary = np.zeros((n, y))
         unary[np.arange(n), path] = 1.0
         pairwise = np.zeros((max(n - 1, 0), y, y))
@@ -374,7 +375,7 @@ def _reference_masked(table: PotentialTable, mask: LatticeMask):
 
 
 def reference_loss_and_grad(table: PotentialTable, mask: LatticeMask):
-    mask.validate_for(*table.emissions.shape)
+    assert len(mask.keep) == table.n and mask.keep.shape[1] <= table.emissions.shape[1]
     log_z, unary, pairwise = _reference_dense(table)
     log_z_m, unary_m, pairwise_m = _reference_masked(table, mask)
     return log_z - log_z_m, SequenceGrads(

@@ -374,6 +374,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="negative"):
             LatticeMask([[0], [-1]])
 
+    @pytest.mark.parametrize("bad", [1.7, 0.5, np.inf, np.nan, "2"])
+    @pytest.mark.parametrize("build, name", [
+        (lambda v: PotentialBatch(np.zeros((3, 2)), [1, v], np.zeros((2, 2)), np.zeros(2),
+                                  np.zeros(2)), "lengths"),
+        (lambda v: LatticeMask([[0], [v]]), "tags of mask position 1"),
+        (lambda v: forward_backward(PotentialBatch(np.zeros((3, 2)), [1, 1, 1], np.zeros((2, 2)),
+                                                   np.zeros(2), np.zeros(2)), [0, v]),
+         "sequence indices"),
+    ])
+    def test_non_integer_input_rejected(self, build, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be whole numbers"):
+            build(bad)
+        for whole in (2, 2.0, np.int64(2), np.flatnonzero([0, 0, 1])[0]):
+            build(whole)
+
     def test_mask_length_mismatch_rejected(self):
         t = zero_table(3, 2)
         with pytest.raises(ValueError, match="mask length"):
@@ -455,7 +470,7 @@ def check_training_kernel(batch, masks) -> int:
     exact = 0
     for b, (mask, got) in enumerate(zip(masks, split_grads(batch, *packed))):
         loss, want = reference_loss_and_grad(table_of(batch, b), mask)
-        w = mask.widths
+        w = mask.keep.sum(axis=1)
         if not ((w[:-1] >= 8) & (w[1:] == 1)).any():
             exact += 1
             assert losses[b] == loss
@@ -683,22 +698,13 @@ class TestLatticeMaskKeepRows:
         want = LatticeMask([np.flatnonzero(r) for r in keep])
         np.testing.assert_array_equal(got.keep, keep)
         # The list-built mask spans up to its highest allowed tag; past it, nothing.
-        np.testing.assert_array_equal(want.keep, keep[:, : want.span])
-        assert keep[:, want.span - 1].any() and not keep[:, want.span :].any()
-        np.testing.assert_array_equal(got.widths, want.widths)
-        assert (got.singleton_path is None) == (want.singleton_path is None)
-        if got.singleton_path is not None:
-            np.testing.assert_array_equal(got.singleton_path, want.singleton_path)
+        span = want.keep.shape[1]
+        np.testing.assert_array_equal(want.keep, keep[:, :span])
+        assert keep[:, span - 1].any() and not keep[:, span:].any()
         assert len(got.allowed) == len(want.allowed) == len(keep)
         for a, b, row in zip(got.allowed, want.allowed, keep):
             np.testing.assert_array_equal(a, np.flatnonzero(row))
             np.testing.assert_array_equal(b, np.flatnonzero(row))
-        for mask, span in ((got, keep.shape[1]), (want, want.span)):
-            mask.validate_for(len(keep), span)
-            with pytest.raises(ValueError, match="y_count"):
-                mask.validate_for(len(keep), span - 1)
-        with pytest.raises(ValueError, match="mask length"):
-            got.validate_for(len(keep) + 1, keep.shape[1])
 
     def test_empty_keep_row_rejected(self):
         with pytest.raises(ValueError, match="position 1 allows no tags"):
@@ -713,13 +719,16 @@ class TestRestricted:
     @staticmethod
     def check(batch, masks):
         """The lattice's slots and widths, read back into emission-row order."""
-        lat = _restricted(batch, masks)
+        keep = np.zeros(batch.emissions.shape, dtype=bool)
+        for b, m in enumerate(masks):
+            keep[rows_of(batch, b), : m.keep.shape[1]] = m.keep
+        lat = _restricted(batch, keep)
         slots, widths = lat.packed(lat.slots), lat.packed(lat.widths)
         width = slots.shape[1]
         assert width == max(reference_slots(m)[0].shape[1] for m in masks)
         for b, m in enumerate(masks):
             want_slots, want_widths = reference_slots(m)
-            want = np.zeros((len(m), width), dtype=np.int64)
+            want = np.zeros((len(m.keep), width), dtype=np.int64)
             want[:, : want_slots.shape[1]] = want_slots
             np.testing.assert_array_equal(slots[rows_of(batch, b)], want)
             np.testing.assert_array_equal(widths[rows_of(batch, b)], want_widths)
@@ -737,8 +746,8 @@ class TestRestricted:
         y = 6
         masks = [LatticeMask([[0, 2], [1]]), LatticeMask([[3], [0, 1, 4], [2]]),
                  LatticeMask([[0]])]
-        assert [m.span for m in masks] == [3, 5, 1]
-        lengths = [len(m) for m in masks]
+        assert [m.keep.shape[1] for m in masks] == [3, 5, 1]
+        lengths = [len(m.keep) for m in masks]
         batch = PotentialBatch(rng.normal(size=(sum(lengths), y)), lengths,
                                rng.normal(size=(y, y)), rng.normal(size=y), rng.normal(size=y))
         slots, widths = self.check(batch, masks)

@@ -3,8 +3,8 @@
 The primary metric is token-level micro-F1 over non-Other tags; a span-level
 variant (maximal same-tag runs, exact match) sits behind a flag.  The
 signed-rank test drops zero differences, average-ranks ties, and switches
-from exact sign enumeration to a tie-corrected normal approximation above a
-configurable sample size.
+from exact sign enumeration to a tie-corrected normal approximation above
+EXACT_MAX_N nonzero pairs.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import numpy as np
 from scipy import stats
 
 from hiertag.data import OTHER
+
+EXACT_MAX_N = 25  # the largest sample whose signed-rank p-value is enumerated exactly
 
 
 class EvalError(ValueError):
@@ -149,10 +151,10 @@ def _normal_p(ranks: np.ndarray, statistic: float) -> float:
     return min(1.0, 2.0 * float(stats.norm.cdf(z)))
 
 
-def wilcoxon(a: Sequence[float], b: Sequence[float], exact_max_n: int = 25) -> WilcoxonResult:
+def wilcoxon(a: Sequence[float], b: Sequence[float]) -> WilcoxonResult:
     """Two-sided paired signed-rank test.
 
-    Zero differences are dropped.  For n_nonzero <= exact_max_n the p-value
+    Zero differences are dropped.  For n_nonzero <= EXACT_MAX_N the p-value
     enumerates sign assignments exactly (tie-aware); beyond that it uses the
     tie-corrected normal approximation with continuity correction.
     Significance is declared at p <= 0.01.
@@ -170,10 +172,7 @@ def wilcoxon(a: Sequence[float], b: Sequence[float], exact_max_n: int = 25) -> W
     w_pos = float(ranks[d > 0].sum())
     w_neg = float(ranks[d < 0].sum())
     statistic = min(w_pos, w_neg)
-    if n <= exact_max_n:
-        p = _exact_p(ranks, statistic)
-    else:
-        p = _normal_p(ranks, statistic)
+    p = (_exact_p if n <= EXACT_MAX_N else _normal_p)(ranks, statistic)
     return WilcoxonResult(n, statistic, p, p <= 0.01)
 
 

@@ -150,8 +150,6 @@ def parse_experiment_spec(text: str, base_dir: Path, source: str = "<spec>") -> 
     for m in models:
         if m not in known:
             raise ExperimentError(f"unknown model kind {m!r}")
-    if len(set(models)) != len(models):
-        raise ExperimentError("duplicate model kind")
 
     try:
         seeds = tuple(int(s) for s in need("seeds").split())
@@ -159,6 +157,9 @@ def parse_experiment_spec(text: str, base_dir: Path, source: str = "<spec>") -> 
         raise ExperimentError(f"seeds must be integers: {exc}") from None
     if min(seeds) < 0:
         raise ExperimentError(f"seeds must be >= 0, got {min(seeds)}")
+    for what, values in (("model kind", models), ("seed", seeds), ("target", lists["target"])):
+        if len(set(values)) < len(values):
+            raise ExperimentError(f"duplicate {what} {max(values, key=values.count)!r}")
 
     def convert(key: str, raw: str, kind):
         try:

@@ -187,9 +187,16 @@ class LinearEmissionModel:
     def zeros(cls, y_count: int, feature_count: int) -> "LinearEmissionModel":
         return cls(np.zeros((y_count, feature_count)), np.zeros(y_count))
 
+    @classmethod
+    def from_params(cls, params: dict, heads: Sequence[str]) -> "LinearEmissionModel":
+        return cls(params["weights"], params["bias"])  # the inverse of `params`
+
     @property
     def feature_count(self) -> int:
         return self.weights.shape[1]
+
+    def rows(self, head: str) -> int:  # emission rows scored for head
+        return self.weights.shape[0]
 
     def emissions(
         self, x: sparse.csr_matrix, head: str | None
@@ -270,9 +277,17 @@ class SharedEmissionModel:
         }
         return cls(shared_w, np.zeros(hidden_dim), heads)
 
+    @classmethod
+    def from_params(cls, params: dict, heads: Sequence[str]) -> "SharedEmissionModel":
+        return cls(params["shared_weights"], params["shared_bias"],
+                   {n: (params[f"head:{n}:weights"], params[f"head:{n}:bias"]) for n in heads})
+
     @property
     def feature_count(self) -> int:
         return self.shared_weights.shape[1]
+
+    def rows(self, head: str) -> int:
+        return self._head(head)[0].shape[0]
 
     @property
     def hidden_dim(self) -> int:

@@ -3,14 +3,16 @@
 Layout, all little-endian: magic, format version, the payload's length and
 CRC-32, then the payload: model kind, the training configuration as
 canonical JSON, the extended hierarchy in its text form, the feature string
-table, the emission parameters, then each head (sorted by name) with its tag
-domain and transition parameters.  Strings are stored as tables (a single
-string is a table of one): a u32 count, the u32 code-point lengths, a u64
-byte length and one UTF-8 blob, decoded once and sliced.  Arrays are stored
-as dimension counts plus raw float64 bytes, so reruns of the same training
-job produce byte-identical files and a loaded model predicts bitwise
-identically to the one saved.  The checksum is verified before any of the
-payload is parsed.
+table, the sorted head names, each head's tag domain, then the parameter
+table of `TrainedModel.params`: its sorted names and one array per name in
+that order.  The kind picks the emission scorer (mtl: shared; else linear,
+with one head), and the table's names must be the loaded model's own.
+Strings are stored as tables (a single string is a table of one): a u32
+count, the u32 code-point lengths, a u64 byte length and one UTF-8 blob,
+decoded once and sliced.  Arrays are stored as dimension counts plus raw
+float64 bytes, so reruns of the same training job produce byte-identical
+files and a loaded model predicts bitwise identically to the one saved.
+The checksum is verified before any of the payload is parsed.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from hiertag.hierarchy import parse_extended
 from hiertag.models import Head, ModelKind, TrainedModel, TrainingConfig
 
 MAGIC = b"HTAG"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _HEADER = struct.Struct("<IQI")  # version, payload length, payload CRC-32
 
 
@@ -119,55 +121,19 @@ class _Reader:
             raise ModelFormatError("trailing bytes after model payload")
 
 
-def _write_emission(w: _Writer, emission) -> None:
-    if isinstance(emission, LinearEmissionModel):
-        w.text("linear")
-        w.array(emission.weights)
-        w.array(emission.bias)
-    elif isinstance(emission, SharedEmissionModel):
-        w.text("shared")
-        w.array(emission.shared_weights)
-        w.array(emission.shared_bias)
-        w.u32(len(emission.heads))
-        for name in sorted(emission.heads):
-            hw, hb = emission.heads[name]
-            w.text(name)
-            w.array(hw)
-            w.array(hb)
-    else:
-        raise ModelFormatError(f"unsupported emission model {type(emission).__name__}")
-
-
-def _read_emission(r: _Reader):
-    tag = r.text()
-    if tag == "linear":
-        return LinearEmissionModel(r.array(), r.array())
-    if tag == "shared":
-        shared_w = r.array()
-        shared_b = r.array()
-        heads = {}
-        for _ in range(r.u32()):
-            name = r.text()
-            heads[name] = (r.array(), r.array())
-        return SharedEmissionModel(shared_w, shared_b, heads)
-    raise ModelFormatError(f"unknown emission model tag {tag!r}")
-
-
 def model_bytes(model: TrainedModel) -> bytes:
     w = _Writer()
     w.text(model.kind.value)
     w.text(json.dumps(asdict(model.config), sort_keys=True, separators=(",", ":")))
     w.text(model.hierarchy.to_text())
     w.texts(model.vocab.strings_by_id())
-    _write_emission(w, model.emission)
-    w.u32(len(model.heads))
+    w.texts(sorted(model.heads))
     for name in sorted(model.heads):
-        head = model.heads[name]
-        w.text(name)
-        w.texts(head.domain)
-        w.array(head.transitions)
-        w.array(head.start)
-        w.array(head.stop)
+        w.texts(model.heads[name].domain)
+    params = model.params()
+    w.texts(sorted(params))
+    for key in sorted(params):
+        w.array(params[key])
     payload = w.blob()
     return MAGIC + _HEADER.pack(FORMAT_VERSION, len(payload), zlib.crc32(payload)) + payload
 
@@ -176,25 +142,14 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
     Path(path).write_bytes(model_bytes(model))
 
 
-def _check_shapes(
-    kind: ModelKind, vocab: FeatureVocabulary, emission, heads: dict[str, Head]
-) -> None:
-    """Every head's parameters fit its domain, and the emission scorer reads
-    the vocabulary's features and writes one row per domain tag of each head."""
-    shared = isinstance(emission, SharedEmissionModel)
-    if shared != (kind is ModelKind.MTL) or not (shared or len(heads) == 1):
-        raise ModelFormatError(f"emission scorer does not fit a {kind.value} model")
-    if emission.feature_count != vocab.size:
+def _check_shapes(model: TrainedModel) -> None:
+    """The scorer reads the vocabulary; each head's arrays and emission rows fit its domain."""
+    if model.emission.feature_count != model.vocab.size:
         raise ModelFormatError("emission feature count disagrees with the vocabulary")
-    if shared:
-        rows = {name: w.shape[0] for name, (w, _) in emission.heads.items()}
-    else:
-        rows = dict.fromkeys(heads, emission.weights.shape[0])
-    if rows.keys() != heads.keys():
-        raise ModelFormatError("emission heads disagree with the CRF heads")
-    for name, head in heads.items():
+    for name, head in model.heads.items():
         y = len(head.domain)
-        shapes = (head.transitions.shape, head.start.shape, head.stop.shape, rows[name])
+        shapes = (head.transitions.shape, head.start.shape, head.stop.shape,
+                  model.emission.rows(name))
         if shapes != ((y, y), (y,), (y,), y):
             raise ModelFormatError(f"head {name} parameters do not fit its {y}-tag domain")
         if not all(np.isfinite(a).all() for a in (head.transitions, head.start, head.stop)):
@@ -230,12 +185,17 @@ def _parse_model(raw: bytes) -> TrainedModel:
     config = TrainingConfig(**json.loads(r.text()))
     hierarchy = parse_extended(r.text())
     vocab = FeatureVocabulary(r.texts())
-    emission = _read_emission(r)
-    heads = {}
-    for _ in range(r.u32()):
-        name = r.text()
-        domain = r.texts()
-        heads[name] = Head(name, domain, r.array(), r.array(), r.array())
+    names = r.texts()
+    domains = [r.texts() for _ in names]
+    keys = r.texts()
+    params = {key: r.array() for key in keys}
     r.done()
-    _check_shapes(kind, vocab, emission, heads)
-    return TrainedModel(kind, hierarchy, vocab, emission, heads, config)
+    if names != sorted(set(names)) or (kind is not ModelKind.MTL and len(names) != 1):
+        raise ModelFormatError(f"heads {names} do not fit a {kind.value} model")
+    scorer = SharedEmissionModel if kind is ModelKind.MTL else LinearEmissionModel
+    heads = {n: Head.from_params(n, d, params) for n, d in zip(names, domains)}
+    model = TrainedModel(kind, hierarchy, vocab, scorer.from_params(params, names), heads, config)
+    if sorted(model.params()) != keys:
+        raise ModelFormatError(f"parameter names do not fit a {kind.value} model")
+    _check_shapes(model)
+    return model

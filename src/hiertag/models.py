@@ -113,6 +113,10 @@ class Head:
     start: np.ndarray
     stop: np.ndarray
 
+    @classmethod
+    def from_params(cls, name: str, domain: list[str], params: dict[str, np.ndarray]) -> "Head":
+        return cls(name, domain, *(params[f"{k}:{name}"] for k in ("trans", "start", "stop")))
+
 
 @dataclass
 class EpochRecord:
@@ -145,6 +149,13 @@ class TrainedModel:
         if len(self.heads) != 1:
             raise ModelError(f"expected exactly one head, found {len(self.heads)}")
         return next(iter(self.heads.values()))
+
+    def params(self) -> dict[str, np.ndarray]:
+        """Every trained array by name; they are the model's own, updated in training."""
+        out = dict(self.emission.params())
+        for n, h in self.heads.items():
+            out.update({f"trans:{n}": h.transitions, f"start:{n}": h.start, f"stop:{n}": h.stop})
+        return out
 
 
 def expand_bio(domain: Sequence[str]) -> list[str]:
@@ -312,11 +323,7 @@ class _Trainer:
         self.model = model
         self.instances = instances
         self.cfg = cfg
-        self.params: dict[str, np.ndarray] = dict(model.emission.params())
-        for name, head in model.heads.items():
-            self.params[f"trans:{name}"] = head.transitions
-            self.params[f"start:{name}"] = head.start
-            self.params[f"stop:{name}"] = head.stop
+        self.params = model.params()
         self.opt = _Adagrad(self.params, cfg.learning_rate)
 
     def _batch_grads(

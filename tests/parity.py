@@ -52,11 +52,12 @@ def _digest(value) -> str:
 
 
 def _params(model) -> dict[str, np.ndarray]:
-    out = dict(model.emission.params())
-    for name, head in model.heads.items():
-        out.update({f"trans:{name}": head.transitions, f"start:{name}": head.start,
-                    f"stop:{name}": head.stop})
-    return out
+    """The side's own name -> array table, `TrainedModel.params`.  A tree
+    from before model format 4 keeps that table in its trainer only."""
+    if hasattr(model, "params"):
+        return model.params()
+    from hiertag.models import _Trainer
+    return _Trainer(model, {}, model.config).params
 
 
 def _run_kind(w, eh, kind: str, directory: Path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -650,6 +650,8 @@ class TestExperiment:
             ("learning_rate 0.5", "learning_rate fast"),
             ("epochs 3", "epochs 3\ndev_fraction half"),
             ("seeds 1 2 3", "seeds 1 -3"),
+            ("seeds 1 2 3", "seeds 1 2 1"),
+            ("target LOC", "target LOC\ntarget LOC"),
             ("epochs 3", "epochs 3\nbio maybe"),
             ("out_dir results", "out_dir spec.txt"),  # a file, not a directory
             ("out_dir results", "out_dir spec.txt/results"),

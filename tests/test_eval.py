@@ -4,11 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from hiertag.evaluation import (
     EvalError,
     ResultRow,
     TagCounts,
+    _exact_p,
+    _normal_p,
     report,
     score,
     wilcoxon,
@@ -143,11 +146,12 @@ class TestWilcoxon:
     def test_exact_and_normal_branches_agree(self):
         rng = np.random.default_rng(122)
         for _ in range(20):
-            a = rng.normal(size=25)
-            b = rng.normal(size=25)
-            exact = wilcoxon(a, b)
-            approx = wilcoxon(a, b, exact_max_n=0)
-            assert approx.p_value == pytest.approx(exact.p_value, abs=0.02)
+            d = rng.normal(size=25) - rng.normal(size=25)
+            ranks = stats.rankdata(np.abs(d))
+            statistic = min(float(ranks[d > 0].sum()), float(ranks[d < 0].sum()))
+            exact = _exact_p(ranks, statistic)
+            assert exact == wilcoxon(d, np.zeros(25)).p_value  # 25 pairs: the exact branch
+            assert _normal_p(ranks, statistic) == pytest.approx(exact, abs=0.02)
 
     def test_p_value_bounded(self):
         rng = np.random.default_rng(123)

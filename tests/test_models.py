@@ -50,6 +50,7 @@ from hiertag.model_io import (
     FORMAT_VERSION,
     MAGIC,
     ModelFormatError,
+    _Reader,
     _Writer,
     load_model,
     model_bytes,
@@ -460,6 +461,14 @@ class TestMtlTraining:
         assert np.array_equal(model.emission.heads["T1"][0], frozen["head_w"])
         assert np.array_equal(model.emission.heads["T1"][1], frozen["head_b"])
         assert not np.array_equal(model.emission.shared_weights, shared_before)
+
+    @pytest.mark.parametrize("train", [train_hier, train_mtl])
+    def test_trainer_updates_the_models_own_arrays(self, toy_eh, toy_corpora, train):
+        cfg = quick_cfg(epochs=1, hidden_dim=3)
+        model = train(list(toy_corpora), toy_eh, cfg)
+        trainer, table = _Trainer(model, {}, cfg), model.params()
+        assert list(trainer.params) == list(table)
+        assert all(trainer.params[k] is table[k] for k in table)
 
     def test_batch_gradients_match_finite_differences(self, toy_eh, toy_corpora):
         c1, c2 = toy_corpora
@@ -1301,10 +1310,45 @@ class TestModelIO:
         with pytest.raises(ModelFormatError, match="version"):
             load_model(path)
 
-    def test_version_2_files_are_rejected(self, toy_eh, tmp_path):
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_older_format_versions_are_rejected(self, toy_eh, tmp_path, version):
         payload = model_bytes(biased_model(toy_eh, "T1", "Name"))[20:]
-        with pytest.raises(ModelFormatError, match="version 2"):
-            load_bytes(tmp_path, rewrapped(payload, version=2))
+        with pytest.raises(ModelFormatError, match=f"unsupported model format version {version}"):
+            load_bytes(tmp_path, rewrapped(payload, version=version))
+
+    def test_files_store_the_head_and_parameter_tables(self, toy_eh, toy_corpora):
+        for model in (biased_model(toy_eh, "T1", "Name"),
+                      train_mtl(list(toy_corpora), toy_eh, quick_cfg(epochs=1, hidden_dim=3))):
+            names = sorted(model.heads)
+            params = model.params()
+            assert with_tables(model, names, [model.heads[n].domain for n in names],
+                               {k: params[k] for k in sorted(params)}) == model_bytes(model)
+
+    def test_parameter_table_must_be_the_models_own(self, toy_eh, tmp_path):
+        model = biased_model(toy_eh, "T1", "Name")
+        domains = [model.heads["T1"].domain]
+        params = {k: model.params()[k] for k in sorted(model.params())}
+        cases = [
+            ("stop:T1", {k: v for k, v in params.items() if k != "stop:T1"}),
+            ("parameter names", {**params, "trans:T9": params["trans:T1"]}),
+            ("parameter names", dict(reversed(params.items()))),
+        ]
+        for message, table in cases:
+            with pytest.raises(ModelFormatError, match=message):
+                load_bytes(tmp_path, with_tables(model, ["T1"], domains, table))
+
+    def test_heads_must_be_distinct_and_fit_the_kind(self, toy_eh, toy_corpora, tmp_path):
+        hier = biased_model(toy_eh, "T1", "Name")
+        two = {k.replace("T1", n): v for n in ("T1", "T2") for k, v in hier.params().items()}
+        with pytest.raises(ModelFormatError, match=r"heads \['T1', 'T2'\] do not fit a indep"):
+            load_bytes(tmp_path, with_tables(hier, ["T1", "T2"], [hier.heads["T1"].domain] * 2,
+                                             {k: two[k] for k in sorted(two)}))
+        mtl = train_mtl(list(toy_corpora), toy_eh, quick_cfg(epochs=1, hidden_dim=3))
+        params = mtl.params()
+        table = {k: params[k] for k in sorted(params)}
+        domain = mtl.heads["T1"].domain
+        with pytest.raises(ModelFormatError, match=r"heads \['T1', 'T1'\] do not fit a mtl"):
+            load_bytes(tmp_path, with_tables(mtl, ["T1", "T1"], [domain, domain], table))
 
     def test_string_table_faults_behind_a_valid_checksum(self, toy_eh, tmp_path):
         raw = model_bytes(biased_model(toy_eh, "T1", "Name"))
@@ -1425,6 +1469,23 @@ def rewrapped(payload: bytes, version: int = FORMAT_VERSION) -> bytes:
     """A model file around an edited payload, with a fresh length and CRC-32:
     the checksum passes, so the reader itself must catch the fault."""
     return MAGIC + struct.pack("<IQI", version, len(payload), zlib.crc32(payload)) + payload
+
+
+def with_tables(model, names, domains, params) -> bytes:
+    """A checksum-valid file: model's payload up to its feature table, then
+    these head names, domains and parameter table in format 4's layout."""
+    payload = model_bytes(model)[20:]
+    r = _Reader(payload)
+    for _ in range(4):  # kind, configuration, hierarchy, feature table
+        r.texts()
+    w = _Writer()
+    w.texts(names)
+    for domain in domains:
+        w.texts(domain)
+    w.texts(list(params))
+    for a in params.values():
+        w.array(a)
+    return rewrapped(payload[: r.off] + w.blob())
 
 
 def table(strings):

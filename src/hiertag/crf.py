@@ -18,16 +18,18 @@ so each recursion step slices the sequences still running, with the
 elementwise arithmetic of the one-sequence recursion: a sequence's result
 does not depend on its batch.  Each step is a tag-major tensor reduced over
 axis 0, which numpy runs as a few long loops, not k*W loops of W: forward
-and Viterbi steps are (W_from, k, W_to), backward steps (W_to, k, W_from)
-up to _PAD_EXACT nodes (wider ones keep a contiguous last-axis sum, whose
-pairwise rounding the one-sequence recursion fixes).  They are added with
-order="C", because the default "K" copies the transposed operands' strides
-and leaves the reduced axis in the middle.  Transition marginals are summed
-per sequence, position by position.  The batch kernels are the only API
-(`loss_and_grad_batch`, `viterbi_batch`, `forward_backward`): each returns
-per-sequence arrays (B, ...) and arrays packed like the emission rows, which
-training hands on to the emission backward pass without splitting them.
-`sequence_log_prob` scores one path of a batch of one sequence.
+and Viterbi steps are (W_from, k, W_to), backward steps (W_to, k, W_from).
+They are added with order="C", because the default "K" copies the
+transposed operands' strides and leaves the reduced axis in the middle.
+Every node, end and time sum reduces an outer axis, term after term (the
+end and time sums through `_sum0`), so the zeros of a padded node or
+position add nothing at any width.
+Transition marginals are summed per sequence, position by position.  The
+batch kernels are the only API (`loss_and_grad_batch`, `viterbi_batch`,
+`forward_backward`): each returns per-sequence arrays (B, ...) and arrays
+packed like the emission rows, which training hands on to the emission
+backward pass without splitting them.  `sequence_log_prob` scores one path
+of a batch of one sequence.
 """
 
 from __future__ import annotations
@@ -111,10 +113,10 @@ class LatticeMask:
         return tuple(np.flatnonzero(row) for row in self.keep)
 
 
-# numpy sums up to this many contiguous terms one after another, so zeros
-# padded after them leave the sum's rounding as it is; past it, a sum's
-# rounding depends on how many terms it has.
-_PAD_EXACT = 7
+def _sum0(x: np.ndarray) -> np.ndarray:
+    """x summed over axis 0, term after term: numpy reduces an outer axis
+    row by row, but a reduction into one element runs pairwise."""
+    return np.add.accumulate(x)[-1] if len(x) > 1 and x[0].size == 1 else x.sum(axis=0)
 
 
 class _Lattice:
@@ -153,18 +155,6 @@ class _Lattice:
         self.trans = np.broadcast_to(batch.transitions, (t - 1, b, y, y))
         self.start, self.stop = (np.broadcast_to(v, (b, y)) for v in (batch.start, batch.stop))
 
-    def node_sum(self, e: np.ndarray, at: tuple) -> np.ndarray:
-        """Sum over the last axis, the nodes of the positions `at`, rounded
-        as a sum over only each position's nodes on the lattice is rounded."""
-        if self.widths is None or e.shape[-1] <= _PAD_EXACT:
-            return e.sum(axis=-1)
-        widths = self.widths[at]
-        out = np.empty(e.shape[:-1])
-        for w in np.unique(widths):
-            sel = widths == w
-            out[sel] = e[sel, ..., :w].sum(axis=-1)
-        return out
-
     def packed(self, x: np.ndarray) -> np.ndarray:
         """x (T, B, ...) at the sequences' positions, back to back in the order
         given (packed like the emission rows, for the whole batch)."""
@@ -199,14 +189,10 @@ def _sum_product(lat: _Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and the forward and backward scores of every node (T, B, W), -inf past
     each sequence's end.
 
-    Steps are C-ordered (W_from, k, W_to) forward and, up to _PAD_EXACT
-    nodes, (W_to, k, W_from) backward: axis 0 sums term after term, as so
-    short a contiguous sum does.  Wider backward steps sum their contiguous
-    last axis pairwise, as the one-sequence recursion does.
-    Every sum rounds as the one-sequence recursion over the allowed tags
-    alone rounds it, but one: numpy sums a lone (k >= 8, 1) block, k allowed
-    tags stepping into a pinned position, in another order than this
-    batched forward step, so there the scores differ in the last bits."""
+    Steps are C-ordered (W_from, k, W_to) forward and (W_to, k, W_from)
+    backward, and the end sum (W, B): each sums over axis 0, term after
+    term, as the one-sequence recursion over the allowed tags alone does,
+    and a padded node's zero comes after them."""
     em, running, last = lat.em, lat.running, lat.last
     alpha = np.full(em.shape, -np.inf)
     alpha[0] = lat.start + em[0]
@@ -216,25 +202,19 @@ def _sum_product(lat: _Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                       order="C")  # (W_from, k, W_to)
         m = step.max(axis=0)
         alpha[i, :k] = m + np.log(np.exp(step - m).sum(axis=0)) + em[i, :k]
-    ends = alpha[last] + lat.stop
-    m = ends.max(axis=1)
-    log_z = m + np.log(lat.node_sum(np.exp(ends - m[:, None]), last))
+    ends = np.add(alpha[last].T, lat.stop.T, order="C")  # (W, B)
+    m = ends.max(axis=0)
+    log_z = m + np.log(_sum0(np.exp(ends - m)))
 
     beta = np.full(em.shape, -np.inf)
     beta[last] = lat.stop
-    tag_major = em.shape[2] <= _PAD_EXACT  # so few terms sum alike in either layout
     for i in range(running.size - 2, -1, -1):
         k = running[i + 1]  # sequences with a position after i
         nxt = em[i + 1, :k] + beta[i + 1, :k]
-        if tag_major:  # (W_to, k, W_from)
-            step = np.add(lat.trans[i, :k].transpose(2, 0, 1), nxt.T[:, :, None], order="C")
-            m = step.max(axis=0)
-            beta[i, :k] = m + np.log(np.exp(step - m).sum(axis=0))
-        else:  # (k, W_from, W_to), summed over contiguous nodes
-            step = lat.trans[i, :k] + nxt[:, None, :]
-            m = step.max(axis=2)
-            beta[i, :k] = m + np.log(lat.node_sum(np.exp(step - m[:, :, None]),
-                                                  (i + 1, slice(k))))
+        step = np.add(lat.trans[i, :k].transpose(2, 0, 1), nxt.T[:, :, None],
+                      order="C")  # (W_to, k, W_from)
+        m = step.max(axis=0)
+        beta[i, :k] = m + np.log(np.exp(step - m).sum(axis=0))
     return log_z, alpha, beta
 
 
@@ -256,16 +236,6 @@ def _node_posteriors(lat: _Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return log_z, unary, pairwise
 
 
-def _time_sum(pairwise: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Each sequence's pairwise marginals (T - 1, B, y, y), zero past its
-    `steps` pairs, summed over positions as numpy sums its own (steps, y, y)
-    block: row after row, so the zeros add nothing, but a lone column (y = 1)
-    pairwise, whose rounding depends on the count past _PAD_EXACT."""
-    if pairwise.shape[-1] > 1 or pairwise.shape[0] <= _PAD_EXACT:
-        return pairwise.sum(axis=0)
-    return np.stack([pairwise[:s, b].sum(axis=0) for b, s in enumerate(steps)])
-
-
 def _posteriors(
     batch: PotentialBatch, masks: Sequence[LatticeMask] | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -281,7 +251,7 @@ def _posteriors(
         lat = _Lattice(batch)
         log_z[lat.seqs], unary, pairwise = _node_posteriors(lat)
         sums = np.empty((size, y, y))
-        sums[lat.seqs] = _time_sum(pairwise, batch.lengths[lat.seqs] - 1)
+        sums[lat.seqs] = _sum0(pairwise)
         return log_z, lat.packed(unary), sums
     if len(masks) != size:
         raise ValueError(f"{len(masks)} masks for {size} sequences")

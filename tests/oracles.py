@@ -293,7 +293,18 @@ def log_partition_backward(table: PotentialTable, mask: LatticeMask | None = Non
 
 
 # A one-sequence training kernel: a dense and a masked recursion per
-# sequence.  `crf.loss_and_grad_batch` must equal it bit for bit.
+# sequence.  `crf.loss_and_grad_batch` must equal it bit for bit.  Every
+# forward, end, backward and time sum adds its terms in index order with
+# `term_sum`, so its rounding does not come from numpy's summation.
+
+def term_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """a summed over `axis`: starting from zeros, one term after another."""
+    a = np.moveaxis(a, axis, 0)
+    out = np.zeros(a.shape[1:])
+    for term in a:
+        out = out + term
+    return out
+
 
 def _reference_dense(table: PotentialTable):
     em, trans = table.emissions, table.transitions
@@ -305,11 +316,11 @@ def _reference_dense(table: PotentialTable):
     for i in range(1, n):
         step = prev[:, None] + trans
         m = step.max(axis=0)
-        prev = m + np.log(np.exp(step - m).sum(axis=0)) + em[i]
+        prev = m + np.log(term_sum(np.exp(step - m), 0)) + em[i]
         alpha[i] = prev
     last = prev + table.stop
     m = last.max()
-    log_z = float(m + np.log(np.exp(last - m).sum()))
+    log_z = float(m + np.log(term_sum(np.exp(last - m), 0)))
 
     beta = np.empty((n, y))
     prev = table.stop
@@ -317,7 +328,7 @@ def _reference_dense(table: PotentialTable):
     for i in range(n - 2, -1, -1):
         step = trans + (em[i + 1] + prev)[None, :]
         m = step.max(axis=1)
-        prev = m + np.log(np.exp(step - m[:, None]).sum(axis=1))
+        prev = m + np.log(term_sum(np.exp(step - m[:, None]), 1))
         beta[i] = prev
 
     unary = np.exp(alpha + beta - log_z)
@@ -347,17 +358,17 @@ def _reference_masked(table: PotentialTable, mask: LatticeMask):
     for i in range(1, n):
         step = alphas[i - 1][:, None] + blocks[i - 1]
         m = step.max(axis=0)
-        alphas.append(m + np.log(np.exp(step - m).sum(axis=0)) + em[i, idx[i]])
+        alphas.append(m + np.log(term_sum(np.exp(step - m), 0)) + em[i, idx[i]])
     last = alphas[-1] + table.stop[idx[-1]]
     m = last.max()
-    log_z = float(m + np.log(np.exp(last - m).sum()))
+    log_z = float(m + np.log(term_sum(np.exp(last - m), 0)))
 
     betas: list[np.ndarray] = [np.empty(0)] * n
     betas[-1] = table.stop[idx[-1]]
     for i in range(n - 2, -1, -1):
         step = blocks[i] + (em[i + 1, idx[i + 1]] + betas[i + 1])[None, :]
         m = step.max(axis=1)
-        betas[i] = m + np.log(np.exp(step - m[:, None]).sum(axis=1))
+        betas[i] = m + np.log(term_sum(np.exp(step - m[:, None]), 1))
 
     unary = np.zeros((n, y))
     for i in range(n):
@@ -380,7 +391,7 @@ def reference_loss_and_grad(table: PotentialTable, mask: LatticeMask):
     log_z_m, unary_m, pairwise_m = _reference_masked(table, mask)
     return log_z - log_z_m, SequenceGrads(
         d_emissions=unary - unary_m,
-        d_transitions=pairwise.sum(axis=0) - pairwise_m.sum(axis=0),
+        d_transitions=term_sum(pairwise, 0) - term_sum(pairwise_m, 0),
         d_start=unary[0] - unary_m[0],
         d_stop=unary[-1] - unary_m[-1],
     )

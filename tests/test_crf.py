@@ -461,25 +461,15 @@ def table_of(batch, b):
                           batch.stop)
 
 
-def check_training_kernel(batch, masks) -> int:
+def check_training_kernel(batch, masks) -> None:
     """Check every sequence's loss and gradients against the one-sequence
-    reference kernel: to 1e-12, and bit for bit unless a mask allows eight
-    or more tags just before a position it pins.  Returns how many sequences
-    were checked bit for bit."""
+    reference kernel, bit for bit."""
     losses, *packed = loss_and_grad_batch(batch, masks)
-    exact = 0
     for b, (mask, got) in enumerate(zip(masks, split_grads(batch, *packed))):
         loss, want = reference_loss_and_grad(table_of(batch, b), mask)
-        w = mask.keep.sum(axis=1)
-        if not ((w[:-1] >= 8) & (w[1:] == 1)).any():
-            exact += 1
-            assert losses[b] == loss
-            for name in GRADIENT_FIELDS:
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        assert losses[b] == pytest.approx(loss, abs=1e-12)
+        assert losses[b] == loss
         for name in GRADIENT_FIELDS:
-            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-12)
-    return exact
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 class TestBatchedKernels:
@@ -542,38 +532,38 @@ class TestBatchedKernels:
                 np.testing.assert_allclose(getattr(got, name), value, rtol=0, atol=1e-9)
 
     def test_training_kernel_on_masks_wider_than_seven_tags(self):
-        # Past seven allowed tags a sum's rounding depends on its length, so
-        # each backward step sums every sequence over its own mask width.
-        # numpy sums a block of >= 8 rows and one column in another order
-        # than the batched forward step does; only there may the last bits
-        # differ.
+        # numpy sums eight or more contiguous terms pairwise; every node sum
+        # here adds its terms one after another whatever the mask's width,
+        # also where a wide position steps into a pinned one.
         rng = np.random.default_rng(71)
-        exact = 0
         for _ in range(150):
             y = int(rng.integers(8, 14))
             lengths = rng.integers(1, 12, size=int(rng.integers(1, 6)))
             batch = PotentialBatch(rng.uniform(-3, 3, (lengths.sum(), y)), lengths,
                                    rng.uniform(-3, 3, (y, y)), rng.uniform(-3, 3, y),
                                    rng.uniform(-3, 3, y))
-            exact += check_training_kernel(batch, [random_mask(rng, n, y) for n in lengths.tolist()])
-        assert exact > 200
+            check_training_kernel(batch, [random_mask(rng, n, y) for n in lengths.tolist()])
 
     def test_long_wide_batches_equal_per_sequence_kernels(self):
         # Sequences of up to 60 tokens over up to 41 tags, so each
         # sequence's transition sums add up to 59 positions; lengths are
-        # mixed and sometimes tied.  Outside the (k >= 8, 1) step every
-        # result is the one-sequence kernels' bit for bit.
+        # mixed and sometimes tied.  The last cases are one sequence over
+        # one tag, whose transition sum reduces into one element; their
+        # potentials are small, so its terms carry the low bits that a
+        # summation order rounds differently.
         rng = np.random.default_rng(72)
         kinds = ("full", "singleton", "partly", "random", "wide")
-        exact = 0
-        for case in range(40):
-            y = int(rng.choice([1, 2, 3, 5, 8, 9, 13, 21, 41]))
-            lengths = rng.integers(1, 61, size=int(rng.integers(1, 9)))
+        for case in range(50):
+            if case < 40:
+                y, scale = int(rng.choice([1, 2, 3, 5, 8, 9, 13, 21, 41])), 3.0
+                lengths = rng.integers(1, 61, size=int(rng.integers(1, 9)))
+            else:
+                y, scale, lengths = 1, 0.5, rng.integers(9, 61, size=1)
             if case % 3 == 0:
                 lengths[rng.integers(lengths.size)] = lengths[0]
-            batch = PotentialBatch(rng.uniform(-3, 3, (lengths.sum(), y)), lengths,
-                                   rng.uniform(-3, 3, (y, y)), rng.uniform(-3, 3, y),
-                                   rng.uniform(-3, 3, y))
+            values = lambda *shape: rng.uniform(-scale, scale, size=shape)  # noqa: E731
+            batch = PotentialBatch(values(lengths.sum(), y), lengths, values(y, y), values(y),
+                                   values(y))
             masks = []
             for n in lengths.tolist():
                 kind = kinds[int(rng.integers(len(kinds)))]
@@ -588,12 +578,12 @@ class TestBatchedKernels:
                     ]))
                 elif kind == "random":
                     masks.append(random_mask(rng, n, y))
-                else:  # past _PAD_EXACT wherever y allows it
+                else:  # eight or more tags wherever y allows it
                     masks.append(LatticeMask([
                         rng.choice(y, size=int(rng.integers(min(8, y), y + 1)), replace=False)
                         for _ in range(n)
                     ]))
-            exact += check_training_kernel(batch, masks)
+            check_training_kernel(batch, masks)
             paths, scores = viterbi_batch(batch)
             log_z, unary = forward_backward(batch)
             for b in range(batch.size):
@@ -603,17 +593,21 @@ class TestBatchedKernels:
                 assert scores[b] == score
                 assert log_z[b] == log_partition(table)
                 assert unary[rows_of(batch, b)].tobytes() == marginals(table)[0].tobytes()
-        assert exact > 120
 
     @pytest.mark.parametrize("y", [1, 2, 5, 7, 8, 9, 33, 41])
     def test_decode_kernels_equal_one_sequence_references_bitwise(self, y):
         # Oracles with their own one-sequence (y, y) recursions, not the
         # batch kernels run on a batch of one.  Integer-valued potentials
-        # make ties, and batches of up to 300 mixed lengths.
+        # make ties, and batches of up to 300 mixed lengths.  From eight
+        # tags on, real-valued batches of one sequence, whose end sum
+        # reduces into one element: one to three positions long, so that
+        # the sum's last bit still reaches the log-partition.
         rng = np.random.default_rng(80 + y)
-        values = lambda *shape: rng.integers(-3, 4, size=shape).astype(float)  # noqa: E731
-        for size in (1, int(rng.integers(2, 40)), 300):
-            lengths = rng.integers(1, 61, size=size)
+        integers = lambda *shape: rng.integers(-3, 4, size=shape).astype(float)  # noqa: E731
+        reals = lambda *shape: rng.uniform(-0.5, 0.5, size=shape)  # noqa: E731
+        cases = [(1, 60, integers), (int(rng.integers(2, 40)), 60, integers), (300, 60, integers)]
+        for size, longest, values in cases + [(1, 3, reals)] * (40 if y >= 8 else 0):
+            lengths = rng.integers(1, longest + 1, size=size)
             batch = PotentialBatch(values(lengths.sum(), y), lengths, values(y, y), values(y),
                                    values(y))
             paths, scores = viterbi_batch(batch)

@@ -535,7 +535,7 @@ def _step_case(seed, shared, l2, clip, disjoint):
     rng = np.random.default_rng(seed)
     features = 120
     sizes = {"A": int(rng.integers(2, 5)), "B": int(rng.integers(2, 5))} if shared else {
-        "fine": int(rng.integers(1, 5))  # a one-tag head sums its lone column per sequence
+        "fine": int(rng.integers(1, 5))  # one tag: a time sum adds a lone column
     }
     heads = {
         name: Head(name, [f"t{i}" for i in range(y)], rng.normal(size=(y, y)),

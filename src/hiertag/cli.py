@@ -187,7 +187,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     config = parse_generator_config(
         Path(args.config).read_text(encoding="utf-8"), source=str(args.config)
     )
-    corpus = synth_corpus(config, args.seed, split=args.split)
+    corpus = synth_corpus(config, args.seed)
     write_column_file(corpus, args.out)
     _log(f"wrote {corpus.token_count} tokens in {len(corpus)} documents")
     return 0
@@ -248,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--split", default="train", choices=["train", "dev", "test"])
     p.set_defaults(func=cmd_synth)
 
     return parser

@@ -2,13 +2,14 @@
 runs over every requested model kind and seed, reported as CSV and markdown
 with pairwise significance tests.
 
-Specs are flat key-value text files (see `parse_experiment_spec`); every path
-inside a spec resolves relative to the spec file.  Cells share nothing, so
+Specs are `key value...` lines, read through the key tables (`_ARITY`); a
+path in a spec resolves relative to the spec file.  Cells share nothing, so
 they can run in parallel processes (capped by HIERTAG_THREADS).
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -62,6 +63,18 @@ _CONFIG_TYPES = {
 }
 
 
+# Every spec key that takes other than exactly one value: its fewest and most
+# values, and what its arity error says it takes.
+_ARITY = {
+    "dataset": (2, 2, "a path and a tagset name"),
+    "test": (1, 2, "a path and optionally a tagset"),
+    "models": (1, math.inf, "at least one model kind"),
+    "seeds": (1, math.inf, "at least one seed"),
+}
+_PATH_KEYS = ("hierarchy", "out_dir", "base", "extending", "dataset", "test")
+_REPEATED_KEYS = ("target", "dataset", "test")
+
+
 class ExperimentError(ValueError):
     """Malformed or inconsistent experiment spec."""
 
@@ -93,117 +106,74 @@ class Cell:
 
 
 def parse_experiment_spec(text: str, base_dir: Path, source: str = "<spec>") -> ExperimentSpec:
-    scalars: dict[str, str] = {}
-    lists: dict[str, list] = {"target": [], "dataset": [], "test": []}
-    lines: dict[str, str] = {}  # scalar key -> the spec line that set it
-
-    def path_of(raw: str, where: str) -> Path:
-        try:
-            return (base_dir / raw).resolve()
-        except ValueError as exc:  # a NUL byte in the path
-            raise ExperimentError(f"{where}: bad path {raw!r}: {exc}") from None
-
+    values: dict[str, object] = {}  # key -> its line's value, or a list of them
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip()
         if not line:
             continue
         key, *args = line.split()
         where = f"{source}:{lineno}"
-        if key in ("target",):
-            if len(args) != 1:
-                raise ExperimentError(f"{where}: target takes one tag")
-            lists["target"].append(args[0])
-        elif key == "dataset":
-            if len(args) != 2:
-                raise ExperimentError(f"{where}: dataset takes a path and a tagset name")
-            lists["dataset"].append((path_of(args[0], where), args[1]))
-        elif key == "test":
-            if len(args) not in (1, 2):
-                raise ExperimentError(f"{where}: test takes a path and optionally a tagset")
-            lists["test"].append((path_of(args[0], where), args[1] if len(args) == 2 else ""))
-        elif key in ("models", "seeds"):
-            if not args:
-                raise ExperimentError(f"{where}: {key} needs at least one value")
-            if key in scalars:
-                raise ExperimentError(f"{where}: duplicate {key}")
-            scalars[key], lines[key] = " ".join(args), where
+        fewest, most, takes = _ARITY.get(key, (1, 1, "one value"))
+        if not fewest <= len(args) <= most:
+            raise ExperimentError(f"{where}: {key} takes {takes}")
+        if most < math.inf:  # a missing optional value reads as ""
+            args += [""] * (most - len(args))
+        if key in _PATH_KEYS:
+            try:
+                args[0] = (base_dir / args[0]).resolve()
+            except ValueError as exc:  # a NUL byte in the path
+                raise ExperimentError(f"{where}: bad path {args[0]!r}: {exc}") from None
+        value = args[0] if most == 1 else tuple(args)
+        if key in _REPEATED_KEYS:
+            values.setdefault(key, []).append(value)
+        elif key in values:
+            raise ExperimentError(f"{where}: duplicate {key}")
         else:
-            if len(args) != 1:
-                raise ExperimentError(f"{where}: {key} takes one value")
-            if key in scalars:
-                raise ExperimentError(f"{where}: duplicate {key}")
-            scalars[key], lines[key] = args[0], where
+            values[key] = value
 
-    def need(key: str) -> str:
-        if key not in scalars:
+    def pop(key: str, *default, convert=lambda value: value):
+        """`values.pop(key[, default])`, converted; a key without default is required."""
+        if key not in values and not default:
             raise ExperimentError(f"{source}: missing required key {key}")
-        return scalars.pop(key)
-
-    kind = need("kind")
-    if kind not in ("extension", "integration"):
-        raise ExperimentError(f"unknown experiment kind {kind!r}")
-    hierarchy = path_of(need("hierarchy"), lines["hierarchy"])
-    out_dir = path_of(need("out_dir"), lines["out_dir"])
-
-    models = tuple(need("models").split())
-    known = {k.value for k in ModelKind}
-    for m in models:
-        if m not in known:
-            raise ExperimentError(f"unknown model kind {m!r}")
-
-    try:
-        seeds = tuple(int(s) for s in need("seeds").split())
-    except ValueError as exc:
-        raise ExperimentError(f"seeds must be integers: {exc}") from None
-    if min(seeds) < 0:
-        raise ExperimentError(f"seeds must be >= 0, got {min(seeds)}")
-    for what, values in (("model kind", models), ("seed", seeds), ("target", lists["target"])):
-        if len(set(values)) < len(values):
-            raise ExperimentError(f"duplicate {what} {max(values, key=values.count)!r}")
-
-    def convert(key: str, raw: str, kind):
+        value = values.pop(key, *default)
         try:
-            return kind(raw)
+            return convert(value)
         except ValueError:
-            raise ExperimentError(f"{source}: bad {key} value {raw!r}") from None
-
-    method = convert("consolidation", scalars.pop("consolidation", "random"), ConsolidationMethod)
-    dev_fraction = convert("dev_fraction", scalars.pop("dev_fraction", "0"), float)
-    if not 0 <= dev_fraction < 1:
-        raise ExperimentError("dev_fraction must lie in [0, 1)")
-
-    overrides = {
-        key: convert(key, scalars.pop(key), _CONFIG_TYPES[key])
-        for key in list(scalars)
-        if key in _CONFIG_TYPES
-    }
-    training = TrainingConfig(**overrides)
-
-    base = scalars.pop("base", None)
-    extending = scalars.pop("extending", None)
-    if scalars:
-        raise ExperimentError(f"unknown spec keys: {', '.join(sorted(scalars))}")
+            raise ExperimentError(f"{source}: bad {key} value {value!r}") from None
 
     spec = ExperimentSpec(
-        kind=kind,
-        hierarchy=hierarchy,
-        models=models,
-        seeds=seeds,
-        consolidation=method,
-        out_dir=out_dir,
-        training=training,
-        dev_fraction=dev_fraction,
-        base=path_of(base, lines["base"]) if base else None,
-        extending=path_of(extending, lines["extending"]) if extending else None,
-        targets=tuple(lists["target"]),
-        datasets=tuple(lists["dataset"]),
-        tests=tuple(lists["test"]),
+        kind=pop("kind"),
+        hierarchy=pop("hierarchy"),
+        models=pop("models", convert=lambda raw: tuple(ModelKind(m).value for m in raw)),
+        seeds=pop("seeds", convert=lambda raw: tuple(map(int, raw))),
+        consolidation=pop("consolidation", "random", convert=ConsolidationMethod),
+        out_dir=pop("out_dir"),
+        training=TrainingConfig(
+            **{key: pop(key, convert=kind) for key, kind in _CONFIG_TYPES.items() if key in values}
+        ),
+        dev_fraction=pop("dev_fraction", "0", convert=float),
+        base=pop("base", None),
+        extending=pop("extending", None),
+        targets=pop("target", (), convert=tuple),
+        datasets=pop("dataset", (), convert=tuple),
+        tests=pop("test", (), convert=tuple),
     )
+    if values:
+        raise ExperimentError(f"unknown spec keys: {', '.join(sorted(values))}")
     _validate(spec)
     return spec
 
 
 def _validate(spec: ExperimentSpec) -> None:
+    if spec.kind not in ("extension", "integration"):
+        raise ExperimentError(f"unknown experiment kind {spec.kind!r}")
+    if min(spec.seeds) < 0:
+        raise ExperimentError(f"seeds must be >= 0, got {min(spec.seeds)}")
+    for what, values in (("model kind", spec.models), ("seed", spec.seeds), ("target", spec.targets)):
+        if len(set(values)) < len(values):
+            raise ExperimentError(f"duplicate {what} {max(values, key=values.count)!r}")
+    if not 0 <= spec.dev_fraction <= 0.5:
+        raise ExperimentError(f"dev_fraction must lie in [0, 0.5], got {spec.dev_fraction}")
     if spec.kind == "extension":
         if spec.base is None or spec.extending is None:
             raise ExperimentError("extension kind needs base and extending corpora")
@@ -220,8 +190,8 @@ def _validate(spec: ExperimentSpec) -> None:
             raise ExperimentError("integration tests need explicit tagset names")
     if not spec.tests:
         raise ExperimentError("no test corpora")
-    for p in _referenced_files(spec):
-        if not p.is_file():
+    for p in (spec.hierarchy, spec.base, spec.extending, *(p for p, _ in spec.datasets + spec.tests)):
+        if p is not None and not p.is_file():
             raise ExperimentError(f"referenced file does not exist: {p}")
     # The reports are written under out_dir: it, or its nearest existing ancestor, is a directory.
     existing = next(p for p in (spec.out_dir, *spec.out_dir.parents) if p.exists())
@@ -229,18 +199,10 @@ def _validate(spec: ExperimentSpec) -> None:
         raise ExperimentError(f"out_dir {spec.out_dir} is not a directory ({existing} is a file)")
 
 
-def _referenced_files(spec: ExperimentSpec) -> list[Path]:
-    out = [spec.hierarchy]
-    out += [p for p in (spec.base, spec.extending) if p is not None]
-    out += [p for p, _ in spec.datasets]
-    out += [p for p, _ in spec.tests]
-    return out
-
-
 def _split_dev(corpus: Corpus, fraction: float) -> tuple[Corpus, Corpus | None]:
     if fraction <= 0 or len(corpus.sequences) < 2:
         return corpus, None
-    stride = max(2, round(1 / fraction))
+    stride = round(1 / fraction)  # at least 2, as _validate caps the fraction at 0.5
     dev = [s for i, s in enumerate(corpus.sequences) if i % stride == stride - 1]
     train = [s for i, s in enumerate(corpus.sequences) if i % stride != stride - 1]
     if not dev or not train:

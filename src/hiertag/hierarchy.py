@@ -249,7 +249,10 @@ def extend_with_other(h: TagHierarchy) -> ExtendedHierarchy:
     return ExtendedHierarchy(graph)
 
 
-def _parse(text: str) -> tuple[TagHierarchy, bool, frozenset[str] | None]:
+def _parse(text: str, extended_form: bool | None) -> TagHierarchy | ExtendedHierarchy:
+    """Parse hierarchy text and check it is in the given form, plain (False)
+    or extended (True).  None takes the form the text declares and extends
+    plain text."""
     nodes: set[str] = set()
     edges: set[tuple[str, str]] = set()
     tagsets: dict[str, frozenset[str]] = {}
@@ -290,23 +293,14 @@ def _parse(text: str) -> tuple[TagHierarchy, bool, frozenset[str] | None]:
             raise HierarchyError(f"line {lineno}: unknown directive {directive!r}")
 
     h = TagHierarchy(nodes, edges, tagsets)
-    return h, extended, frozenset(fgts) if fgts is not None else None
-
-
-def parse_hierarchy(text: str) -> TagHierarchy:
-    """Parse plain hierarchy text (directives `edge` and `tagset`)."""
-    h, extended, fgts = _parse(text)
-    if extended or fgts is not None:
-        raise HierarchyError(
-            "input is an extended hierarchy; parse it with parse_extended "
-            "or start from the pre-extension file"
-        )
-    return h
-
-
-def parse_extended(text: str) -> ExtendedHierarchy:
-    """Parse extended hierarchy text (marker comment plus `fgts` directive)."""
-    h, extended, fgts = _parse(text)
+    as_extended = extended if extended_form is None else extended_form
+    if not as_extended:
+        if extended or fgts is not None:
+            raise HierarchyError(
+                "input is an extended hierarchy; parse it with parse_extended "
+                "or start from the pre-extension file"
+            )
+        return extend_with_other(h) if extended_form is None else h
     if not extended or fgts is None:
         raise HierarchyError("not an extended hierarchy file")
     if fgts != h.fine_grained:
@@ -316,9 +310,16 @@ def parse_extended(text: str) -> ExtendedHierarchy:
     return ExtendedHierarchy(h)
 
 
+def parse_hierarchy(text: str) -> TagHierarchy:
+    """Parse plain hierarchy text (directives `edge` and `tagset`)."""
+    return _parse(text, extended_form=False)
+
+
+def parse_extended(text: str) -> ExtendedHierarchy:
+    """Parse extended hierarchy text (marker comment plus `fgts` directive)."""
+    return _parse(text, extended_form=True)
+
+
 def ensure_extended(text: str) -> ExtendedHierarchy:
     """Accept either form: extended text parses as-is, plain text is extended."""
-    _, extended, _ = _parse(text)
-    if extended:
-        return parse_extended(text)
-    return extend_with_other(parse_hierarchy(text))
+    return _parse(text, extended_form=None)

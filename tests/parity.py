@@ -51,15 +51,6 @@ def _digest(value) -> str:
     return hashlib.sha256(json.dumps(value).encode()).hexdigest()
 
 
-def _params(model) -> dict[str, np.ndarray]:
-    """The side's own name -> array table, `TrainedModel.params`.  A tree
-    from before model format 4 keeps that table in its trainer only."""
-    if hasattr(model, "params"):
-        return model.params()
-    from hiertag.models import _Trainer
-    return _Trainer(model, {}, model.config).params
-
-
 def _run_kind(w, eh, kind: str, directory: Path) -> tuple[dict, dict[str, np.ndarray]]:
     from hiertag.experiments import train_models
     from hiertag.model_io import load_model, save_model
@@ -86,7 +77,7 @@ def _run_kind(w, eh, kind: str, directory: Path) -> tuple[dict, dict[str, np.nda
         "collisions": collisions,
         "records": _digest(records),
     }
-    params = {f"{i}/{k}": v for i, m in enumerate(models) for k, v in _params(m).items()}
+    params = {f"{i}/{k}": v for i, m in enumerate(models) for k, v in m.params().items()}
     return record, params
 
 

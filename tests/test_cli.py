@@ -649,6 +649,7 @@ class TestExperiment:
             ("epochs 3", "epochs three"),
             ("learning_rate 0.5", "learning_rate fast"),
             ("epochs 3", "epochs 3\ndev_fraction half"),
+            ("epochs 3", "epochs 3\ndev_fraction 0.9"),
             ("seeds 1 2 3", "seeds 1 -3"),
             ("seeds 1 2 3", "seeds 1 2 1"),
             ("target LOC", "target LOC\ntarget LOC"),
@@ -664,6 +665,30 @@ class TestExperiment:
         code, _, err = run(capsys, "experiment", spec)
         assert code == 2
         assert bad.split()[-1] in err
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize(
+        "line, bad, key, lineno",
+        [
+            ("target LOC", "target", "target", 5),
+            ("epochs 3", "epochs 3\ndataset a", "dataset", 12),
+            ("test test.conll", "test a b c", "test", 6),
+            ("models hier concat indep", "models", "models", 7),
+            ("seeds 1 2 3", "seeds", "seeds", 8),
+            ("epochs 3", "epochs 1 2", "epochs", 11),
+            ("epochs 3", "epochs 3\nepochs 4", "epochs", 12),  # a repeated scalar key
+            ("out_dir results", "", "out_dir", None),  # a missing required key
+            ("epochs 3", "epochs 3\nrounds 4", "rounds", None),  # an unknown key
+        ],
+    )
+    def test_spec_fault_names_its_key_and_line(self, tmp_path, capsys, line, bad, key, lineno):
+        write_experiment_inputs(tmp_path, capsys)
+        spec = tmp_path / "spec.txt"
+        spec.write_text(EXPERIMENT_SPEC.replace(line, bad))
+        code, _, err = run(capsys, "experiment", spec)
+        assert code == 2
+        message = err.rpartition(f"{spec}:{lineno}: " if lineno else "error: ")[2]
+        assert message != err and key in message.split()
         assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize("line", ["hierarchy h.txt", "base base.conll",

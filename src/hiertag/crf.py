@@ -4,9 +4,13 @@ Everything here is a pure function of a PotentialBatch (the emission rows of
 one head's sequences back to back, plus the transition/start/stop scores
 they share) and optional LatticeMasks, each one bool keep row per position.
 The loss is the gap between the full and the masked log-partition, so its
-gradients are differences of posterior expectations.  `_posteriors` packs
-a batch's masks like the emission rows and finds pinned sequences there;
-`_restricted` gathers the others' rows time-major.  All recursions use
+gradients are differences of posterior expectations.  `_packed_masks` packs
+a batch's masks like the emission rows; a sequence pinned to one path gets
+its closed form.  The other sequences' masked lattices run in tag space
+beside the full ones (off-mask nodes scored -inf, one recursion for both)
+while that adds at most `_TAG_SPACE_PAIRS` node pairs per step, otherwise
+restricted to their allowed tags (`_restricted`) in a recursion of their
+own: the same bytes either way, as below.  All recursions use
 max-shifted log-sum-exp; finite inputs produce finite outputs unless a
 path's score overflows.  Training and decoding run these kernels under
 np.errstate(over="raise", invalid="raise"), so such an overflow fails
@@ -22,8 +26,9 @@ and Viterbi steps are (W_from, k, W_to), backward steps (W_to, k, W_from).
 They are added with order="C", because the default "K" copies the
 transposed operands' strides and leaves the reduced axis in the middle.
 Every node, end and time sum reduces an outer axis, term after term (the
-end and time sums through `_sum0`), so the zeros of a padded node or
-position add nothing at any width.
+end and time sums through `_sum0`), so a zero adds nothing at any width:
+a position past an end, or exp(-inf - m) = 0.0 at an off-mask or padded
+node, where m stays finite, as every position keeps a tag.
 Transition marginals are summed per sequence, position by position.  The
 batch kernels are the only API (`loss_and_grad_batch`, `viterbi_batch`,
 `forward_backward`): each returns per-sequence arrays (B, ...) and arrays
@@ -236,26 +241,30 @@ def _node_posteriors(lat: _Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return log_z, unary, pairwise
 
 
-def _posteriors(
-    batch: PotentialBatch, masks: Sequence[LatticeMask] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Log-partition (B,), unary marginals packed like the emission rows and
-    transition sums (B, y, y) of every sequence's full lattice, or of its
-    lattice restricted to its mask.  A transition sum adds the sequence's
-    pairwise marginals position by position; a restricted lattice adds its
-    live node pairs only, in tag space.  The masks are packed into one keep
-    array; a pinned sequence (one tag per row) gets its path's closed form."""
+# The most extra node pairs per recursion step, B_free * (y*y - W_m*W_m), at
+# which a batch's masked lattices run in tag space beside its full ones: the
+# crossover of `tests/kernel_probe.py`'s masked rows (2-core Xeon, numpy 2.4).
+_TAG_SPACE_PAIRS = 768
+_Posteriors = tuple[np.ndarray, np.ndarray, np.ndarray]  # log_z, unary, transition sums
+
+
+def _lattice_posteriors(lat: _Lattice) -> _Posteriors:
+    """Log-partition (B,) and transition sums (B, y, y) of every lattice in
+    the order its sequences were given, and unary marginals packed in that
+    order.  A transition sum adds pairwise marginals position by position."""
+    log_z, unary, pairwise = _node_posteriors(lat)
+    given_z, sums = np.empty(log_z.size), np.empty(lat.trans.shape[1:])
+    given_z[lat.order], sums[lat.order] = log_z, _sum0(pairwise)
+    return given_z, lat.packed(unary), sums
+
+
+def _packed_masks(batch: PotentialBatch, masks: Sequence[LatticeMask]):
+    """Every mask in one bool keep array packed like the emission rows, and
+    each sequence's widest row (B,): a sequence pinned to one path has 1."""
     size, y = batch.size, batch.emissions.shape[1]
-    log_z = np.empty(size)
-    if masks is None:
-        lat = _Lattice(batch)
-        log_z[lat.seqs], unary, pairwise = _node_posteriors(lat)
-        sums = np.empty((size, y, y))
-        sums[lat.seqs] = _sum0(pairwise)
-        return log_z, lat.packed(unary), sums
     if len(masks) != size:
         raise ValueError(f"{len(masks)} masks for {size} sequences")
-    keep = np.zeros(batch.emissions.shape, dtype=bool)  # every mask, packed like the rows
+    keep = np.zeros(batch.emissions.shape, dtype=bool)
     for mask, first, n in zip(masks, batch.offsets, batch.lengths):
         rows, span = mask.keep.shape
         if rows != n:
@@ -263,44 +272,91 @@ def _posteriors(
         if span > y:
             raise ValueError(f"mask over {span} tags exceeds y_count {y}")
         keep[first : first + n, :span] = mask.keep
-    unary = np.zeros(batch.emissions.shape)
-    pairs, counts = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    pinned = np.maximum.reduceat(keep.sum(axis=1), batch.offsets) == 1
+    return keep, np.maximum.reduceat(keep.sum(axis=1), batch.offsets)
+
+
+def _pinned_posteriors(batch: PotentialBatch, keep: np.ndarray, pinned: np.ndarray) -> _Posteriors:
+    """Masked posteriors with every pinned sequence's path in closed form,
+    zeros for the free sequences."""
+    size, y = batch.size, batch.emissions.shape[1]
+    log_z, unary, sums = np.zeros(size), np.zeros(batch.emissions.shape), np.zeros((size, y, y))
     for b in np.flatnonzero(pinned):
         first, n = batch.offsets[b], batch.lengths[b]
         path = keep[first : first + n].argmax(axis=1)
         log_z[b] = _path_score(batch.emissions[first : first + n], batch, path)
         unary[np.arange(first, first + n), path] = 1.0
-        pairs.append((b * y + path[:-1]) * y + path[1:])
-        counts.append(np.ones(n - 1))
-    if not pinned.all():
-        lat = _restricted(batch, keep, np.flatnonzero(~pinned))
-        log_z[lat.seqs], node_unary, node_pairwise = _node_posteriors(lat)
-        live = np.arange(lat.em.shape[2]) < lat.widths[..., None]
-        t, j, a = np.nonzero(live)
-        unary[lat.rows[t, j], lat.slots[t, j, a]] = node_unary[t, j, a]
-        t, j, a, c = np.nonzero(live[:-1, :, :, None] & live[1:, :, None, :])
-        pairs.append((lat.seqs[j] * y + lat.slots[t, j, a]) * y + lat.slots[t + 1, j, c])
-        counts.append(node_pairwise[t, j, a, c])
-    sums = np.bincount(np.concatenate(pairs), np.concatenate(counts), size * y * y)
-    return log_z, unary, sums.reshape(size, y, y)
+        np.add.at(sums[b], (path[:-1], path[1:]), 1.0)
+    return log_z, unary, sums
 
 
-def loss_and_grad_batch(
-    batch: PotentialBatch, masks: Sequence[LatticeMask]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _restricted_posteriors(batch: PotentialBatch, keep: np.ndarray,
+                           pinned: np.ndarray) -> _Posteriors:
+    """Masked posteriors, each free sequence's lattice restricted to its mask
+    (`_restricted`): its live nodes are scattered back to tag space, and each
+    tag pair's transition sum adds its live node pairs in position order."""
+    y = batch.emissions.shape[1]
+    log_z, unary, sums = _pinned_posteriors(batch, keep, pinned)
+    if pinned.all():
+        return log_z, unary, sums
+    lat = _restricted(batch, keep, np.flatnonzero(~pinned))
+    log_z[lat.seqs], node_unary, node_pairwise = _node_posteriors(lat)
+    live = np.arange(lat.em.shape[2]) < lat.widths[..., None]
+    t, j, a = np.nonzero(live)
+    unary[lat.rows[t, j], lat.slots[t, j, a]] = node_unary[t, j, a]
+    t, j, a, c = np.nonzero(live[:-1, :, :, None] & live[1:, :, None, :])
+    pairs = (j * y + lat.slots[t, j, a]) * y + lat.slots[t + 1, j, c]
+    sums[lat.seqs] = np.bincount(pairs, node_pairwise[t, j, a, c],
+                                 lat.seqs.size * y * y).reshape(-1, y, y)
+    return log_z, unary, sums
+
+
+def _tag_space_posteriors(batch: PotentialBatch, keep: np.ndarray,
+                          pinned: np.ndarray) -> tuple[_Posteriors, _Posteriors]:
+    """Full and masked posteriors from one recursion: each free sequence's
+    masked lattice is one more lattice of the full batch, in tag space, with
+    its off-mask nodes scored -inf."""
+    size, n = batch.size, batch.emissions.shape[0]
+    lat = _Lattice(batch, np.concatenate([np.arange(size), np.flatnonzero(~pinned)]))
+    masked = lat.order >= size
+    lat.em[:, masked] = np.where(keep[lat.rows[:, masked]], lat.em[:, masked], -np.inf)
+    log_z, unary, sums = _lattice_posteriors(lat)
+    log_z_m, unary_m, sums_m = _pinned_posteriors(batch, keep, pinned)
+    log_z_m[~pinned], sums_m[~pinned] = log_z[size:], sums[size:]
+    unary_m[np.repeat(~pinned, batch.lengths)] = unary[n:]
+    return (log_z[:size], unary[:n], sums[:size]), (log_z_m, unary_m, sums_m)
+
+
+def _posteriors(batch: PotentialBatch, masks: Sequence[LatticeMask] | None = None) -> _Posteriors:
+    """Log-partition (B,), unary marginals packed like the emission rows and
+    transition sums (B, y, y) of every sequence's full lattice, or of its
+    lattice restricted to its mask; a pinned sequence (one tag per row) gets
+    its path's closed form."""
+    if masks is None:
+        return _lattice_posteriors(_Lattice(batch))
+    keep, widest = _packed_masks(batch, masks)
+    return _restricted_posteriors(batch, keep, widest == 1)
+
+
+def loss_and_grad_batch(batch: PotentialBatch, masks: Sequence[LatticeMask]) -> _Posteriors:
     """Each sequence's gap between its full and masked log-partitions (B,),
-    with its gradients: the full and the masked lattices of the whole batch
-    run through one time-major recursion each.
+    with its gradients.  When the masks add at most `_TAG_SPACE_PAIRS` node
+    pairs per step in tag space, the full and masked lattices run through one
+    recursion (`_tag_space_posteriors`); otherwise the full ones run through
+    one and the masked ones, restricted, through another.  Both give the
+    same bytes.
 
     The gradient w.r.t. each potential entry is the unconstrained posterior
     expectation of that entry's indicator minus the masked one: d_emissions
     packed like the emission rows, d_transitions (B, y, y).  A sequence's
     start and stop gradients are its first and last d_emissions rows.
     """
-    log_z_m, unary_m, sums_m = _posteriors(batch, masks)
-    log_z, unary, sums = _posteriors(batch)
-    return log_z - log_z_m, unary - unary_m, sums - sums_m
+    keep, widest = _packed_masks(batch, masks)
+    y, pinned = batch.emissions.shape[1], widest == 1
+    if (~pinned).sum() * (y * y - widest.max() ** 2) <= _TAG_SPACE_PAIRS:
+        full, masked = _tag_space_posteriors(batch, keep, pinned)
+    else:
+        full, masked = _posteriors(batch), _restricted_posteriors(batch, keep, pinned)
+    return tuple(a - b for a, b in zip(full, masked))
 
 
 def _path_score(em: np.ndarray, p: PotentialBatch, t: np.ndarray) -> float:

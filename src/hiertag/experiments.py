@@ -172,8 +172,9 @@ def _validate(spec: ExperimentSpec) -> None:
     for what, values in (("model kind", spec.models), ("seed", spec.seeds), ("target", spec.targets)):
         if len(set(values)) < len(values):
             raise ExperimentError(f"duplicate {what} {max(values, key=values.count)!r}")
-    if not 0 <= spec.dev_fraction <= 0.5:
-        raise ExperimentError(f"dev_fraction must lie in [0, 0.5], got {spec.dev_fraction}")
+    if not 0 <= spec.dev_fraction <= 0.5 or math.isinf(1 / (spec.dev_fraction or 1)):
+        raise ExperimentError("dev_fraction must lie in [0, 0.5] with a finite reciprocal, "
+                              f"got {spec.dev_fraction}")
     if spec.kind == "extension":
         if spec.base is None or spec.extending is None:
             raise ExperimentError("extension kind needs base and extending corpora")

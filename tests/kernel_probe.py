@@ -8,7 +8,10 @@ is exported with `git archive` into a temporary directory) and times
 batches whose lengths are drawn from 5-60, at B in {8, 100, 400} and y in
 {2, 5, 9, 33, 41}.  Each training mask keeps one tag at half of the
 positions and a random subset of up to half the tags at the others.  The
-sides alternate within every one of REPEATS repeats; each sample is the
+masked rows time `loss_and_grad_batch` on hier-like training batches: 8
+sequences of 40 positions over y tags, each position keeping 1 to W_m of
+them and a fifth of the positions exactly W_m, at every (y, W_m) of MASKED.
+The sides alternate within every one of REPEATS repeats; each sample is the
 mean of as many calls as fill about 20 ms.  It prints the minimum ms per
 call of each side and, as `ratio`, the median over the repeats of each
 repeat's change/parent: the two samples of a repeat share the host's load
@@ -39,6 +42,8 @@ SIZES = (8, 100, 400)
 TAGS = (2, 5, 9, 33, 41)
 REPEATS = 7
 KERNELS = ("loss_and_grad_batch", "viterbi_batch", "forward_backward")
+MASKED = ((5, 2), (5, 4), (9, 3), (9, 4), (9, 5), (12, 6), (17, 9), (17, 17), (41, 9), (41, 21),
+          (41, 41))
 
 
 def _load(tree: Path, name: str):
@@ -49,17 +54,21 @@ def _load(tree: Path, name: str):
     return module
 
 
-def _case(crf, seed: int, size: int, y: int):
-    """The batch and masks of one shape, built with `crf`'s own types."""
+def _case(crf, seed: int, size: int, y: int, widest: int | None = None):
+    """The batch and masks of one shape, built with `crf`'s own types: the
+    probe's mixed batches, or with `widest` a masked row's batch."""
     rng = np.random.default_rng(seed)
-    lengths = rng.integers(5, 61, size=size)
+    lengths = rng.integers(5, 61, size=size) if widest is None else np.full(size, 40)
     batch = crf.PotentialBatch(rng.normal(size=(lengths.sum(), y)), lengths,
                                rng.normal(size=(y, y)), rng.normal(size=y), rng.normal(size=y))
     masks = []
     for n in lengths.tolist():
         keep = np.zeros((n, y), dtype=bool)
         for row in keep:
-            width = 1 if rng.random() < 0.5 else int(rng.integers(1, (y + 1) // 2 + 1))
+            if widest is not None:
+                width = widest if rng.random() < 0.2 else int(rng.integers(1, widest + 1))
+            else:
+                width = 1 if rng.random() < 0.5 else int(rng.integers(1, (y + 1) // 2 + 1))
             row[rng.choice(y, size=width, replace=False)] = True
         masks.append(crf.LatticeMask(keep))
     return batch, masks
@@ -101,31 +110,31 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         parent = _load(_export(args.against, Path(tmp)), "crf_parent")
     sides = {"parent": parent, "change": _load(TREE, "crf_change")}
+    shapes = [(kernel, size, y, None) for size in SIZES for y in TAGS for kernel in KERNELS]
+    shapes += [("loss_and_grad_batch", 8, y, widest) for y, widest in MASKED]
     rows = []
-    for size in SIZES:
-        for y in TAGS:
-            cases = {name: _case(crf, 1000 * size + y, size, y) for name, crf in sides.items()}
-            for kernel in KERNELS:
-                outs = [_call(crf, kernel, *cases[name]) for name, crf in sides.items()]
-                same = all(a.tobytes() == b.tobytes() for a, b in zip(*outs))
-                samples = {name: [] for name in sides}
-                for r in range(REPEATS):
-                    order = list(sides) if r % 2 == 0 else list(sides)[::-1]
-                    for name in order:
-                        samples[name].append(_sample(sides[name], kernel, cases[name]))
-                low = {name: min(s) * 1e3 for name, s in samples.items()}
-                med = {name: float(np.median(s)) * 1e3 for name, s in samples.items()}
-                paired = np.divide(samples["change"], samples["parent"])
-                row = {"kernel": kernel, "B": size, "y": y, "same_bytes": same,
-                       "parent_ms": round(low["parent"], 4), "change_ms": round(low["change"], 4),
-                       "ratio": round(float(np.median(paired)), 3),
-                       "median_ms": {n: round(v, 4) for n, v in med.items()},
-                       "samples_ms": {n: [round(v * 1e3, 4) for v in s]
-                                      for n, s in samples.items()}}
-                rows.append(row)
-                print(f"{kernel:20s} B={size:3d} y={y:2d}  parent {row['parent_ms']:9.3f} ms"
-                      f"  change {row['change_ms']:9.3f} ms  ratio {row['ratio']:.3f}"
-                      f"{'' if same else '  BYTES DIFFER'}", flush=True)
+    for kernel, size, y, widest in shapes:
+        cases = {name: _case(crf, 1000 * size + y + (widest or 0) * 100000, size, y, widest)
+                 for name, crf in sides.items()}
+        outs = [_call(crf, kernel, *cases[name]) for name, crf in sides.items()]
+        same = all(a.tobytes() == b.tobytes() for a, b in zip(*outs))
+        samples = {name: [] for name in sides}
+        for r in range(REPEATS):
+            order = list(sides) if r % 2 == 0 else list(sides)[::-1]
+            for name in order:
+                samples[name].append(_sample(sides[name], kernel, cases[name]))
+        low = {name: min(s) * 1e3 for name, s in samples.items()}
+        med = {name: float(np.median(s)) * 1e3 for name, s in samples.items()}
+        paired = np.divide(samples["change"], samples["parent"])
+        row = {"kernel": kernel, "B": size, "y": y, "W_m": widest, "same_bytes": same,
+               "parent_ms": round(low["parent"], 4), "change_ms": round(low["change"], 4),
+               "ratio": round(float(np.median(paired)), 3),
+               "median_ms": {n: round(v, 4) for n, v in med.items()},
+               "samples_ms": {n: [round(v * 1e3, 4) for v in s] for n, s in samples.items()}}
+        rows.append(row)
+        print(f"{kernel:20s} B={size:3d} y={y:2d}{'' if widest is None else f' W_m={widest:2d}'}"
+              f"  parent {row['parent_ms']:9.3f} ms  change {row['change_ms']:9.3f} ms"
+              f"  ratio {row['ratio']:.3f}{'' if same else '  BYTES DIFFER'}", flush=True)
     if args.out:
         args.out.write_text(json.dumps({"repeats": REPEATS, "rows": rows}, indent=1) + "\n")
     return 0 if all(r["same_bytes"] for r in rows) else 1

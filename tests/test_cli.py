@@ -650,6 +650,7 @@ class TestExperiment:
             ("learning_rate 0.5", "learning_rate fast"),
             ("epochs 3", "epochs 3\ndev_fraction half"),
             ("epochs 3", "epochs 3\ndev_fraction 0.9"),
+            ("epochs 3", "epochs 3\ndev_fraction 1e-310"),  # 1 / 1e-310 overflows
             ("seeds 1 2 3", "seeds 1 -3"),
             ("seeds 1 2 3", "seeds 1 2 1"),
             ("target LOC", "target LOC\ntarget LOC"),

@@ -15,7 +15,14 @@ from hiertag.crf import (
     sequence_log_prob,
     viterbi_batch,
 )
-from hiertag.crf import _posteriors, _restricted
+from hiertag.crf import (
+    _TAG_SPACE_PAIRS,
+    _packed_masks,
+    _posteriors,
+    _restricted,
+    _restricted_posteriors,
+    _tag_space_posteriors,
+)
 from oracles import (
     PotentialTable,
     _reference_dense,
@@ -428,10 +435,22 @@ BATCH_PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 @st.composite
 def masked_batches(draw):
     """A potential batch with one mask per sequence: full, all-singleton,
-    partly singleton or random."""
+    partly singleton or random.  A quarter of the batches are narrow
+    instead: 1-3 sequences of 1-2 positions over 28-41 tags, each position
+    keeping 1-3 of them, so any free sequence adds more than
+    `_TAG_SPACE_PAIRS` node pairs per step in tag space, and the masked
+    lattices take the restricted layout."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.integers(0, 3)) == 0:
+        y = draw(st.integers(28, 41))
+        assert y * y - 3 * 3 > _TAG_SPACE_PAIRS
+        lengths = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+        em = rng.uniform(-3, 3, size=(sum(lengths), y))
+        batch = PotentialBatch(em, lengths, *(rng.uniform(-3, 3, size=s) for s in [(y, y), y, y]))
+        return batch, [LatticeMask([rng.choice(y, size=int(rng.integers(1, 4)), replace=False)
+                                    for _ in range(n)]) for n in lengths]
     batch = draw(potential_batches())
     y = batch.emissions.shape[1]
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     masks = []
     for n in batch.lengths.tolist():
         kind = draw(st.sampled_from(["full", "singleton", "partly", "random"]))
@@ -472,7 +491,45 @@ def check_training_kernel(batch, masks) -> None:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
+@st.composite
+def layout_cases(draw):
+    """A training batch for both masked layouts: 1-8 sequences of 1-60
+    positions over 2-41 tags, each pinned (one tag per position) or keeping
+    1 to W_m tags per position, W_m drawn from 2..y, so batches fall on both
+    sides of `_TAG_SPACE_PAIRS`."""
+    y = draw(st.integers(2, 41))
+    widest = draw(st.integers(2, y))
+    lengths = draw(st.lists(st.integers(1, 60), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = lambda *shape: rng.uniform(-3, 3, size=shape)  # noqa: E731
+    batch = PotentialBatch(values(sum(lengths), y), lengths, values(y, y), values(y), values(y))
+    masks = []
+    for n in lengths:
+        pinned = draw(st.booleans())
+        masks.append(LatticeMask([
+            rng.choice(y, size=1 if pinned else int(rng.integers(1, widest + 1)), replace=False)
+            for _ in range(n)
+        ]))
+    return batch, masks
+
+
 class TestBatchedKernels:
+    @BATCH_PROPERTY
+    @given(layout_cases())
+    def test_masked_layouts_return_the_same_bytes(self, case):
+        # The tag-space layout (full and masked lattices in one recursion)
+        # and the restricted one (each in its own) give the same losses and
+        # gradients, bit for bit, whichever of them the batch's shape picks.
+        batch, masks = case
+        keep, widest = _packed_masks(batch, masks)
+        pinned = widest == 1
+        with np.errstate(over="raise", invalid="raise"):
+            full, masked = _tag_space_posteriors(batch, keep, pinned)
+            want = _posteriors(batch), _restricted_posteriors(batch, keep, pinned)
+        for name, a, b, c, d in zip(("losses", "d_emissions", "d_transitions"), full, masked,
+                                    *want):
+            assert (a - b).tobytes() == (c - d).tobytes(), name
+
     @BATCH_PROPERTY
     @given(potential_batches())
     def test_viterbi_batch_equals_per_sequence_and_oracle(self, batch):

@@ -9,6 +9,7 @@ EXACT_MAX_N nonzero pairs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -81,38 +82,23 @@ def score(
     maximal same-tag runs as units instead."""
     if len(pred) != len(gold):
         raise EvalError(f"{len(pred)} predicted documents vs {len(gold)} gold")
-    counts: dict[str, TagCounts] = {}
+    tp, fp, fn = Counter[str](), Counter[str](), Counter[str]()
     tokens = 0
-
-    def bump(tag: str, tp: int = 0, fp: int = 0, fn: int = 0) -> None:
-        c = counts.get(tag, TagCounts())
-        counts[tag] = TagCounts(c.tp + tp, c.fp + fp, c.fn + fn)
-
     for d, (p_seq, g_seq) in enumerate(zip(pred, gold)):
         if len(p_seq) != len(g_seq):
-            raise EvalError(
-                f"document {d}: {len(p_seq)} predicted tokens vs {len(g_seq)} gold"
-            )
+            raise EvalError(f"document {d}: {len(p_seq)} predicted tokens vs {len(g_seq)} gold")
         tokens += len(g_seq)
         if span_mode:
             ps, gs = _spans(p_seq), _spans(g_seq)
-            for span in ps & gs:
-                bump(span[2], tp=1)
-            for span in ps - gs:
-                bump(span[2], fp=1)
-            for span in gs - ps:
-                bump(span[2], fn=1)
+            tp.update(span[2] for span in ps & gs)
+            fp.update(span[2] for span in ps - gs)
+            fn.update(span[2] for span in gs - ps)
         else:
-            for p, g in zip(p_seq, g_seq):
-                if p == g:
-                    if g != OTHER:
-                        bump(g, tp=1)
-                else:
-                    if p != OTHER:
-                        bump(p, fp=1)
-                    if g != OTHER:
-                        bump(g, fn=1)
-    return PRFReport(dict(sorted(counts.items())), tokens)
+            pairs = list(zip(p_seq, g_seq))
+            tp.update(g for p, g in pairs if p == g != OTHER)
+            fp.update(p for p, g in pairs if p != g and p != OTHER)
+            fn.update(g for p, g in pairs if p != g and g != OTHER)
+    return PRFReport({t: TagCounts(tp[t], fp[t], fn[t]) for t in sorted(tp | fp | fn)}, tokens)
 
 
 @dataclass(frozen=True)

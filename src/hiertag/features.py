@@ -18,8 +18,11 @@ the backward, which pushes the batch's d_emissions into parameter gradients
 in one pass; tagging scores a whole request over all columns.  Each CSR row
 sums its terms in the same order either way, so a token's training row
 equals its tagging row bit for bit.
-The linear scorer is a single weight matrix; the shared scorer squashes one
-tanh hidden layer shared by all heads, with one output layer per head.
+Both scorers are one first layer, weights . f + bias, with its forward, its
+checks, its backward and its two parameter entries, under a top of their
+own.  The linear scorer's top is empty: the first layer gives the emission
+rows.  The shared scorer squashes the first layer through tanh into a hidden
+layer shared by all heads, under one output layer per head.
 """
 
 from __future__ import annotations
@@ -158,30 +161,89 @@ def _active(x: sparse.csr_matrix, feature_count: int) -> tuple[np.ndarray, spars
     return cols.astype(x.indices.dtype), x_local
 
 
-def _check_rows(d_rows: np.ndarray, lengths: Sequence[int], n_rows: int, width: int) -> None:
-    if d_rows.shape != (n_rows, width) or sum(lengths) != n_rows:
-        raise ValueError("d_emissions shape mismatch")
-
-
 def _check_ids(indices: np.ndarray, feature_count: int) -> None:
     if indices.size and not 0 <= indices.min() <= indices.max() < feature_count:
         bad = indices.min() if indices.min() < 0 else indices.max()
         raise ValueError(f"feature id {int(bad)} out of bounds for {feature_count} features")
 
 
-class LinearEmissionModel:
-    """Emission row = weights . f + bias.  One output layer serves every head,
-    so the head argument of `emissions` and `backprop` is ignored."""
+class _EmissionScorer:
+    """The sparse first layer both scorers share, z = weights . f + bias, under
+    a top that turns z into emission rows.  This class's top is empty (z is
+    the emission row); a subclass replaces `rows`, `_hidden`, `_output` and
+    `_top_backprop`.  `params` keys the first layer by `sparse_key` and
+    `bias_key`."""
 
     sparse_key = "weights"  # the parameter `backprop` returns as a column block
+    bias_key = "bias"
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray) -> None:
         self.weights = np.asarray(weights, dtype=np.float64)
         self.bias = np.asarray(bias, dtype=np.float64)
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
-            raise ValueError("weights must be (y_count, feature_count), bias (y_count,)")
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
+        if (self.weights.ndim != 2 or not self.bias.size
+                or self.bias.shape != (self.weights.shape[0],)):
+            raise ValueError(f"{self.sparse_key} must be (rows >= 1, feature_count), "
+                             f"{self.bias_key} (rows,)")
+        if not all(np.isfinite(a).all() for a in self.params().values()):
             raise ValueError("parameters must be finite")
+
+    @property
+    def feature_count(self) -> int:
+        return self.weights.shape[1]
+
+    def rows(self, head: str | None) -> int:  # emission rows scored for head
+        return self.weights.shape[0]
+
+    def _hidden(self, z: np.ndarray) -> np.ndarray:  # the top's input
+        return z
+
+    def _output(self, hidden: np.ndarray, head: str | None) -> np.ndarray:
+        return hidden
+
+    def _top_backprop(self, head: str | None, d_emissions: np.ndarray, hidden: np.ndarray,
+                      bounds: np.ndarray, out: dict[str, np.ndarray]) -> np.ndarray:
+        return d_emissions  # d_z; a top adds its gradients into out per sequence
+
+    def emissions(self, x: sparse.csr_matrix, head: str | None) -> tuple[np.ndarray, tuple]:
+        """Emission rows of a training batch for one head, scored over the
+        columns x uses (the same rows as `batch_emissions`), and the cache
+        `backprop` reads: those columns, x over them and the top's input."""
+        cols, x_local = _active(x, self.feature_count)
+        hidden = self._hidden(x_local @ self.weights[:, cols].T + self.bias)
+        return self._output(hidden, head), (cols, x_local, hidden)
+
+    def batch_emissions(self, x: sparse.csr_matrix, heads: Sequence[str]) -> dict[str, np.ndarray]:
+        """Emission rows of every row of x for each named head; the first
+        layer and the top's input are computed once for all of them."""
+        _check_ids(x.indices, self.feature_count)
+        hidden = self._hidden(x @ self.weights.T + self.bias)
+        return {name: self._output(hidden, name) for name in heads}
+
+    def backprop(self, head: str | None, d_emissions: np.ndarray, lengths: Sequence[int],
+                 cache: tuple, out: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Backward pass of the batch `emissions` scored into cache, given its
+        d_emissions rows and the lengths of its sequences in batch order.
+        Adds the top's and the first layer's bias gradients into out one
+        sequence at a time; returns the weights' gradient as (the columns the
+        batch uses, the (rows, len(columns)) block over them), which one
+        transposed-CSR product sums in token order."""
+        cols, x_local, hidden = cache
+        n = x_local.shape[0]
+        if d_emissions.shape != (n, self.rows(head)) or sum(lengths) != n:
+            raise ValueError("d_emissions shape mismatch")
+        bounds = np.cumsum(lengths)[:-1]
+        d_z = self._top_backprop(head, d_emissions, hidden, bounds, out)
+        for d in np.split(d_z, bounds):
+            out[self.bias_key] += d.sum(axis=0)
+        return cols, (x_local.T @ d_z).T
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {self.sparse_key: self.weights, self.bias_key: self.bias}
+
+
+class LinearEmissionModel(_EmissionScorer):
+    """Emission row = weights . f + bias: the first layer with an empty top.
+    One output layer serves every head, so the head argument is ignored."""
 
     @classmethod
     def zeros(cls, y_count: int, feature_count: int) -> "LinearEmissionModel":
@@ -191,75 +253,21 @@ class LinearEmissionModel:
     def from_params(cls, params: dict, heads: Sequence[str]) -> "LinearEmissionModel":
         return cls(params["weights"], params["bias"])  # the inverse of `params`
 
-    @property
-    def feature_count(self) -> int:
-        return self.weights.shape[1]
 
-    def rows(self, head: str) -> int:  # emission rows scored for head
-        return self.weights.shape[0]
+class SharedEmissionModel(_EmissionScorer):
+    """The first layer squashed into one tanh hidden layer shared by every
+    head, under one linear output layer per head."""
 
-    def emissions(
-        self, x: sparse.csr_matrix, head: str | None
-    ) -> tuple[np.ndarray, tuple[np.ndarray, sparse.csr_matrix]]:
-        """Emission rows of a training batch, scored over the columns x uses
-        (the same rows as `batch_emissions`), and the cache `backprop` reads:
-        those columns and x over them."""
-        cols, x_local = _active(x, self.feature_count)
-        return x_local @ self.weights[:, cols].T + self.bias, (cols, x_local)
+    sparse_key, bias_key = "shared_weights", "shared_bias"
 
-    def batch_emissions(self, x: sparse.csr_matrix, heads: Sequence[str]) -> dict[str, np.ndarray]:
-        """Emission rows of every row of x, the same array for each head."""
-        _check_ids(x.indices, self.feature_count)
-        return dict.fromkeys(heads, x @ self.weights.T + self.bias)
-
-    def backprop(
-        self,
-        head: str | None,
-        d_emissions: np.ndarray,
-        lengths: Sequence[int],
-        cache: tuple[np.ndarray, sparse.csr_matrix],
-        out: dict[str, np.ndarray],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Backward pass of the batch `emissions` scored into cache, given its
-        d_emissions rows and the lengths of its sequences in batch order.
-        Adds the bias gradient into out one sequence at a time; returns the
-        weights' gradient as (the columns the batch uses, the (y, len(columns))
-        block over them), which one transposed-CSR product sums in token order."""
-        cols, x_local = cache
-        _check_rows(d_emissions, lengths, x_local.shape[0], self.weights.shape[0])
-        for d in np.split(d_emissions, np.cumsum(lengths)[:-1]):
-            out["bias"] += d.sum(axis=0)
-        return cols, (x_local.T @ d_emissions).T
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"weights": self.weights, "bias": self.bias}
-
-
-class SharedEmissionModel:
-    """One tanh hidden layer shared by every head, one linear layer per head."""
-
-    sparse_key = "shared_weights"
-
-    def __init__(
-        self,
-        shared_weights: np.ndarray,
-        shared_bias: np.ndarray,
-        heads: dict[str, tuple[np.ndarray, np.ndarray]],
-    ) -> None:
-        self.shared_weights = np.asarray(shared_weights, dtype=np.float64)
-        self.shared_bias = np.asarray(shared_bias, dtype=np.float64)
-        h = self.shared_weights.shape[0]
-        if self.shared_weights.ndim != 2 or h < 1 or self.shared_bias.shape != (h,):
-            raise ValueError("shared layer shapes inconsistent")
-        self.heads = {}
-        for name, (w, b) in heads.items():
-            w = np.asarray(w, dtype=np.float64)
-            b = np.asarray(b, dtype=np.float64)
-            if w.ndim != 2 or w.shape[1] != h or b.shape != (w.shape[0],):
+    def __init__(self, shared_weights: np.ndarray, shared_bias: np.ndarray,
+                 heads: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
+        self.heads = {name: (np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
+                      for name, (w, b) in heads.items()}
+        super().__init__(shared_weights, shared_bias)
+        for name, (w, b) in self.heads.items():
+            if w.ndim != 2 or w.shape[1] != self.hidden_dim or b.shape != (w.shape[0],):
                 raise ValueError(f"head {name} shapes inconsistent")
-            self.heads[name] = (w, b)
-        if not all(np.isfinite(a).all() for a in self.params().values()):
-            raise ValueError("parameters must be finite")
 
     @classmethod
     def create(
@@ -282,22 +290,21 @@ class SharedEmissionModel:
         return cls(params["shared_weights"], params["shared_bias"],
                    {n: (params[f"head:{n}:weights"], params[f"head:{n}:bias"]) for n in heads})
 
-    @property
-    def feature_count(self) -> int:
-        return self.shared_weights.shape[1]
-
     def rows(self, head: str) -> int:
         return self._head(head)[0].shape[0]
 
     @property
     def hidden_dim(self) -> int:
-        return self.shared_weights.shape[0]
+        return self.weights.shape[0]
 
     def _head(self, head: str) -> tuple[np.ndarray, np.ndarray]:
         try:
             return self.heads[head]
         except KeyError:
             raise ValueError(f"unknown head {head!r}") from None
+
+    def _hidden(self, z: np.ndarray) -> np.ndarray:
+        return np.tanh(z)
 
     def _output(self, hidden: np.ndarray, head: str) -> np.ndarray:
         head_w, head_b = self._head(head)
@@ -309,48 +316,18 @@ class SharedEmissionModel:
             em += hidden[:, j, None] * head_w[:, j]
         return em + head_b
 
-    def emissions(
-        self, x: sparse.csr_matrix, head: str
-    ) -> tuple[np.ndarray, tuple[np.ndarray, sparse.csr_matrix, np.ndarray]]:
-        """As `LinearEmissionModel.emissions`, for one head; the cache also
-        holds the hidden layer."""
-        cols, x_local = _active(x, self.feature_count)
-        hidden = np.tanh(x_local @ self.shared_weights[:, cols].T + self.shared_bias)
-        return self._output(hidden, head), (cols, x_local, hidden)
-
-    def batch_emissions(self, x: sparse.csr_matrix, heads: Sequence[str]) -> dict[str, np.ndarray]:
-        """Emission rows of every row of x for each named head; the hidden
-        layer is computed once for all of them."""
-        _check_ids(x.indices, self.feature_count)
-        hidden = np.tanh(x @ self.shared_weights.T + self.shared_bias)
-        return {name: self._output(hidden, name) for name in heads}
-
-    def backprop(
-        self,
-        head: str,
-        d_emissions: np.ndarray,
-        lengths: Sequence[int],
-        cache: tuple[np.ndarray, sparse.csr_matrix, np.ndarray],
-        out: dict[str, np.ndarray],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """As `LinearEmissionModel.backprop`, for the shared weights; the dense
-        head and bias terms still sum one sequence at a time."""
-        cols, x_local, hidden = cache
+    def _top_backprop(self, head: str, d_emissions: np.ndarray, hidden: np.ndarray,
+                      bounds: np.ndarray, out: dict[str, np.ndarray]) -> np.ndarray:
         head_w, _ = self._head(head)
-        _check_rows(d_emissions, lengths, x_local.shape[0], head_w.shape[0])
-        d_hidden, bounds = [], np.cumsum(lengths)[:-1]
+        d_hidden = []
         for d, h in zip(np.split(d_emissions, bounds), np.split(hidden, bounds)):
             out[f"head:{head}:weights"] += d.T @ h
             out[f"head:{head}:bias"] += d.sum(axis=0)
             d_hidden.append((d @ head_w) * (1.0 - h * h))
-            out["shared_bias"] += d_hidden[-1].sum(axis=0)
-        return cols, (x_local.T @ np.concatenate(d_hidden)).T
+        return np.concatenate(d_hidden)
 
     def params(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {
-            "shared_weights": self.shared_weights,
-            "shared_bias": self.shared_bias,
-        }
+        out = super().params()
         for name, (w, b) in self.heads.items():
             out[f"head:{name}:weights"] = w
             out[f"head:{name}:bias"] = b

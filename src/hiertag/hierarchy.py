@@ -10,7 +10,7 @@ every tagset the fine-grained tags split into one owning tag each.
 from __future__ import annotations
 
 import re
-from collections import deque
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping
 
 FG_OTHER = "FG-Other"
@@ -75,20 +75,12 @@ class TagHierarchy:
         self.fine_grained = frozenset(n for n in self.nodes if not self._children[n])
 
     def _check_acyclic(self) -> None:
-        # Kahn's algorithm over child -> parent edges.
-        indegree = {n: len(self._children[n]) for n in self.nodes}
-        queue = deque(n for n, d in indegree.items() if d == 0)
-        seen = 0
-        while queue:
-            n = queue.popleft()
-            seen += 1
-            for p in self._parents[n]:
-                indegree[p] -= 1
-                if indegree[p] == 0:
-                    queue.append(p)
-        if seen != len(self.nodes):
-            cyclic = sorted(n for n, d in indegree.items() if d > 0)
-            raise HierarchyError(f"cycle detected among tags: {', '.join(cyclic)}")
+        # Sorted input, so the cycle reported does not follow set order.
+        graph = {n: sorted(self._children[n]) for n in sorted(self.nodes)}
+        try:
+            TopologicalSorter(graph).prepare()
+        except CycleError as exc:  # args[1] runs child -> parent around the cycle
+            raise HierarchyError(f"cycle detected among tags: {' -> '.join(exc.args[1])}") from None
 
     def _require(self, tag: str) -> None:
         if tag not in self.nodes:

@@ -11,18 +11,27 @@ positions and a random subset of up to half the tags at the others.  The
 masked rows time `loss_and_grad_batch` on hier-like training batches: 8
 sequences of 40 positions over y tags, each position keeping 1 to W_m of
 them and a fifth of the positions exactly W_m, at every (y, W_m) of MASKED.
-The sides alternate within every one of REPEATS repeats; each sample is the
-mean of as many calls as fill about 20 ms.  It prints the minimum ms per
-call of each side and, as `ratio`, the median over the repeats of each
-repeat's change/parent: the two samples of a repeat share the host's load
-of that moment, so one lucky sample cannot decide a row.  With --out it
-writes the minima, the medians and every sample as JSON.  It exits 1 unless
-both sides return the same bytes.
+The long-tail rows time `viterbi_batch` and `forward_backward` at y = 9 on
+999 sequences of 15 positions plus one of 300, and on 1,000 of 15 as the
+control (`T` is a fixed-length batch's longest sequence).
+
+Each of REPEATS repeats alternates single calls of the two sides, the
+leading side alternating between repeats, until each side has run SAMPLE_S
+seconds, with the garbage collector off; a side's sample is its mean per
+call.  It prints the minimum ms per call of each side, as `ratio` the median
+over the repeats of each repeat's change/parent (calls alternating one by
+one share the host's load of that moment, so neither a lucky sample nor a
+shift of the load between samples can decide a row), and as `peak_mb` each
+side's peak traced memory over the one untimed call whose bytes it compares
+(tracemalloc runs for that call only).  With --out it writes the minima, the
+medians, the peaks and every sample as JSON.  It exits 1 unless both sides
+return the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
 import os
@@ -30,6 +39,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -40,10 +50,12 @@ import numpy as np  # noqa: E402
 TREE = Path(__file__).resolve().parent.parent
 SIZES = (8, 100, 400)
 TAGS = (2, 5, 9, 33, 41)
-REPEATS = 7
+REPEATS = 11
+SAMPLE_S = 0.2
 KERNELS = ("loss_and_grad_batch", "viterbi_batch", "forward_backward")
 MASKED = ((5, 2), (5, 4), (9, 3), (9, 4), (9, 5), (12, 6), (17, 9), (17, 17), (41, 9), (41, 21),
           (41, 41))
+LONG_TAIL = ((15,) * 999 + (300,), (15,) * 1000)  # at y = 9
 
 
 def _load(tree: Path, name: str):
@@ -54,15 +66,17 @@ def _load(tree: Path, name: str):
     return module
 
 
-def _case(crf, seed: int, size: int, y: int, widest: int | None = None):
-    """The batch and masks of one shape, built with `crf`'s own types: the
-    probe's mixed batches, or with `widest` a masked row's batch."""
+def _case(crf, seed: int, kernel: str, lengths, y: int, widest: int | None = None):
+    """The batch and masks (for `loss_and_grad_batch` only) of one shape,
+    built with `crf`'s own types: the probe's mixed batches of lengths drawn
+    from 5-60 when lengths is a size, else of the given lengths; with
+    `widest` a masked row's batch."""
     rng = np.random.default_rng(seed)
-    lengths = rng.integers(5, 61, size=size) if widest is None else np.full(size, 40)
+    lengths = rng.integers(5, 61, size=lengths) if np.ndim(lengths) == 0 else np.array(lengths)
     batch = crf.PotentialBatch(rng.normal(size=(lengths.sum(), y)), lengths,
                                rng.normal(size=(y, y)), rng.normal(size=y), rng.normal(size=y))
     masks = []
-    for n in lengths.tolist():
+    for n in lengths.tolist() if kernel == "loss_and_grad_batch" else ():
         keep = np.zeros((n, y), dtype=bool)
         for row in keep:
             if widest is not None:
@@ -80,19 +94,33 @@ def _run(crf, kernel: str, batch, masks):
     return getattr(crf, kernel)(batch)
 
 
-def _call(crf, kernel: str, batch, masks) -> list[np.ndarray]:
-    return [np.asarray(a) for a in _run(crf, kernel, batch, masks)]
+def _call(crf, kernel: str, batch, masks) -> tuple[list[np.ndarray], float]:
+    """The outputs of one call and its peak traced memory in MB."""
+    tracemalloc.start()
+    try:
+        out = [np.asarray(a) for a in _run(crf, kernel, batch, masks)]
+        return out, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
-def _sample(crf, kernel: str, case) -> float:
-    """Mean seconds per call over as many calls as fill about 20 ms."""
-    start, calls = time.perf_counter(), 0
-    while True:
-        _run(crf, kernel, *case)
-        calls += 1
-        elapsed = time.perf_counter() - start
-        if elapsed >= 0.02:
-            return elapsed / calls
+def _repeat(sides: dict, kernel: str, cases: dict, lead: int) -> dict[str, float]:
+    """Each side's mean seconds per call over one repeat, in which single
+    calls of the sides alternate, sides[lead] first, until each has run
+    SAMPLE_S seconds."""
+    order = list(sides)[lead:] + list(sides)[:lead]
+    spent, calls = dict.fromkeys(order, 0.0), 0
+    gc.disable()
+    try:
+        while min(spent.values()) < SAMPLE_S:
+            for name in order:
+                start = time.perf_counter()
+                _run(sides[name], kernel, *cases[name])
+                spent[name] += time.perf_counter() - start
+            calls += 1
+    finally:
+        gc.enable()
+    return {name: t / calls for name, t in spent.items()}
 
 
 def _export(rev: str, into: Path) -> Path:
@@ -111,32 +139,39 @@ def main(argv: list[str] | None = None) -> int:
         parent = _load(_export(args.against, Path(tmp)), "crf_parent")
     sides = {"parent": parent, "change": _load(TREE, "crf_change")}
     shapes = [(kernel, size, y, None) for size in SIZES for y in TAGS for kernel in KERNELS]
-    shapes += [("loss_and_grad_batch", 8, y, widest) for y, widest in MASKED]
+    shapes += [("loss_and_grad_batch", (40,) * 8, y, widest) for y, widest in MASKED]
+    shapes += [(kernel, lengths, 9, None) for lengths in LONG_TAIL
+               for kernel in ("viterbi_batch", "forward_backward")]
     rows = []
-    for kernel, size, y, widest in shapes:
-        cases = {name: _case(crf, 1000 * size + y + (widest or 0) * 100000, size, y, widest)
-                 for name, crf in sides.items()}
-        outs = [_call(crf, kernel, *cases[name]) for name, crf in sides.items()]
+    for kernel, lengths, y, widest in shapes:
+        size, longest = (len(lengths), max(lengths)) if np.ndim(lengths) else (lengths, None)
+        seed = 1000 * size + y + (widest or 0) * 100000
+        cases = {name: _case(crf, seed, kernel, lengths, y, widest) for name, crf in sides.items()}
+        outs, peaks = zip(*(_call(crf, kernel, *cases[name]) for name, crf in sides.items()))
         same = all(a.tobytes() == b.tobytes() for a, b in zip(*outs))
         samples = {name: [] for name in sides}
         for r in range(REPEATS):
-            order = list(sides) if r % 2 == 0 else list(sides)[::-1]
-            for name in order:
-                samples[name].append(_sample(sides[name], kernel, cases[name]))
+            for name, seconds in _repeat(sides, kernel, cases, r % 2).items():
+                samples[name].append(seconds)
         low = {name: min(s) * 1e3 for name, s in samples.items()}
         med = {name: float(np.median(s)) * 1e3 for name, s in samples.items()}
         paired = np.divide(samples["change"], samples["parent"])
-        row = {"kernel": kernel, "B": size, "y": y, "W_m": widest, "same_bytes": same,
+        row = {"kernel": kernel, "B": size, "T": longest, "y": y, "W_m": widest, "same_bytes": same,
                "parent_ms": round(low["parent"], 4), "change_ms": round(low["change"], 4),
                "ratio": round(float(np.median(paired)), 3),
+               "peak_mb": {n: round(v, 2) for n, v in zip(sides, peaks)},
                "median_ms": {n: round(v, 4) for n, v in med.items()},
                "samples_ms": {n: [round(v * 1e3, 4) for v in s] for n, s in samples.items()}}
         rows.append(row)
-        print(f"{kernel:20s} B={size:3d} y={y:2d}{'' if widest is None else f' W_m={widest:2d}'}"
-              f"  parent {row['parent_ms']:9.3f} ms  change {row['change_ms']:9.3f} ms"
-              f"  ratio {row['ratio']:.3f}{'' if same else '  BYTES DIFFER'}", flush=True)
+        shape = (f"B={size:4d}" + ("" if longest is None else f" T={longest:3d}")
+                 + f" y={y:2d}" + ("" if widest is None else f" W_m={widest:2d}"))
+        print(f"{kernel:20s} {shape:24s}  parent {row['parent_ms']:9.3f} ms"
+              f"  change {row['change_ms']:9.3f} ms  ratio {row['ratio']:.3f}"
+              f"  peak_mb {peaks[0]:7.2f} / {peaks[1]:7.2f}"
+              f"{'' if same else '  BYTES DIFFER'}", flush=True)
     if args.out:
-        args.out.write_text(json.dumps({"repeats": REPEATS, "rows": rows}, indent=1) + "\n")
+        args.out.write_text(json.dumps({"repeats": REPEATS, "sample_s": SAMPLE_S, "rows": rows},
+                                       indent=1) + "\n")
     return 0 if all(r["same_bytes"] for r in rows) else 1
 
 

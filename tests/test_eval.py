@@ -4,10 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from hiertag.data import OTHER
 from hiertag.evaluation import (
     EvalError,
+    PRFReport,
     ResultRow,
     TagCounts,
     _exact_p,
@@ -90,6 +94,47 @@ class TestScore:
     def test_zero_over_zero_rules(self):
         c = TagCounts()
         assert c.precision == 0.0 and c.recall == 0.0 and c.f1 == 0.0
+
+
+def brute_force_report(pred, gold, span_mode: bool) -> PRFReport:
+    """Per tag, the tokens (or spans: maximal same-tag runs outside Other)
+    counted one at a time into tp, fp and fn."""
+    def units(seq):
+        if not span_mode:
+            return [(i, tag) for i, tag in enumerate(seq)]
+        return [(i, j, seq[i]) for i in range(len(seq)) for j in range(i, len(seq))
+                if len(set(seq[i:j + 1])) == 1 and (i == 0 or seq[i - 1] != seq[i])
+                and (j == len(seq) - 1 or seq[j + 1] != seq[i])]
+
+    counts: dict[str, list[int]] = {}
+    for p_seq, g_seq in zip(pred, gold):
+        p_units, g_units = set(units(p_seq)), set(units(g_seq))
+        for unit in p_units | g_units:
+            if unit[-1] != OTHER:
+                c = counts.setdefault(unit[-1], [0, 0, 0])
+                c[0 if unit in p_units & g_units else 1 if unit in p_units else 2] += 1
+    per_tag = {tag: TagCounts(*c) for tag, c in sorted(counts.items())}
+    return PRFReport(per_tag, sum(map(len, gold)))
+
+
+@st.composite
+def aligned_documents(draw):
+    tag = st.sampled_from(["A", "B", "C", OTHER])
+    lengths = draw(st.lists(st.integers(1, 8), min_size=0, max_size=5))
+    pred = [draw(st.lists(tag, min_size=n, max_size=n)) for n in lengths]
+    gold = [draw(st.lists(tag, min_size=n, max_size=n)) for n in lengths]
+    return pred, gold
+
+
+class TestScoreOracle:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(docs=aligned_documents(), span_mode=st.booleans())
+    def test_report_equals_brute_force_count(self, docs, span_mode):
+        pred, gold = docs
+        got = score(pred, gold, span_mode=span_mode)
+        want = brute_force_report(pred, gold, span_mode)
+        assert list(got.per_tag) == list(want.per_tag)
+        assert got == want
 
 
 def oracle_wilcoxon_p(diffs) -> float:

@@ -46,7 +46,7 @@ def dense_linear(m: LinearEmissionModel, x: sparse.csr_matrix) -> np.ndarray:
 
 def dense_shared(m: SharedEmissionModel, x: sparse.csr_matrix, head: str) -> np.ndarray:
     head_w, head_b = m.heads[head]
-    return np.tanh(x.toarray() @ m.shared_weights.T + m.shared_bias) @ head_w.T + head_b
+    return np.tanh(x.toarray() @ m.weights.T + m.bias) @ head_w.T + head_b
 
 
 def per_position(token_lists, window):
@@ -252,7 +252,7 @@ class TestSharedModel:
             w, b = m.heads[name]
             w += rng.normal(scale=0.5, size=w.shape)
             b += rng.normal(scale=0.5, size=b.shape)
-        m.shared_bias += rng.normal(scale=0.2, size=m.shared_bias.shape)
+        m.bias += rng.normal(scale=0.2, size=m.bias.shape)
         return m
 
     def test_zero_shared_gives_head_bias(self):

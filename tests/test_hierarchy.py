@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from oracles import reference_route
@@ -117,6 +122,20 @@ class TestTagHierarchy:
     def test_cycle_rejected(self):
         with pytest.raises(HierarchyError, match="cycle"):
             TagHierarchy({"a", "b", "c"}, [("a", "b"), ("b", "c"), ("c", "a")])
+
+    def test_cycle_error_names_only_the_cycle(self):
+        # P and Q lie above the cycle A -> B -> A, not on it.  Each run hashes
+        # strings with its own seed, which orders the tag sets differently.
+        code = ("from hiertag.hierarchy import TagHierarchy\n"
+                "try:\n"
+                "    TagHierarchy('ABPQ', [('A', 'B'), ('B', 'A'), ('A', 'P'), ('P', 'Q')])\n"
+                "except ValueError as exc:\n"
+                "    print(exc)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        for seed in ("0", "1", "2"):
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src})
+            assert proc.stdout == "cycle detected among tags: A -> B -> A\n", proc.stderr
 
     def test_self_edge_rejected(self):
         with pytest.raises(HierarchyError, match="self edge"):

@@ -431,7 +431,7 @@ class TestMtlTraining:
         model = train_mtl(list(toy_corpora), toy_eh, cfg)
         assert sorted(model.heads) == ["T1", "T2"]
         assert isinstance(model.emission, SharedEmissionModel)
-        assert model.emission.shared_weights.shape[0] == 6
+        assert model.emission.weights.shape[0] == 6
         assert len(model.history) == 4
         assert all(np.isfinite(r.train_loss) for r in model.history)
 
@@ -455,12 +455,12 @@ class TestMtlTraining:
             "head_w": model.emission.heads["T1"][0].copy(),
             "head_b": model.emission.heads["T1"][1].copy(),
         }
-        shared_before = model.emission.shared_weights.copy()
+        shared_before = model.emission.weights.copy()
         trainer._batch_step("T2", insts[:2])
         assert np.array_equal(model.heads["T1"].transitions, frozen["trans"])
         assert np.array_equal(model.emission.heads["T1"][0], frozen["head_w"])
         assert np.array_equal(model.emission.heads["T1"][1], frozen["head_b"])
-        assert not np.array_equal(model.emission.shared_weights, shared_before)
+        assert not np.array_equal(model.emission.weights, shared_before)
 
     @pytest.mark.parametrize("train", [train_hier, train_mtl])
     def test_trainer_updates_the_models_own_arrays(self, toy_eh, toy_corpora, train):

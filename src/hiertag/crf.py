@@ -1,4 +1,4 @@
-"""Linear-chain CRF lattice algorithms in log-space.
+"""Linear-chain CRF lattice algorithms: scaled forward-backward, log-space Viterbi.
 
 Everything here is a pure function of a PotentialBatch (the emission rows of
 one head's sequences back to back, plus the transition/start/stop scores
@@ -10,27 +10,30 @@ its closed form.  The other sequences' masked lattices run in tag space
 beside the full ones (off-mask nodes scored -inf, one recursion for both)
 while that adds at most `_TAG_SPACE_PAIRS` node pairs per step, otherwise
 restricted to their allowed tags (`_restricted`) in a recursion of their
-own: the same bytes either way, as below.  All recursions use
-max-shifted log-sum-exp; finite inputs produce finite outputs unless a
-path's score overflows.  Training and decoding run these kernels under
-np.errstate(over="raise", invalid="raise"), so such an overflow fails
-there (TrainingDiverged or ModelError naming the head) instead of decoding
-inf or nan.
+own: the same bytes either way, as below.
+
+The forward-backward recursion runs in scaled probability space (Rabiner
+1989, sec. V.A): a lattice exponentiates its emissions (the start scores
+added at the first position) shifted by each position's max, and its
+transitions and stop scores shifted by theirs, once.  A step sums over the
+previous node, multiplies by the emissions and divides by the position's
+scale, its largest node, and log-partitions add the logs of the scales and
+the shifts.  An off-mask or padded node weighs exactly 0.0, and a lattice
+whose every path underflows to 0 raises FloatingPointError.  Viterbi has no
+exp and stays in log space, where a path's score can overflow near the
+float maximum.  Training and decoding run these kernels under
+np.errstate(over="raise", invalid="raise"): either failure ends there, as
+TrainingDiverged or ModelError naming the head, never as inf or nan.
 
 A kernel lays the batch out once, time-major and longest first (`_Lattice`),
-so each recursion step slices the sequences still running, with the
-elementwise arithmetic of the one-sequence recursion: a sequence's result
-does not depend on its batch.  Each step is a tag-major tensor reduced over
-axis 0, which numpy runs as a few long loops, not k*W loops of W: forward
-and Viterbi steps are (W_from, k, W_to), backward steps (W_to, k, W_from).
-They are added with order="C", because the default "K" copies the
-transposed operands' strides and leaves the reduced axis in the middle.
-Every node, end and time sum reduces an outer axis, term after term (the
-end and time sums through `_sum0`), so a zero adds nothing at any width:
-a position past an end, or exp(-inf - m) = 0.0 at an off-mask or padded
-node, where m stays finite, as every position keeps a tag.
-Transition marginals are summed per sequence, position by position.  The
-batch kernels are the only API (`loss_and_grad_batch`, `viterbi_batch`,
+so each step slices the sequences still running, with the elementwise
+arithmetic of the one-sequence recursion: a sequence's result does not
+depend on its batch.  Scaled steps sum with `np.einsum` (term after term,
+each row on its own), Viterbi steps reduce C-ordered (W_from, k, W_to)
+tensors over axis 0, and end and time sums add term after term (`_sum0`,
+`np.add.accumulate`), so a zero adds nothing at any width.  Transition
+marginals are summed per sequence, position by position.  The batch kernels
+are the only API (`loss_and_grad_batch`, `viterbi_batch`,
 `forward_backward`): each returns per-sequence arrays (B, ...) and arrays
 packed like the emission rows, which training hands on to the emission
 backward pass without splitting them.  `sequence_log_prob` scores one path
@@ -130,12 +133,11 @@ class _Lattice:
     runs the `order[j]`-th sequence given), so the `running[i]` of them with
     a position i are a prefix.  `rows` (T, B) is the emission row of each
     position (a sequence's last row past its end) and `last` indexes each
-    sequence's last position.  `em` (T, B, W) scores each position's nodes
-    (-inf for a node off the lattice) and, when `slots` is set, `slots`
-    (T, B, W) is the tag of each node, with the `widths` (T, B) nodes on the
-    lattice first (none past the end).  Without slots node j is tag j.
-    `trans[i]` (B, W, W) scores the step from position i into i + 1; start
-    and stop are (B, W)."""
+    sequence's last position.  `em` (T, B, W) scores each position's nodes,
+    the start scores added at position 0 (-inf for a node off the lattice)
+    and, when `slots` is set, `slots` (T, B, W) is the tag of each node, with
+    the `widths` (T, B) nodes on the lattice first (none past the end).
+    Without slots node j is tag j.  Viterbi never reads `scaled`."""
 
     def __init__(self, batch: PotentialBatch, seqs: Sequence[int] | None = None) -> None:
         """The full lattices of the given sequences (default: all)."""
@@ -155,10 +157,22 @@ class _Lattice:
         self.running = np.searchsorted(-lengths, -steps, "left")
         self.rows = batch.offsets[seqs] + np.minimum(steps[:, None], lengths - 1)
         self.last = lengths - 1, np.arange(seqs.size)
-        (t, b), y = self.rows.shape, batch.emissions.shape[1]
         self.em = batch.emissions[self.rows]
-        self.trans = np.broadcast_to(batch.transitions, (t - 1, b, y, y))
-        self.start, self.stop = (np.broadcast_to(v, (b, y)) for v in (batch.start, batch.stop))
+        self.em[0] += batch.start
+        self.potentials = batch.transitions, batch.stop
+
+    @cached_property
+    def scaled(self) -> tuple[tuple[float, float], np.ndarray, np.ndarray, np.ndarray]:
+        """The maxima of the transitions and stop scores, and both shifted by them
+        and exponentiated: transitions (T - 1, B, W, W), transposed, stop (B, W)."""
+        shifts = tuple(v.max() for v in self.potentials)
+        tr, stop = (np.exp(v - m) for v, m in zip(self.potentials, shifts))
+        if (s := self.slots) is None:
+            (t, b), y = self.rows.shape, stop.size
+            return (shifts, *(np.broadcast_to(m, (t - 1, b, y, y)) for m in (tr, tr.T.copy())),
+                    np.broadcast_to(stop, (b, y)))
+        return (shifts, tr[s[:-1, :, :, None], s[1:, :, None, :]],
+                tr.T[s[1:, :, :, None], s[:-1, :, None, :]], stop[s[self.last]])
 
     def packed(self, x: np.ndarray) -> np.ndarray:
         """x (T, B, ...) at the sequences' positions, back to back in the order
@@ -183,62 +197,63 @@ def _restricted(batch: PotentialBatch, keep: np.ndarray,
     pads = np.arange(width) >= lat.widths[..., None]
     slots[pads] = 0
     lat.em = np.take_along_axis(lat.em, slots, axis=2)
-    lat.em[pads] = -np.inf
-    lat.trans = batch.transitions[slots[:-1, :, :, None], slots[1:, :, None, :]]
-    lat.start, lat.stop = batch.start[slots[0]], batch.stop[slots[lat.last]]
+    lat.em[pads & (lat.widths > 0)[..., None]] = -np.inf  # past an end, a row keeps its max
     return lat
 
 
-def _sum_product(lat: _Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The forward-backward recursion: log-partition of every lattice (B,)
-    and the forward and backward scores of every node (T, B, W), -inf past
-    each sequence's end.
+_TINY = np.nextafter(0.0, 1.0)  # a position's scale when all its nodes underflow to 0
 
-    Steps are C-ordered (W_from, k, W_to) forward and (W_to, k, W_from)
-    backward, and the end sum (W, B): each sums over axis 0, term after
-    term, as the one-sequence recursion over the allowed tags alone does,
-    and a padded node's zero comes after them."""
+
+def _sum_product(lat: _Lattice) -> tuple[np.ndarray, ...]:
+    """The scaled forward-backward recursion: log-partition of every lattice
+    (B,) and, per node (T, B, W) and zero past each sequence's end, forward
+    and backward scores alpha and beta, scaled so that alpha * beta is the
+    node's marginal, and gamma, the node's emission weight times its beta
+    over its position's scale c (the position's largest forward node).  A
+    scale or end sum that underflows to 0 raises FloatingPointError before
+    anything divides by it or takes its log."""
     em, running, last = lat.em, lat.running, lat.last
-    alpha = np.full(em.shape, -np.inf)
-    alpha[0] = lat.start + em[0]
+    shifts, trans, back, stop = lat.scaled
+    top = em.max(axis=2)
+    e = np.exp(em - top[..., None])
+    alpha, beta, gamma = (np.zeros(em.shape) for _ in range(3))
+    c = np.ones(top.shape)
+    alpha[0] = e[0]
     for i in range(1, running.size):
         k = running[i]
-        step = np.add(alpha[i - 1, :k].T[:, :, None], lat.trans[i - 1, :k].transpose(1, 0, 2),
-                      order="C")  # (W_from, k, W_to)
-        m = step.max(axis=0)
-        alpha[i, :k] = m + np.log(np.exp(step - m).sum(axis=0)) + em[i, :k]
-    ends = np.add(alpha[last].T, lat.stop.T, order="C")  # (W, B)
-    m = ends.max(axis=0)
-    log_z = m + np.log(_sum0(np.exp(ends - m)))
-
-    beta = np.full(em.shape, -np.inf)
-    beta[last] = lat.stop
+        a = np.einsum("kw,kwv->kv", alpha[i - 1, :k], trans[i - 1, :k]) * e[i, :k]
+        c[i, :k] = a.max(axis=1, initial=_TINY)
+        np.divide(a, c[i, :k, None], out=alpha[i, :k])
+    z = _sum0(np.multiply(alpha[last].T, stop.T, order="C"))  # (W, B)
+    if (c == _TINY).any() or not z.all():
+        raise FloatingPointError("every path of a lattice underflows to 0 in scaled space")
+    steps = np.log(c) + top
+    steps[1:] += shifts[0]
+    log_z = np.add.accumulate(steps)[last] + np.log(z) + shifts[1]
+    beta[last] = stop / z[:, None]
     for i in range(running.size - 2, -1, -1):
         k = running[i + 1]  # sequences with a position after i
-        nxt = em[i + 1, :k] + beta[i + 1, :k]
-        step = np.add(lat.trans[i, :k].transpose(2, 0, 1), nxt.T[:, :, None],
-                      order="C")  # (W_to, k, W_from)
-        m = step.max(axis=0)
-        beta[i, :k] = m + np.log(np.exp(step - m).sum(axis=0))
-    return log_z, alpha, beta
+        np.divide(e[i + 1, :k] * beta[i + 1, :k], c[i + 1, :k, None], out=gamma[i + 1, :k])
+        np.einsum("kv,kvw->kw", gamma[i + 1, :k], back[i, :k], out=beta[i, :k])
+    return log_z, alpha, beta, gamma
 
 
 def _node_posteriors(lat: _Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Log-partition (B,), the marginal of every node (T, B, W) and of every
     pair of nodes at adjacent positions (T - 1, B, W, W), zero past each
     sequence's end: each run of steps with the same sequences running at once
-    computes its pairs, so no pair past an end is computed."""
-    log_z, alpha, beta = _sum_product(lat)
-    unary = np.exp(alpha + beta - log_z[:, None])
-    pairwise = np.zeros(lat.trans.shape)
+    computes its pairs, alpha times the transition times the next gamma, so
+    no pair past an end is computed."""
+    log_z, alpha, beta, gamma = _sum_product(lat)
+    trans = lat.scaled[1]
+    pairwise = np.zeros(trans.shape)
     running = lat.running[1:]  # sequences with a pair at each step
     starts = np.flatnonzero(np.diff(running, prepend=-1))
     for a, b in zip(starts, [*starts[1:], running.size]):
         k = running[a]
-        np.exp(alpha[a:b, :k, :, None] + lat.trans[a:b, :k]
-               + (lat.em[a + 1 : b + 1, :k] + beta[a + 1 : b + 1, :k])[:, :, None, :]
-               - log_z[:k, None, None], out=pairwise[a:b, :k])
-    return log_z, unary, pairwise
+        np.multiply(alpha[a:b, :k, :, None] * trans[a:b, :k],
+                    gamma[a + 1 : b + 1, :k, None, :], out=pairwise[a:b, :k])
+    return log_z, alpha * beta, pairwise
 
 
 # The most extra node pairs per recursion step, B_free * (y*y - W_m*W_m), at
@@ -253,7 +268,7 @@ def _lattice_posteriors(lat: _Lattice) -> _Posteriors:
     the order its sequences were given, and unary marginals packed in that
     order.  A transition sum adds pairwise marginals position by position."""
     log_z, unary, pairwise = _node_posteriors(lat)
-    given_z, sums = np.empty(log_z.size), np.empty(lat.trans.shape[1:])
+    given_z, sums = np.empty(log_z.size), np.empty(pairwise.shape[1:])
     given_z[lat.order], sums[lat.order] = log_z, _sum0(pairwise)
     return given_z, lat.packed(unary), sums
 
@@ -384,22 +399,22 @@ def viterbi_batch(batch: PotentialBatch) -> tuple[np.ndarray, np.ndarray]:
     """Highest-scoring tag sequence of every sequence in the batch: the tags,
     packed like the emission rows, and the scores (B,).
 
-    Each step is C-ordered (W_from, k, W_to), tag-major as in
-    `_sum_product`; its backpointer is the first W_from at the max over axis
-    0, so every decision breaks ties toward the lower tag index.
+    Each step is C-ordered (W_from, k, W_to), tag-major; its backpointer is
+    the first W_from at the max over axis 0, so every decision breaks ties
+    toward the lower tag index.
     """
     lat = _Lattice(batch)
     em, running = lat.em, lat.running
-    delta = lat.start + em[0]
+    delta = em[0].copy()
     back = np.empty(em.shape, dtype=np.int64)
     for i in range(1, running.size):
         k = running[i]
-        step = np.add(delta[:k].T[:, :, None], lat.trans[i - 1, :k].transpose(1, 0, 2),
+        step = np.add(delta[:k].T[:, :, None], batch.transitions[:, None, :],
                       order="C")  # (W_from, k, W_to)
         m = step.max(axis=0)
         back[i, :k] = (step == m).argmax(axis=0)
         delta[:k] = m + em[i, :k]
-    delta = delta + lat.stop
+    delta = delta + batch.stop
     tag = np.argmax(delta, axis=1)
     scores = np.empty(batch.size)
     scores[lat.seqs] = delta[np.arange(batch.size), tag]
@@ -421,7 +436,7 @@ def forward_backward(
     marginals without the transition sums, over those lattices only.  A
     negative or out-of-range index, or no index, raises ValueError."""
     lat = _Lattice(batch, seqs)
-    log_z, alpha, beta = _sum_product(lat)
+    log_z, alpha, beta, _ = _sum_product(lat)
     out = np.empty(lat.seqs.size)
     out[lat.order] = log_z
-    return out, lat.packed(np.exp(alpha + beta - log_z[:, None]))
+    return out, lat.packed(alpha * beta)

@@ -23,9 +23,11 @@ over the repeats of each repeat's change/parent (calls alternating one by
 one share the host's load of that moment, so neither a lucky sample nor a
 shift of the load between samples can decide a row), and as `peak_mb` each
 side's peak traced memory over the one untimed call whose bytes it compares
-(tracemalloc runs for that call only).  With --out it writes the minima, the
-medians, the peaks and every sample as JSON.  It exits 1 unless both sides
-return the same bytes.
+(tracemalloc runs for that call only), and as `max_abs_diff` the largest
+|change - parent| over every output of that call (inf where one side is
+finite and the other is not).  With --out it writes the minima, the
+medians, the peaks, the differences and every sample as JSON.  It exits 1
+unless both sides return the same bytes.
 """
 
 from __future__ import annotations
@@ -104,6 +106,23 @@ def _call(crf, kernel: str, batch, masks) -> tuple[list[np.ndarray], float]:
         tracemalloc.stop()
 
 
+def _max_abs_diff(parent: list[np.ndarray], change: list[np.ndarray]) -> float:
+    """The largest |change - parent| over every output: inf where the shapes
+    differ or one side is finite and the other is not, else over the finite
+    values (the non-finite ones must then be equal)."""
+    worst = 0.0
+    for a, b in zip(parent, change):
+        a, b = a.astype(np.float64), b.astype(np.float64)
+        if a.shape != b.shape:
+            return np.inf
+        finite = np.isfinite(a)
+        if (finite != np.isfinite(b)).any() or not np.array_equal(a[~finite], b[~finite],
+                                                                  equal_nan=True):
+            return np.inf
+        worst = max(worst, float(np.abs(a[finite] - b[finite]).max(initial=0.0)))
+    return worst
+
+
 def _repeat(sides: dict, kernel: str, cases: dict, lead: int) -> dict[str, float]:
     """Each side's mean seconds per call over one repeat, in which single
     calls of the sides alternate, sides[lead] first, until each has run
@@ -149,6 +168,7 @@ def main(argv: list[str] | None = None) -> int:
         cases = {name: _case(crf, seed, kernel, lengths, y, widest) for name, crf in sides.items()}
         outs, peaks = zip(*(_call(crf, kernel, *cases[name]) for name, crf in sides.items()))
         same = all(a.tobytes() == b.tobytes() for a, b in zip(*outs))
+        moved = _max_abs_diff(*outs)
         samples = {name: [] for name in sides}
         for r in range(REPEATS):
             for name, seconds in _repeat(sides, kernel, cases, r % 2).items():
@@ -157,6 +177,7 @@ def main(argv: list[str] | None = None) -> int:
         med = {name: float(np.median(s)) * 1e3 for name, s in samples.items()}
         paired = np.divide(samples["change"], samples["parent"])
         row = {"kernel": kernel, "B": size, "T": longest, "y": y, "W_m": widest, "same_bytes": same,
+               "max_abs_diff": moved,
                "parent_ms": round(low["parent"], 4), "change_ms": round(low["change"], 4),
                "ratio": round(float(np.median(paired)), 3),
                "peak_mb": {n: round(v, 2) for n, v in zip(sides, peaks)},
@@ -167,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
                  + f" y={y:2d}" + ("" if widest is None else f" W_m={widest:2d}"))
         print(f"{kernel:20s} {shape:24s}  parent {row['parent_ms']:9.3f} ms"
               f"  change {row['change_ms']:9.3f} ms  ratio {row['ratio']:.3f}"
-              f"  peak_mb {peaks[0]:7.2f} / {peaks[1]:7.2f}"
+              f"  peak_mb {peaks[0]:7.2f} / {peaks[1]:7.2f}  max_abs_diff {moved:.3g}"
               f"{'' if same else '  BYTES DIFFER'}", flush=True)
     if args.out:
         args.out.write_text(json.dumps({"repeats": REPEATS, "sample_s": SAMPLE_S, "rows": rows},

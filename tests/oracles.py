@@ -293,9 +293,10 @@ def log_partition_backward(table: PotentialTable, mask: LatticeMask | None = Non
 
 
 # A one-sequence training kernel: a dense and a masked recursion per
-# sequence.  `crf.loss_and_grad_batch` must equal it bit for bit.  Every
-# forward, end, backward and time sum adds its terms in index order with
-# `term_sum`, so its rounding does not come from numpy's summation.
+# sequence, in scaled probability space (Rabiner 1989, sec. V.A).
+# `crf.loss_and_grad_batch` must equal it bit for bit.  Every forward, end,
+# backward and time sum adds its terms in index order with `term_sum`, so its
+# rounding does not come from numpy's summation.
 
 def term_sum(a: np.ndarray, axis: int) -> np.ndarray:
     """a summed over `axis`: starting from zeros, one term after another."""
@@ -306,44 +307,58 @@ def term_sum(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _reference_dense(table: PotentialTable):
-    em, trans = table.emissions, table.transitions
-    n, y = em.shape
+def _reference_scaled(table: PotentialTable, idx):
+    """Log-partition, unary (n, y) and pairwise (n - 1, y, y) marginals of
+    one sequence's lattice over the allowed tags idx[i] of each position,
+    zero off it.  Each position's emissions (the start scores added at the
+    first) are shifted by their max and exponentiated, the transitions and
+    stop scores by theirs.  A forward step sums alpha times the transitions
+    over the previous tag, multiplies by the emissions and divides by its
+    scale c, the largest node; the backward step divides by the next
+    position's scale before its sum.  log_z adds log c plus the shifts
+    position by position, then the log of the end sum and the stop shift."""
+    em, start, n, y = table.emissions, table.start, *table.emissions.shape
+    scores = [(em[0] + start)[idx[0]]] + [em[i, idx[i]] for i in range(1, n)]
+    tops = [s.max() for s in scores]
+    es = [np.exp(s - t) for s, t in zip(scores, tops)]
+    shift, stop_shift = table.transitions.max(), table.stop.max()
+    trans = np.exp(table.transitions - shift)
+    blocks = [trans[np.ix_(idx[i], idx[i + 1])] for i in range(n - 1)]
+    stop = np.exp(table.stop - stop_shift)[idx[-1]]
 
-    alpha = np.empty((n, y))
-    prev = table.start + em[0]
-    alpha[0] = prev
+    alphas, scales = [es[0]], [np.float64(1.0)]
     for i in range(1, n):
-        step = prev[:, None] + trans
-        m = step.max(axis=0)
-        prev = m + np.log(term_sum(np.exp(step - m), 0)) + em[i]
-        alpha[i] = prev
-    last = prev + table.stop
-    m = last.max()
-    log_z = float(m + np.log(term_sum(np.exp(last - m), 0)))
+        a = term_sum(alphas[-1][:, None] * blocks[i - 1], 0) * es[i]
+        scales.append(a.max())
+        alphas.append(a / scales[-1])
+    end = term_sum(alphas[-1] * stop, 0)
+    assert end > 0 and min(scales) > 0, "the lattice underflows"
+    steps = [np.log(c) + t for c, t in zip(scales, tops)]
+    steps[1:] = [s + shift for s in steps[1:]]
+    log_z = float(term_sum(np.array(steps), 0) + np.log(end) + stop_shift)
 
-    beta = np.empty((n, y))
-    prev = table.stop
-    beta[-1] = prev
+    betas, gammas = [stop / end] * n, [np.empty(0)] * n
     for i in range(n - 2, -1, -1):
-        step = trans + (em[i + 1] + prev)[None, :]
-        m = step.max(axis=1)
-        prev = m + np.log(term_sum(np.exp(step - m[:, None]), 1))
-        beta[i] = prev
+        gammas[i + 1] = es[i + 1] * betas[i + 1] / scales[i + 1]
+        betas[i] = term_sum(blocks[i] * gammas[i + 1][None, :], 1)
 
-    unary = np.exp(alpha + beta - log_z)
-    pairwise = np.exp(
-        alpha[: n - 1, :, None]
-        + trans[None, :, :]
-        + (em[1:] + beta[1:])[:, None, :]
-        - log_z
-    )
+    unary = np.zeros((n, y))
+    for i in range(n):
+        unary[i, idx[i]] = alphas[i] * betas[i]
+    pairwise = np.zeros((max(n - 1, 0), y, y))
+    for i in range(n - 1):
+        block = alphas[i][:, None] * blocks[i] * gammas[i + 1][None, :]
+        pairwise[i][idx[i][:, None], idx[i + 1]] = block
     return log_z, unary, pairwise
 
 
+def _reference_dense(table: PotentialTable):
+    n, y = table.emissions.shape
+    return _reference_scaled(table, [np.arange(y)] * n)
+
+
 def _reference_masked(table: PotentialTable, mask: LatticeMask):
-    em, trans = table.emissions, table.transitions
-    n, y = em.shape
+    n, y = table.emissions.shape
     if all(a.size == 1 for a in mask.allowed):  # the mask pins one path
         path = np.concatenate(mask.allowed)
         unary = np.zeros((n, y))
@@ -351,38 +366,7 @@ def _reference_masked(table: PotentialTable, mask: LatticeMask):
         pairwise = np.zeros((max(n - 1, 0), y, y))
         pairwise[np.arange(n - 1), path[:-1], path[1:]] = 1.0
         return path_score(table, path), unary, pairwise
-    idx = mask.allowed
-    blocks = [trans[idx[i][:, None], idx[i + 1]] for i in range(n - 1)]
-
-    alphas: list[np.ndarray] = [table.start[idx[0]] + em[0, idx[0]]]
-    for i in range(1, n):
-        step = alphas[i - 1][:, None] + blocks[i - 1]
-        m = step.max(axis=0)
-        alphas.append(m + np.log(term_sum(np.exp(step - m), 0)) + em[i, idx[i]])
-    last = alphas[-1] + table.stop[idx[-1]]
-    m = last.max()
-    log_z = float(m + np.log(term_sum(np.exp(last - m), 0)))
-
-    betas: list[np.ndarray] = [np.empty(0)] * n
-    betas[-1] = table.stop[idx[-1]]
-    for i in range(n - 2, -1, -1):
-        step = blocks[i] + (em[i + 1, idx[i + 1]] + betas[i + 1])[None, :]
-        m = step.max(axis=1)
-        betas[i] = m + np.log(term_sum(np.exp(step - m[:, None]), 1))
-
-    unary = np.zeros((n, y))
-    for i in range(n):
-        unary[i, idx[i]] = np.exp(alphas[i] + betas[i] - log_z)
-    pairwise = np.zeros((max(n - 1, 0), y, y))
-    for i in range(n - 1):
-        block = np.exp(
-            alphas[i][:, None]
-            + blocks[i]
-            + (em[i + 1, idx[i + 1]] + betas[i + 1])[None, :]
-            - log_z
-        )
-        pairwise[i][idx[i][:, None], idx[i + 1]] = block
-    return log_z, unary, pairwise
+    return _reference_scaled(table, mask.allowed)
 
 
 def reference_loss_and_grad(table: PotentialTable, mask: LatticeMask):

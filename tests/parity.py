@@ -13,8 +13,12 @@ Each side runs in a subprocess of its own with one BLAS thread.
 For every workload, seed and kind it prints whether the model bytes,
 `repr(history)`, the test predictions, the collision counts and the
 collision records (position, candidates and probabilities as `float.hex`)
-are equal, and the largest absolute parameter difference.  It exits 1 when
-predictions, collision counts or records differ, or when either side fails.
+are equal, and the largest absolute parameter difference.  Under a row
+whose predictions differ it prints both sides' test F1 per consolidation
+method, and under a row whose records differ the largest absolute
+difference of the collision probabilities (`shape differs` when the
+collisions themselves differ).  It exits 1 when predictions, collision
+counts or records differ, or when either side fails.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -52,6 +57,7 @@ def _digest(value) -> str:
 
 
 def _run_kind(w, eh, kind: str, directory: Path) -> tuple[dict, dict[str, np.ndarray]]:
+    from hiertag.evaluation import score
     from hiertag.experiments import train_models
     from hiertag.model_io import load_model, save_model
     from hiertag.models import output_tags, tag_batch
@@ -63,19 +69,23 @@ def _run_kind(w, eh, kind: str, directory: Path) -> tuple[dict, dict[str, np.nda
     loaded = [load_model(path) for path in paths]
     tokens = [s.texts() for s in w.test.sequences]
     methods = METHODS if kind in ("indep", "mtl") else ("random",)
-    preds, collisions, records = {}, {}, {}
+    preds, collisions, records, probs = {}, {}, {}, {}
     for method in methods:
         out = tag_batch(loaded, tokens, w.test_tagset, method, 0)
         preds[method] = [output_tags(c.tags, loaded[0].hierarchy, w.test_tagset) for c in out]
         collisions[method] = sum(c.collisions for c in out)
         records[method] = [[(r.position, r.candidates, [p.hex() for p in r.probabilities])
                             for r in c.collision_positions] for c in out]
+        probs[method] = [p for c in out for r in c.collision_positions for p in r.probabilities]
+    golds = [s.tags() for s in w.test.sequences]
     record = {
         "model": [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths],
         "history": [repr(m.history) for m in models],
         "preds": _digest(preds),
         "collisions": collisions,
         "records": _digest(records),
+        "f1": {m: score(p, golds).micro.f1 for m, p in preds.items()},
+        "probs": probs,
     }
     params = {f"{i}/{k}": v for i, m in enumerate(models) for k, v in m.params().items()}
     return record, params
@@ -132,6 +142,13 @@ def _max_diff(a: Path, b: Path) -> float | None:
     return float(max(diffs, default=0.0))
 
 
+def _prob_diff(a: dict, b: dict) -> str:
+    """The largest |difference| of two sides' collision probabilities."""
+    if a.keys() != b.keys() or any(len(a[m]) != len(b[m]) for m in a):
+        return "shape differs"
+    return f"{max((abs(x - y) for m in a for x, y in zip(a[m], b[m])), default=0.0):.3g}"
+
+
 def compare(base: Path, head: Path, workloads: list[str], seeds: list[int]) -> int:
     print(f"{'workload':<12} {'seed':>4} {'kind':<7} "
           + " ".join(f"{f:<10}" for f in FIELDS) + " max|dparam|")
@@ -153,6 +170,12 @@ def compare(base: Path, head: Path, workloads: list[str], seeds: list[int]) -> i
                 print(f"{name:<12} {seed:>4} {kind:<7} "
                       + " ".join(f"{'equal' if same[f] else 'DIFFERENT':<10}" for f in FIELDS)
                       + f" {'shape differs' if diff is None else f'{diff:.3g}'}")
+                if not same["preds"]:
+                    fa, fb = a.get("f1", {}), b.get("f1", {})
+                    print("    f1 " + "  ".join(f"{m} {fa.get(m, math.nan):.6f} -> "
+                                                f"{fb.get(m, math.nan):.6f}" for m in sorted(fa | fb)))
+                if not same["records"]:
+                    print(f"    max|dprob| {_prob_diff(a.get('probs', {}), b.get('probs', {}))}")
     return 1 if failed else 0
 
 

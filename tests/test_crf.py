@@ -41,6 +41,7 @@ from oracles import (
     reference_slots,
     reference_viterbi,
     split_grads,
+    term_sum,
     viterbi,
 )
 
@@ -725,6 +726,37 @@ class TestBatchedKernels:
     def test_bad_batches_rejected(self, lengths, em, match):
         with pytest.raises(ValueError, match=match):
             PotentialBatch(em, lengths, np.zeros((2, 2)), np.zeros(2), np.zeros(2))
+
+
+class TestEinsumRoute:
+    """The scaled recursions' steps and the bitwise pins rest on numpy's
+    einsum, without `optimize`, adding its terms one after another and
+    computing each row on its own.  This says so in numpy's terms, on the
+    versions the package supports, before a pin fails on the bits."""
+
+    def test_einsum_adds_term_after_term_row_by_row(self):
+        rng = np.random.default_rng(90)
+        for w in range(1, 42):
+            for k in (1, 3, 8, 60):
+                # Node weights in [0, 1], a third of them exact zeros.
+                a = rng.random((k, w)) * (rng.random((k, w)) < 0.67)
+                shared, blocks = rng.random((w, w)), rng.random((k, w, w))
+                wide = np.broadcast_to(shared, (k, w, w))
+                cases = [("kw,wv->kv", shared, wide), ("kw,kwv->kv", wide, wide),
+                         ("kw,kwv->kv", blocks, blocks)]
+                for spec, operand, terms in cases:
+                    where = f"numpy {np.__version__}: np.einsum({spec!r}) at W={w}, k={k}"
+                    got = np.einsum(spec, a, operand)
+                    assert got.tobytes() == term_sum(a[:, :, None] * terms, 1).tobytes(), (
+                        f"{where} does not add its terms one after another")
+                    out = np.empty_like(got)
+                    np.einsum(spec, a, operand, out=out)
+                    assert out.tobytes() == got.tobytes(), f"{where} differs with out="
+                    i = int(rng.integers(k))
+                    alone = np.einsum(spec, a[i : i + 1],
+                                      operand if operand.ndim == 2 else operand[i : i + 1])
+                    assert alone.tobytes() == got[i : i + 1].tobytes(), (
+                        f"{where}: row {i} computed alone differs from the same row in the batch")
 
 
 @st.composite

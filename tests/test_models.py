@@ -788,6 +788,28 @@ class TestOverflow:
                                                    r"step \d+: emission scores overflow$"):
             train(list(toy_corpora), toy_eh, cfg)
 
+    @pytest.mark.parametrize("train", [train_hier, train_indep])
+    def test_training_underflow_diverges_without_nan(self, toy_eh, toy_corpora, train):
+        # Finite transitions whose largest entry steps between two different
+        # tags, every other entry 1,000 below it: exp(-1000) is 0.0 in the
+        # scaled lattice, so every path over three positions or more weighs
+        # 0, though the log-partition itself is finite.
+        seen = []
+
+        def on_epoch(model, record):
+            seen.append(model)
+            for head in model.heads.values():
+                head.transitions[...] = -1000.0
+                head.transitions[0, 1] = 0.0
+
+        with pytest.raises(TrainingDiverged, match=r"training diverged on head '\w+' at epoch 2, "
+                                                   r"step \d+: every path of a lattice underflows"):
+            train(list(toy_corpora), toy_eh, quick_cfg(epochs=3), on_epoch=on_epoch)
+        (model,) = seen
+        assert [r.epoch for r in model.history] == [1]
+        assert all(math.isfinite(r.train_loss) for r in model.history)
+        assert all(np.isfinite(v).all() for v in model.params().values())
+
     def test_tagging_raises_model_error_naming_the_head(self, toy_eh, toy_corpora):
         model = train_hier(list(toy_corpora), toy_eh, quick_cfg(epochs=1))
         weights = model.emission.weights
@@ -1251,6 +1273,29 @@ class TestBioMode:
         model = train_hier(list(toy_corpora), toy_eh, cfg)
         tags = predict_hier(model, "alice smith walked down elm".split(), "T1")
         assert set(tags) <= toy_eh.tagsets["T1"]
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_bio_penalty_leaves_every_lattice_a_legal_path(self, toy_eh, toy_corpora,
+                                                           monkeypatch, kind):
+        # The scaled lattice weighs a barred step exp(BIO_PENALTY - max) =
+        # 0.0.  Every mask keeps B-x wherever it keeps I-x, so each lattice
+        # keeps a path of legal steps: training ends without underflow, and
+        # no loss pays the penalty.
+        kernel, calls = models_module.loss_and_grad, []
+
+        def recorded(potentials, masks):
+            out = kernel(potentials, masks)
+            calls.append((potentials.transitions, out[0]))
+            return out
+
+        monkeypatch.setattr(models_module, "loss_and_grad", recorded)
+        TRAINERS[kind](list(toy_corpora), toy_eh, quick_cfg(epochs=3, bio=True, hidden_dim=4))
+        assert calls
+        for transitions, losses in calls:
+            barred = transitions < models_module.BIO_PENALTY / 2
+            assert barred.any()
+            assert (np.exp(transitions - transitions.max())[barred] == 0.0).all()
+            assert ((losses >= 0) & (losses < -models_module.BIO_PENALTY / 2)).all()
 
     def test_bio_masks_allow_both_variants(self, toy_eh):
         domain = expand_bio(sorted(toy_eh.fine_grained))

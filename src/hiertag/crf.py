@@ -7,10 +7,7 @@ The loss is the gap between the full and the masked log-partition, so its
 gradients are differences of posterior expectations.  `_packed_masks` packs
 a batch's masks like the emission rows; a sequence pinned to one path gets
 its closed form.  The other sequences' masked lattices run in tag space
-beside the full ones (off-mask nodes scored -inf, one recursion for both)
-while that adds at most `_TAG_SPACE_PAIRS` node pairs per step, otherwise
-restricted to their allowed tags (`_restricted`) in a recursion of their
-own: the same bytes either way, as below.
+beside the full ones: off-mask nodes scored -inf, one recursion for both.
 
 The forward-backward recursion runs in scaled probability space (Rabiner
 1989, sec. V.A): a lattice exponentiates its emissions (the start scores
@@ -31,9 +28,9 @@ arithmetic of the one-sequence recursion: a sequence's result does not
 depend on its batch.  Scaled steps sum with `np.einsum` (term after term,
 each row on its own), Viterbi steps reduce C-ordered (W_from, k, W_to)
 tensors over axis 0, and end and time sums add term after term (`_sum0`,
-`np.add.accumulate`), so a zero adds nothing at any width.  Transition
-marginals are summed per sequence, position by position.  The batch kernels
-are the only API (`loss_and_grad_batch`, `viterbi_batch`,
+`np.add.accumulate`), so a zero adds nothing at any width.  Each lattice's
+transition sums are one einsum over time, position after position.  The
+batch kernels are the only API (`loss_and_grad_batch`, `viterbi_batch`,
 `forward_backward`): each returns per-sequence arrays (B, ...) and arrays
 packed like the emission rows, which training hands on to the emission
 backward pass without splitting them.  `sequence_log_prob` scores one path
@@ -133,11 +130,9 @@ class _Lattice:
     runs the `order[j]`-th sequence given), so the `running[i]` of them with
     a position i are a prefix.  `rows` (T, B) is the emission row of each
     position (a sequence's last row past its end) and `last` indexes each
-    sequence's last position.  `em` (T, B, W) scores each position's nodes,
-    the start scores added at position 0 (-inf for a node off the lattice)
-    and, when `slots` is set, `slots` (T, B, W) is the tag of each node, with
-    the `widths` (T, B) nodes on the lattice first (none past the end).
-    Without slots node j is tag j.  Viterbi never reads `scaled`."""
+    sequence's last position.  `em` (T, B, y) scores each position's nodes,
+    node j being tag j, with the start scores added at position 0 (-inf for
+    a node off the lattice).  Viterbi never reads `scaled`."""
 
     def __init__(self, batch: PotentialBatch, seqs: Sequence[int] | None = None) -> None:
         """The full lattices of the given sequences (default: all)."""
@@ -149,7 +144,6 @@ class _Lattice:
             if bad.size or not seqs.size:
                 raise ValueError(f"sequence index {bad[0]} is not in a batch of {batch.size}"
                                  if bad.size else "no sequence selected")
-        self.slots = self.widths = None
         self.order = np.argsort(-batch.lengths[seqs], kind="stable")
         self.seqs = seqs = seqs[self.order]
         self.lengths = lengths = batch.lengths[seqs]
@@ -164,15 +158,10 @@ class _Lattice:
     @cached_property
     def scaled(self) -> tuple[tuple[float, float], np.ndarray, np.ndarray, np.ndarray]:
         """The maxima of the transitions and stop scores, and both shifted by them
-        and exponentiated: transitions (T - 1, B, W, W), transposed, stop (B, W)."""
+        and exponentiated: transitions (y, y), their transpose and stop (y,)."""
         shifts = tuple(v.max() for v in self.potentials)
         tr, stop = (np.exp(v - m) for v, m in zip(self.potentials, shifts))
-        if (s := self.slots) is None:
-            (t, b), y = self.rows.shape, stop.size
-            return (shifts, *(np.broadcast_to(m, (t - 1, b, y, y)) for m in (tr, tr.T.copy())),
-                    np.broadcast_to(stop, (b, y)))
-        return (shifts, tr[s[:-1, :, :, None], s[1:, :, None, :]],
-                tr.T[s[1:, :, :, None], s[:-1, :, None, :]], stop[s[self.last]])
+        return shifts, tr, tr.T.copy(), stop
 
     def packed(self, x: np.ndarray) -> np.ndarray:
         """x (T, B, ...) at the sequences' positions, back to back in the order
@@ -182,23 +171,6 @@ class _Lattice:
         starts = np.cumsum(lengths) - lengths
         pos = np.arange(starts[-1] + lengths[-1]) - np.repeat(starts, lengths)
         return x[pos, np.repeat(given, lengths)]
-
-
-def _restricted(batch: PotentialBatch, keep: np.ndarray,
-                seqs: Sequence[int] | None = None) -> _Lattice:
-    """The lattices of the given sequences (default: all), each restricted
-    to its rows of keep (bool, packed like the emission rows): a position's
-    slots are its allowed tags ascending, padded with tag 0 to the widest."""
-    lat = _Lattice(batch, seqs)
-    keep = keep[lat.rows] & (np.arange(lat.seqs.size) < lat.running[:, None])[..., None]
-    lat.widths = keep.sum(axis=2)
-    width = int(lat.widths.max())
-    lat.slots = slots = np.argsort(~keep, axis=2, kind="stable")[:, :, :width]
-    pads = np.arange(width) >= lat.widths[..., None]
-    slots[pads] = 0
-    lat.em = np.take_along_axis(lat.em, slots, axis=2)
-    lat.em[pads & (lat.widths > 0)[..., None]] = -np.inf  # past an end, a row keeps its max
-    return lat
 
 
 _TINY = np.nextafter(0.0, 1.0)  # a position's scale when all its nodes underflow to 0
@@ -221,10 +193,10 @@ def _sum_product(lat: _Lattice) -> tuple[np.ndarray, ...]:
     alpha[0] = e[0]
     for i in range(1, running.size):
         k = running[i]
-        a = np.einsum("kw,kwv->kv", alpha[i - 1, :k], trans[i - 1, :k]) * e[i, :k]
+        a = np.einsum("kw,wv->kv", alpha[i - 1, :k], trans) * e[i, :k]
         c[i, :k] = a.max(axis=1, initial=_TINY)
         np.divide(a, c[i, :k, None], out=alpha[i, :k])
-    z = _sum0(np.multiply(alpha[last].T, stop.T, order="C"))  # (W, B)
+    z = _sum0(np.multiply(alpha[last].T, stop[:, None], order="C"))  # (W, B)
     if (c == _TINY).any() or not z.all():
         raise FloatingPointError("every path of a lattice underflows to 0 in scaled space")
     steps = np.log(c) + top
@@ -234,43 +206,25 @@ def _sum_product(lat: _Lattice) -> tuple[np.ndarray, ...]:
     for i in range(running.size - 2, -1, -1):
         k = running[i + 1]  # sequences with a position after i
         np.divide(e[i + 1, :k] * beta[i + 1, :k], c[i + 1, :k, None], out=gamma[i + 1, :k])
-        np.einsum("kv,kvw->kw", gamma[i + 1, :k], back[i, :k], out=beta[i, :k])
+        np.einsum("kv,vw->kw", gamma[i + 1, :k], back, out=beta[i, :k])
     return log_z, alpha, beta, gamma
 
 
-def _node_posteriors(lat: _Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Log-partition (B,), the marginal of every node (T, B, W) and of every
-    pair of nodes at adjacent positions (T - 1, B, W, W), zero past each
-    sequence's end: each run of steps with the same sequences running at once
-    computes its pairs, alpha times the transition times the next gamma, so
-    no pair past an end is computed."""
-    log_z, alpha, beta, gamma = _sum_product(lat)
-    trans = lat.scaled[1]
-    pairwise = np.zeros(trans.shape)
-    running = lat.running[1:]  # sequences with a pair at each step
-    starts = np.flatnonzero(np.diff(running, prepend=-1))
-    for a, b in zip(starts, [*starts[1:], running.size]):
-        k = running[a]
-        np.multiply(alpha[a:b, :k, :, None] * trans[a:b, :k],
-                    gamma[a + 1 : b + 1, :k, None, :], out=pairwise[a:b, :k])
-    return log_z, alpha * beta, pairwise
-
-
-# The most extra node pairs per recursion step, B_free * (y*y - W_m*W_m), at
-# which a batch's masked lattices run in tag space beside its full ones: the
-# crossover of `tests/kernel_probe.py`'s masked rows (2-core Xeon, numpy 2.4).
-_TAG_SPACE_PAIRS = 768
 _Posteriors = tuple[np.ndarray, np.ndarray, np.ndarray]  # log_z, unary, transition sums
 
 
 def _lattice_posteriors(lat: _Lattice) -> _Posteriors:
     """Log-partition (B,) and transition sums (B, y, y) of every lattice in
     the order its sequences were given, and unary marginals packed in that
-    order.  A transition sum adds pairwise marginals position by position."""
-    log_z, unary, pairwise = _node_posteriors(lat)
-    given_z, sums = np.empty(log_z.size), np.empty(pairwise.shape[1:])
-    given_z[lat.order], sums[lat.order] = log_z, _sum0(pairwise)
-    return given_z, lat.packed(unary), sums
+    order.  The transition sums are one einsum over time: each pair's
+    marginal, alpha times the transition times the next gamma, added
+    position after position (zero past a sequence's end)."""
+    log_z, alpha, beta, gamma = _sum_product(lat)
+    trans = lat.scaled[1]
+    given_z, sums = np.empty(log_z.size), np.empty((log_z.size, *trans.shape))
+    given_z[lat.order] = log_z
+    sums[lat.order] = np.einsum("tbw,wv,tbv->bwv", alpha[:-1], trans, gamma[1:])
+    return given_z, lat.packed(alpha * beta), sums
 
 
 def _packed_masks(batch: PotentialBatch, masks: Sequence[LatticeMask]):
@@ -304,27 +258,6 @@ def _pinned_posteriors(batch: PotentialBatch, keep: np.ndarray, pinned: np.ndarr
     return log_z, unary, sums
 
 
-def _restricted_posteriors(batch: PotentialBatch, keep: np.ndarray,
-                           pinned: np.ndarray) -> _Posteriors:
-    """Masked posteriors, each free sequence's lattice restricted to its mask
-    (`_restricted`): its live nodes are scattered back to tag space, and each
-    tag pair's transition sum adds its live node pairs in position order."""
-    y = batch.emissions.shape[1]
-    log_z, unary, sums = _pinned_posteriors(batch, keep, pinned)
-    if pinned.all():
-        return log_z, unary, sums
-    lat = _restricted(batch, keep, np.flatnonzero(~pinned))
-    log_z[lat.seqs], node_unary, node_pairwise = _node_posteriors(lat)
-    live = np.arange(lat.em.shape[2]) < lat.widths[..., None]
-    t, j, a = np.nonzero(live)
-    unary[lat.rows[t, j], lat.slots[t, j, a]] = node_unary[t, j, a]
-    t, j, a, c = np.nonzero(live[:-1, :, :, None] & live[1:, :, None, :])
-    pairs = (j * y + lat.slots[t, j, a]) * y + lat.slots[t + 1, j, c]
-    sums[lat.seqs] = np.bincount(pairs, node_pairwise[t, j, a, c],
-                                 lat.seqs.size * y * y).reshape(-1, y, y)
-    return log_z, unary, sums
-
-
 def _tag_space_posteriors(batch: PotentialBatch, keep: np.ndarray,
                           pinned: np.ndarray) -> tuple[_Posteriors, _Posteriors]:
     """Full and masked posteriors from one recursion: each free sequence's
@@ -344,21 +277,18 @@ def _tag_space_posteriors(batch: PotentialBatch, keep: np.ndarray,
 def _posteriors(batch: PotentialBatch, masks: Sequence[LatticeMask] | None = None) -> _Posteriors:
     """Log-partition (B,), unary marginals packed like the emission rows and
     transition sums (B, y, y) of every sequence's full lattice, or of its
-    lattice restricted to its mask; a pinned sequence (one tag per row) gets
-    its path's closed form."""
+    lattice under its mask (the masked half of `_tag_space_posteriors`); a
+    pinned sequence (one tag per row) gets its path's closed form."""
     if masks is None:
         return _lattice_posteriors(_Lattice(batch))
     keep, widest = _packed_masks(batch, masks)
-    return _restricted_posteriors(batch, keep, widest == 1)
+    return _tag_space_posteriors(batch, keep, widest == 1)[1]
 
 
 def loss_and_grad_batch(batch: PotentialBatch, masks: Sequence[LatticeMask]) -> _Posteriors:
     """Each sequence's gap between its full and masked log-partitions (B,),
-    with its gradients.  When the masks add at most `_TAG_SPACE_PAIRS` node
-    pairs per step in tag space, the full and masked lattices run through one
-    recursion (`_tag_space_posteriors`); otherwise the full ones run through
-    one and the masked ones, restricted, through another.  Both give the
-    same bytes.
+    with its gradients: the full and the masked lattices run through one
+    recursion (`_tag_space_posteriors`).
 
     The gradient w.r.t. each potential entry is the unconstrained posterior
     expectation of that entry's indicator minus the masked one: d_emissions
@@ -366,11 +296,7 @@ def loss_and_grad_batch(batch: PotentialBatch, masks: Sequence[LatticeMask]) -> 
     start and stop gradients are its first and last d_emissions rows.
     """
     keep, widest = _packed_masks(batch, masks)
-    y, pinned = batch.emissions.shape[1], widest == 1
-    if (~pinned).sum() * (y * y - widest.max() ** 2) <= _TAG_SPACE_PAIRS:
-        full, masked = _tag_space_posteriors(batch, keep, pinned)
-    else:
-        full, masked = _posteriors(batch), _restricted_posteriors(batch, keep, pinned)
+    full, masked = _tag_space_posteriors(batch, keep, widest == 1)
     return tuple(a - b for a, b in zip(full, masked))
 
 

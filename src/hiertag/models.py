@@ -617,12 +617,13 @@ class _Request:
 
 @contextmanager
 def _decoding(head: str):
-    """Decoding arithmetic that overflows on a finite model raises ModelError."""
+    """Decoding arithmetic that overflows or underflows on a finite model
+    raises ModelError."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except FloatingPointError as exc:
-        raise ModelError(f"decoding head {head!r} overflows: {exc}") from exc
+        raise ModelError(f"decoding head {head!r} fails: {exc}") from exc
 
 
 def _decode_head(

@@ -55,8 +55,8 @@ TAGS = (2, 5, 9, 33, 41)
 REPEATS = 11
 SAMPLE_S = 0.2
 KERNELS = ("loss_and_grad_batch", "viterbi_batch", "forward_backward")
-MASKED = ((5, 2), (5, 4), (9, 3), (9, 4), (9, 5), (12, 6), (17, 9), (17, 17), (41, 9), (41, 21),
-          (41, 41))
+MASKED = ((5, 2), (5, 4), (9, 3), (9, 4), (9, 5), (12, 6), (17, 9), (17, 13), (17, 17), (25, 20),
+          (33, 5), (33, 30), (41, 3), (41, 9), (41, 21), (41, 38), (41, 41))
 LONG_TAIL = ((15,) * 999 + (300,), (15,) * 1000)  # at y = 9
 
 

@@ -15,14 +15,7 @@ from hiertag.crf import (
     sequence_log_prob,
     viterbi_batch,
 )
-from hiertag.crf import (
-    _TAG_SPACE_PAIRS,
-    _packed_masks,
-    _posteriors,
-    _restricted,
-    _restricted_posteriors,
-    _tag_space_posteriors,
-)
+from hiertag.crf import _posteriors
 from oracles import (
     PotentialTable,
     _reference_dense,
@@ -38,7 +31,6 @@ from oracles import (
     random_mask,
     random_table,
     reference_loss_and_grad,
-    reference_slots,
     reference_viterbi,
     split_grads,
     term_sum,
@@ -438,13 +430,11 @@ def masked_batches(draw):
     """A potential batch with one mask per sequence: full, all-singleton,
     partly singleton or random.  A quarter of the batches are narrow
     instead: 1-3 sequences of 1-2 positions over 28-41 tags, each position
-    keeping 1-3 of them, so any free sequence adds more than
-    `_TAG_SPACE_PAIRS` node pairs per step in tag space, and the masked
-    lattices take the restricted layout."""
+    keeping 1-3 of them, so the masked lattices are mostly off-mask nodes
+    in tag space."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.integers(0, 3)) == 0:
         y = draw(st.integers(28, 41))
-        assert y * y - 3 * 3 > _TAG_SPACE_PAIRS
         lengths = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
         em = rng.uniform(-3, 3, size=(sum(lengths), y))
         batch = PotentialBatch(em, lengths, *(rng.uniform(-3, 3, size=s) for s in [(y, y), y, y]))
@@ -492,45 +482,7 @@ def check_training_kernel(batch, masks) -> None:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
-@st.composite
-def layout_cases(draw):
-    """A training batch for both masked layouts: 1-8 sequences of 1-60
-    positions over 2-41 tags, each pinned (one tag per position) or keeping
-    1 to W_m tags per position, W_m drawn from 2..y, so batches fall on both
-    sides of `_TAG_SPACE_PAIRS`."""
-    y = draw(st.integers(2, 41))
-    widest = draw(st.integers(2, y))
-    lengths = draw(st.lists(st.integers(1, 60), min_size=1, max_size=8))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    values = lambda *shape: rng.uniform(-3, 3, size=shape)  # noqa: E731
-    batch = PotentialBatch(values(sum(lengths), y), lengths, values(y, y), values(y), values(y))
-    masks = []
-    for n in lengths:
-        pinned = draw(st.booleans())
-        masks.append(LatticeMask([
-            rng.choice(y, size=1 if pinned else int(rng.integers(1, widest + 1)), replace=False)
-            for _ in range(n)
-        ]))
-    return batch, masks
-
-
 class TestBatchedKernels:
-    @BATCH_PROPERTY
-    @given(layout_cases())
-    def test_masked_layouts_return_the_same_bytes(self, case):
-        # The tag-space layout (full and masked lattices in one recursion)
-        # and the restricted one (each in its own) give the same losses and
-        # gradients, bit for bit, whichever of them the batch's shape picks.
-        batch, masks = case
-        keep, widest = _packed_masks(batch, masks)
-        pinned = widest == 1
-        with np.errstate(over="raise", invalid="raise"):
-            full, masked = _tag_space_posteriors(batch, keep, pinned)
-            want = _posteriors(batch), _restricted_posteriors(batch, keep, pinned)
-        for name, a, b, c, d in zip(("losses", "d_emissions", "d_transitions"), full, masked,
-                                    *want):
-            assert (a - b).tobytes() == (c - d).tobytes(), name
-
     @BATCH_PROPERTY
     @given(potential_batches())
     def test_viterbi_batch_equals_per_sequence_and_oracle(self, batch):
@@ -735,28 +687,51 @@ class TestEinsumRoute:
     versions the package supports, before a pin fails on the bits."""
 
     def test_einsum_adds_term_after_term_row_by_row(self):
+        # A forward step, "kw,wv->kv"; the backward step is the same form
+        # over the transposed transitions.
         rng = np.random.default_rng(90)
+        spec = "kw,wv->kv"
         for w in range(1, 42):
             for k in (1, 3, 8, 60):
                 # Node weights in [0, 1], a third of them exact zeros.
                 a = rng.random((k, w)) * (rng.random((k, w)) < 0.67)
-                shared, blocks = rng.random((w, w)), rng.random((k, w, w))
-                wide = np.broadcast_to(shared, (k, w, w))
-                cases = [("kw,wv->kv", shared, wide), ("kw,kwv->kv", wide, wide),
-                         ("kw,kwv->kv", blocks, blocks)]
-                for spec, operand, terms in cases:
-                    where = f"numpy {np.__version__}: np.einsum({spec!r}) at W={w}, k={k}"
-                    got = np.einsum(spec, a, operand)
-                    assert got.tobytes() == term_sum(a[:, :, None] * terms, 1).tobytes(), (
-                        f"{where} does not add its terms one after another")
-                    out = np.empty_like(got)
-                    np.einsum(spec, a, operand, out=out)
-                    assert out.tobytes() == got.tobytes(), f"{where} differs with out="
-                    i = int(rng.integers(k))
-                    alone = np.einsum(spec, a[i : i + 1],
-                                      operand if operand.ndim == 2 else operand[i : i + 1])
-                    assert alone.tobytes() == got[i : i + 1].tobytes(), (
-                        f"{where}: row {i} computed alone differs from the same row in the batch")
+                tr = rng.random((w, w))
+                where = f"numpy {np.__version__}: np.einsum({spec!r}) at W={w}, k={k}"
+                got = np.einsum(spec, a, tr)
+                assert got.tobytes() == term_sum(a[:, :, None] * tr, 1).tobytes(), (
+                    f"{where} does not add its terms one after another")
+                out = np.empty_like(got)
+                np.einsum(spec, a, tr, out=out)
+                assert out.tobytes() == got.tobytes(), f"{where} differs with out="
+                i = int(rng.integers(k))
+                alone = np.einsum(spec, a[i : i + 1], tr)
+                assert alone.tobytes() == got[i : i + 1].tobytes(), (
+                    f"{where}: row {i} computed alone differs from the same row in the batch")
+
+    def test_time_einsum_adds_term_after_term_per_sequence(self):
+        # `_lattice_posteriors`' transition sums: alpha (T, B, W) times the
+        # transitions times the next gamma, added over time, one sum per
+        # lattice b.
+        rng = np.random.default_rng(91)
+        spec = "tbw,wv,tbv->bwv"
+        for t in (1, 2, 7, 40, 300):
+            for b in (1, 3, 8, 16):
+                for w in range(1, 42):
+                    # Node weights in [0, 1], a third of them exact zeros.
+                    alpha, gamma = (rng.random((t, b, w)) * (rng.random((t, b, w)) < 0.67)
+                                    for _ in range(2))
+                    tr = rng.random((w, w))
+                    where = f"numpy {np.__version__}: np.einsum({spec!r}) at T={t}, B={b}, W={w}"
+                    got = np.einsum(spec, alpha[:-1], tr, gamma[1:])
+                    for j in range(b):
+                        terms = alpha[:-1, j, :, None] * tr * gamma[1:, j, None, :]
+                        assert got[j].tobytes() == term_sum(terms, 0).tobytes(), (
+                            f"{where} does not add its terms one after another")
+                    j = int(rng.integers(b))
+                    alone = np.einsum(spec, alpha[:, j : j + 1].copy()[:-1], tr,
+                                      gamma[:, j : j + 1].copy()[1:])
+                    assert alone.tobytes() == got[j : j + 1].tobytes(), (
+                        f"{where}: lattice {j} computed alone differs from the same one in the batch")
 
 
 @st.composite
@@ -792,48 +767,3 @@ class TestLatticeMaskKeepRows:
     def test_empty_keep_row_rejected(self):
         with pytest.raises(ValueError, match="position 1 allows no tags"):
             LatticeMask(np.array([[True, False], [False, False]]))
-
-
-class TestRestricted:
-    """`_restricted` packs a batch's allowed tags into time-major lattice
-    slots in one pass; every sequence must get the slots of its mask packed
-    alone."""
-
-    @staticmethod
-    def check(batch, masks):
-        """The lattice's slots and widths, read back into emission-row order."""
-        keep = np.zeros(batch.emissions.shape, dtype=bool)
-        for b, m in enumerate(masks):
-            keep[rows_of(batch, b), : m.keep.shape[1]] = m.keep
-        lat = _restricted(batch, keep)
-        slots, widths = lat.packed(lat.slots), lat.packed(lat.widths)
-        width = slots.shape[1]
-        assert width == max(reference_slots(m)[0].shape[1] for m in masks)
-        for b, m in enumerate(masks):
-            want_slots, want_widths = reference_slots(m)
-            want = np.zeros((len(m.keep), width), dtype=np.int64)
-            want[:, : want_slots.shape[1]] = want_slots
-            np.testing.assert_array_equal(slots[rows_of(batch, b)], want)
-            np.testing.assert_array_equal(widths[rows_of(batch, b)], want_widths)
-        # Past its end a sequence has no node on the lattice.
-        assert lat.widths.sum() == widths.sum()
-        return slots, widths
-
-    @BATCH_PROPERTY
-    @given(masked_batches())
-    def test_slots_equal_per_mask_packing(self, batch_and_masks):
-        self.check(*batch_and_masks)
-
-    def test_list_masks_narrower_than_y(self):
-        rng = np.random.default_rng(3)
-        y = 6
-        masks = [LatticeMask([[0, 2], [1]]), LatticeMask([[3], [0, 1, 4], [2]]),
-                 LatticeMask([[0]])]
-        assert [m.keep.shape[1] for m in masks] == [3, 5, 1]
-        lengths = [len(m.keep) for m in masks]
-        batch = PotentialBatch(rng.normal(size=(sum(lengths), y)), lengths,
-                               rng.normal(size=(y, y)), rng.normal(size=y), rng.normal(size=y))
-        slots, widths = self.check(batch, masks)
-        assert slots.tolist() == [[0, 2, 0], [1, 0, 0], [3, 0, 0], [0, 1, 4], [2, 0, 0],
-                                  [0, 0, 0]]
-        assert widths.tolist() == [2, 1, 1, 3, 1, 1]

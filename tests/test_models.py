@@ -67,6 +67,7 @@ from hiertag.models import (
     TrainingDiverged,
     _build_vocab,
     _decode_head,
+    _decoding,
     _dev_scorer,
     _domain_indices,
     _hier_mask,
@@ -823,8 +824,20 @@ class TestOverflow:
         for head in (h for m in models for h in m.heads.values()):
             head.transitions[...] = 1e308
             head.start[...] = 1e308
-        with pytest.raises(ModelError, match=r"decoding head '\w+' overflows: overflow"):
+        with pytest.raises(ModelError, match=r"decoding head '\w+' fails: overflow"):
             tag_batch(models, MIXED_REQUEST, "T4", ConsolidationMethod.MAX_MARGINAL)
+
+    def test_decoding_underflow_raises_model_error_saying_so(self):
+        # Every path's scaled weight underflows to 0 (exp(-1000) is 0.0),
+        # while Viterbi, in log space, stays finite.
+        batch = PotentialBatch(np.array([[0.0, -1000.0], [-1000.0, 0.0]]), [2],
+                               np.array([[-1000.0, -1000.0], [0.0, -1000.0]]), np.zeros(2),
+                               np.zeros(2))
+        assert np.isfinite(viterbi_batch(batch)[1]).all()
+        with pytest.raises(ModelError, match=r"^decoding head 'T1' fails: .*underflows") as info:
+            with _decoding("T1"):
+                forward_backward(batch)
+        assert "overflows" not in str(info.value)
 
     def test_dev_scoring_diverges_naming_the_epoch(self, toy_eh, toy_corpora, monkeypatch):
         def overflowing_viterbi(potentials):
@@ -834,7 +847,7 @@ class TestOverflow:
         c1, c2 = toy_corpora
         dev = [c1.with_tagset("T1", "dev"), c2.with_tagset("T2", "dev")]
         with pytest.raises(TrainingDiverged, match=r"^hier dev scoring diverged at epoch 1: "
-                                                   r"decoding head 'fine' overflows"):
+                                                   r"decoding head 'fine' fails: overflow"):
             train_hier(list(toy_corpora), toy_eh, quick_cfg(epochs=2), dev)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
@@ -852,7 +865,7 @@ class TestOverflow:
         models = copy.deepcopy(extreme_base[kind])
         for model in models:
             arrays = list(model.emission.params().values()) if "emission" in targets else []
-            arrays += [getattr(h, t) for h in model.heads.values() for t in targets
+            arrays += [getattr(h, t) for h in model.heads.values() for t in sorted(targets)
                        if t != "emission"]
             for a in arrays:
                 huge = rng.choice(signs, a.shape) * 10.0 ** rng.uniform(300, 308, a.shape)

@@ -680,6 +680,46 @@ class TestBatchedKernels:
             PotentialBatch(em, lengths, np.zeros((2, 2)), np.zeros(2), np.zeros(2))
 
 
+class TestScaledUnderflow:
+    """In scaled space a step 1,000 below the transitions' max weighs
+    exp(-1000) = 0.0.  Here only the step 1 -> 0 scores 0, so the full
+    lattice of two positions keeps one path of weight 1, while a mask that
+    keeps tag 0 first leaves only steps of weight 0."""
+
+    TRANSITIONS = np.array([[-1000.0, -1000.0], [0.0, -1000.0]])
+
+    def batch(self, lengths) -> PotentialBatch:
+        return PotentialBatch(np.zeros((sum(lengths), 2)), lengths, self.TRANSITIONS,
+                              np.zeros(2), np.zeros(2))
+
+    def test_forward_backward_raises_on_the_lattice_that_underflows(self):
+        # The three-position sequence steps twice, so one of its steps
+        # weighs 0 on every path; the two-position one does not.
+        batch = self.batch([2, 3])
+        with pytest.raises(FloatingPointError, match="every path of a lattice underflows"):
+            forward_backward(batch)
+        log_z, unary = forward_backward(batch, [0])
+        assert log_z.tolist() == [0.0]
+        assert unary.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    def test_training_kernel_raises_when_a_masked_lattice_underflows(self):
+        # The full lattice is finite; the masked one, free at position 1,
+        # runs the scaled recursion and has no path of nonzero weight.
+        batch = self.batch([2])
+        assert forward_backward(batch)[0].tolist() == [0.0]
+        with pytest.raises(FloatingPointError, match="every path of a lattice underflows"):
+            loss_and_grad_batch(batch, [LatticeMask([[0], [0, 1]])])
+
+    def test_pinned_mask_keeps_its_closed_form_on_an_underflowing_path(self):
+        # A pinned mask never runs the scaled recursion: its log-partition
+        # is its path's score, however far below the max the path lies.
+        batch = self.batch([2])
+        losses, d_emissions, d_transitions = loss_and_grad_batch(batch, [LatticeMask([[0], [1]])])
+        assert losses.tolist() == [1000.0]
+        assert d_emissions.tolist() == [[-1.0, 1.0], [1.0, -1.0]]
+        assert d_transitions.tolist() == [[[0.0, -1.0], [1.0, 0.0]]]
+
+
 class TestEinsumRoute:
     """The scaled recursions' steps and the bitwise pins rest on numpy's
     einsum, without `optimize`, adding its terms one after another and

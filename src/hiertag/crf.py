@@ -27,8 +27,8 @@ so each step slices the sequences still running, with the elementwise
 arithmetic of the one-sequence recursion: a sequence's result does not
 depend on its batch.  Scaled steps sum with `np.einsum` (term after term,
 each row on its own), Viterbi steps reduce C-ordered (W_from, k, W_to)
-tensors over axis 0, and end and time sums add term after term (`_sum0`,
-`np.add.accumulate`), so a zero adds nothing at any width.  Each lattice's
+tensors over axis 0, and end and time sums add term after term
+(`np.add.accumulate`), so a zero adds nothing at any width.  Each lattice's
 transition sums are one einsum over time, position after position.  The
 batch kernels are the only API (`loss_and_grad_batch`, `viterbi_batch`,
 `forward_backward`): each returns per-sequence arrays (B, ...) and arrays
@@ -118,12 +118,6 @@ class LatticeMask:
         return tuple(np.flatnonzero(row) for row in self.keep)
 
 
-def _sum0(x: np.ndarray) -> np.ndarray:
-    """x summed over axis 0, term after term: numpy reduces an outer axis
-    row by row, but a reduction into one element runs pairwise."""
-    return np.add.accumulate(x)[-1] if len(x) > 1 and x[0].size == 1 else x.sum(axis=0)
-
-
 class _Lattice:
     """B lattices over sequences of a batch, laid out time-major, position
     by sequence: `seqs` are the batch's sequences longest first (lattice j
@@ -196,7 +190,7 @@ def _sum_product(lat: _Lattice) -> tuple[np.ndarray, ...]:
         a = np.einsum("kw,wv->kv", alpha[i - 1, :k], trans) * e[i, :k]
         c[i, :k] = a.max(axis=1, initial=_TINY)
         np.divide(a, c[i, :k, None], out=alpha[i, :k])
-    z = _sum0(np.multiply(alpha[last].T, stop[:, None], order="C"))  # (W, B)
+    z = np.add.accumulate(alpha[last].T * stop[:, None])[-1]  # over W, term after term
     if (c == _TINY).any() or not z.all():
         raise FloatingPointError("every path of a lattice underflows to 0 in scaled space")
     steps = np.log(c) + top

@@ -11,14 +11,14 @@ the token's feature ids (`count_rows`).  `FeatureVocabulary.matrix` builds
 them from an immutable id table of the training strings, in which unknown
 strings map to the reserved UNK id 0.
 
-Emission scorers turn feature rows into CRF emission rows with one sparse
-product.  Training scores a whole batch over the columns it uses (`_active`
-marks them in one bool array over the vocabulary) and keeps that view for
-the backward, which pushes the batch's d_emissions into parameter gradients
-in one pass; tagging scores a whole request over all columns.  Each CSR row
-sums its terms in the same order either way, so a token's training row
-equals its tagging row bit for bit.
-Both scorers are one first layer, weights . f + bias, with its forward, its
+Emission scorers turn feature rows into CRF emission rows with one forward,
+`emissions`, for a training batch and a tagging request alike: one sparse
+product x @ weights, the weights stored feature-major (feature_count, rows),
+so each CSR row sums its terms in order and a token's row is the same bits
+in any batch, in training and in tagging.  The backward marks the columns a
+batch uses (`_active`) and pushes its d_emissions into a (columns, rows)
+block of the weights' gradient in one pass.
+Both scorers are one first layer, x @ weights + bias, with its forward, its
 checks, its backward and its two parameter entries, under a top of their
 own.  The linear scorer's top is empty: the first layer gives the emission
 rows.  The shared scorer squashes the first layer through tanh into a hidden
@@ -145,12 +145,12 @@ def count_rows(ids: np.ndarray, indptr: np.ndarray, width: int) -> sparse.csr_ma
     return out
 
 
-def _active(x: sparse.csr_matrix, feature_count: int) -> tuple[np.ndarray, sparse.csr_matrix]:
-    """The columns x uses, ascending, and x over just those columns, once
-    its ids are checked against feature_count.  The columns are marked, not
-    sorted, and a lookup set only at them maps each entry.  Rows keep their
-    terms in order, so a product with x_local sums them as one with x does."""
-    _check_ids(x.indices, feature_count)
+def _active(x: sparse.csr_matrix) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """The columns x uses, ascending, and x over just those columns, for the
+    backward's weight block (the forward that scored x checked its ids).
+    The columns are marked, not sorted, and a lookup set only at them maps
+    each entry.  Entries keep their order, so x_local.T sums each column's
+    terms in token order, as x.T does."""
     ids = x.indices.astype(np.intp)  # numpy indexes by intp arrays fastest
     mark = np.zeros(x.shape[1], bool)
     mark[ids] = True
@@ -168,31 +168,31 @@ def _check_ids(indices: np.ndarray, feature_count: int) -> None:
 
 
 class _EmissionScorer:
-    """The sparse first layer both scorers share, z = weights . f + bias, under
-    a top that turns z into emission rows.  This class's top is empty (z is
-    the emission row); a subclass replaces `rows`, `_hidden`, `_output` and
-    `_top_backprop`.  `params` keys the first layer by `sparse_key` and
-    `bias_key`."""
+    """The sparse first layer both scorers share, z = x @ weights + bias with
+    weights (feature_count, rows), under a top that turns z into emission
+    rows.  This class's top is empty (z is the emission row); a subclass
+    replaces `rows`, `_hidden`, `_output` and `_top_backprop`.  `params` keys
+    the first layer by `sparse_key` and `bias_key`."""
 
-    sparse_key = "weights"  # the parameter `backprop` returns as a column block
+    sparse_key = "weights"  # the parameter `backprop` returns as a row block
     bias_key = "bias"
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray) -> None:
-        self.weights = np.asarray(weights, dtype=np.float64)
+        self.weights = np.ascontiguousarray(weights, dtype=np.float64)
         self.bias = np.asarray(bias, dtype=np.float64)
         if (self.weights.ndim != 2 or not self.bias.size
-                or self.bias.shape != (self.weights.shape[0],)):
-            raise ValueError(f"{self.sparse_key} must be (rows >= 1, feature_count), "
+                or self.bias.shape != (self.weights.shape[1],)):
+            raise ValueError(f"{self.sparse_key} must be (feature_count, rows >= 1), "
                              f"{self.bias_key} (rows,)")
         if not all(np.isfinite(a).all() for a in self.params().values()):
             raise ValueError("parameters must be finite")
 
     @property
     def feature_count(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[0]
 
     def rows(self, head: str | None) -> int:  # emission rows scored for head
-        return self.weights.shape[0]
+        return self.weights.shape[1]
 
     def _hidden(self, z: np.ndarray) -> np.ndarray:  # the top's input
         return z
@@ -204,38 +204,33 @@ class _EmissionScorer:
                       bounds: np.ndarray, out: dict[str, np.ndarray]) -> np.ndarray:
         return d_emissions  # d_z; a top adds its gradients into out per sequence
 
-    def emissions(self, x: sparse.csr_matrix, head: str | None) -> tuple[np.ndarray, tuple]:
-        """Emission rows of a training batch for one head, scored over the
-        columns x uses (the same rows as `batch_emissions`), and the cache
-        `backprop` reads: those columns, x over them and the top's input."""
-        cols, x_local = _active(x, self.feature_count)
-        hidden = self._hidden(x_local @ self.weights[:, cols].T + self.bias)
-        return self._output(hidden, head), (cols, x_local, hidden)
-
-    def batch_emissions(self, x: sparse.csr_matrix, heads: Sequence[str]) -> dict[str, np.ndarray]:
-        """Emission rows of every row of x for each named head; the first
-        layer and the top's input are computed once for all of them."""
+    def emissions(self, x: sparse.csr_matrix,
+                  heads: Sequence[str | None]) -> tuple[dict, np.ndarray]:
+        """The one forward: emission rows of every row of x for each named
+        head, and the top's input, which `backprop` reads.  The first layer
+        and the top's input are computed once for all of the heads."""
         _check_ids(x.indices, self.feature_count)
-        hidden = self._hidden(x @ self.weights.T + self.bias)
-        return {name: self._output(hidden, name) for name in heads}
+        hidden = self._hidden(x @ self.weights + self.bias)
+        return {name: self._output(hidden, name) for name in heads}, hidden
 
     def backprop(self, head: str | None, d_emissions: np.ndarray, lengths: Sequence[int],
                  cache: tuple, out: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Backward pass of the batch `emissions` scored into cache, given its
-        d_emissions rows and the lengths of its sequences in batch order.
-        Adds the top's and the first layer's bias gradients into out one
-        sequence at a time; returns the weights' gradient as (the columns the
-        batch uses, the (rows, len(columns)) block over them), which one
-        transposed-CSR product sums in token order."""
-        cols, x_local, hidden = cache
-        n = x_local.shape[0]
+        """Backward pass of a batch x, from the cache `emission_cache` made for
+        it (x, the top's input), its d_emissions rows and the lengths of its
+        sequences in batch order.  Adds the top's and the first layer's bias
+        gradients into out one sequence at a time; returns the weights'
+        gradient as (the columns x uses, their (columns, rows) block of weight
+        rows), which one transposed-CSR product sums in token order."""
+        x, hidden = cache
+        n = x.shape[0]
         if d_emissions.shape != (n, self.rows(head)) or sum(lengths) != n:
             raise ValueError("d_emissions shape mismatch")
         bounds = np.cumsum(lengths)[:-1]
         d_z = self._top_backprop(head, d_emissions, hidden, bounds, out)
         for d in np.split(d_z, bounds):
             out[self.bias_key] += d.sum(axis=0)
-        return cols, (x_local.T @ d_z).T
+        cols, x_local = _active(x)
+        return cols, x_local.T @ d_z
 
     def params(self) -> dict[str, np.ndarray]:
         return {self.sparse_key: self.weights, self.bias_key: self.bias}
@@ -247,7 +242,7 @@ class LinearEmissionModel(_EmissionScorer):
 
     @classmethod
     def zeros(cls, y_count: int, feature_count: int) -> "LinearEmissionModel":
-        return cls(np.zeros((y_count, feature_count)), np.zeros(y_count))
+        return cls(np.zeros((feature_count, y_count)), np.zeros(y_count))
 
     @classmethod
     def from_params(cls, params: dict, heads: Sequence[str]) -> "LinearEmissionModel":
@@ -277,8 +272,9 @@ class SharedEmissionModel(_EmissionScorer):
         head_sizes: dict[str, int],
         rng: np.random.Generator,
     ) -> "SharedEmissionModel":
-        # Random shared weights break hidden-unit symmetry; heads start at zero.
-        shared_w = rng.uniform(-0.1, 0.1, size=(hidden_dim, feature_count))
+        # Random shared weights, drawn unit by unit and stored feature-major,
+        # break hidden-unit symmetry; heads start at zero.
+        shared_w = rng.uniform(-0.1, 0.1, size=(hidden_dim, feature_count)).T
         heads = {
             name: (np.zeros((y, hidden_dim)), np.zeros(y))
             for name, y in head_sizes.items()
@@ -295,7 +291,7 @@ class SharedEmissionModel(_EmissionScorer):
 
     @property
     def hidden_dim(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[1]
 
     def _head(self, head: str) -> tuple[np.ndarray, np.ndarray]:
         try:
@@ -339,8 +335,10 @@ def zero_gradients(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 
 def emission_cache(model: Any, x: sparse.csr_matrix, head: str | None):
-    """(emissions, cache) of either scorer for one head (see `emissions`)."""
-    return model.emissions(x, head)
+    """(emissions, cache) of a training batch x for one head of either
+    scorer: its `emissions` rows, and x with the top's input for `backprop`."""
+    rows, hidden = model.emissions(x, [head])
+    return rows[head], (x, hidden)
 
 
 def emission_backprop(model: Any, head: str | None, d_emissions: np.ndarray,

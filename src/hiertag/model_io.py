@@ -30,7 +30,7 @@ from hiertag.hierarchy import parse_extended
 from hiertag.models import Head, ModelKind, TrainedModel, TrainingConfig
 
 MAGIC = b"HTAG"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 _HEADER = struct.Struct("<IQI")  # version, payload length, payload CRC-32
 
 

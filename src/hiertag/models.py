@@ -356,11 +356,11 @@ class _Trainer:
             g /= n
             if k in reg:
                 g += cfg.l2 * self.params[k]
-        # The data term is zero off the active columns, where only L2 is left
-        # (0 / n + l2 * w is l2 * w exactly, as w never holds -0.0).
+        # The data term is zero off the rows of the batch's active columns, where
+        # only L2 is left (0 / n + l2 * w is l2 * w exactly, as w never holds -0.0).
         w = self.params[sparse_key]
         grads[sparse_key] = w * cfg.l2 if sparse_key in reg else np.zeros_like(w)
-        grads[sparse_key][:, cols] += block / n
+        grads[sparse_key][cols] += block / n
         return total, grads
 
     def _batch_step(self, head_name: str, batch: list[_Instance]) -> float:
@@ -612,7 +612,7 @@ class _Request:
             self._matrix = key, model.vocab.matrix(*self._features[window])
         # A score that overflows stays non-finite, and `_decode_head` rejects it per head.
         with np.errstate(over="ignore", invalid="ignore"):
-            return model.emission.batch_emissions(self._matrix[1], [h.name for h in heads])
+            return model.emission.emissions(self._matrix[1], [h.name for h in heads])[0]
 
 
 @contextmanager

@@ -388,7 +388,7 @@ def reference_backprop(model, x, head, d_emissions, cache, out) -> None:
     else:
         d_rows, key, bias = d_emissions, "weights", "bias"
     tokens = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
-    np.add.at(out[key].T, x.indices, d_rows[tokens] * x.data[:, None])
+    np.add.at(out[key], x.indices, d_rows[tokens] * x.data[:, None])
     out[bias] += d_rows.sum(axis=0)
 
 

@@ -13,7 +13,8 @@ Each side runs in a subprocess of its own with one BLAS thread.
 For every workload, seed and kind it prints whether the model bytes,
 `repr(history)`, the test predictions, the collision counts and the
 collision records (position, candidates and probabilities as `float.hex`)
-are equal, and the largest absolute parameter difference.  Under a row
+are equal, and the largest absolute parameter difference (an array stored
+with its axes reversed on one side is compared with the transpose).  Under a row
 whose predictions differ it prints both sides' test F1 per consolidation
 method, and under a row whose records differ the largest absolute
 difference of the collision probabilities (`shape differs` when the
@@ -134,11 +135,17 @@ def _side(root: Path, out_dir: Path, args: argparse.Namespace) -> subprocess.Pop
 
 
 def _max_diff(a: Path, b: Path) -> float | None:
+    """The largest |difference| of two sides' parameters.  An array whose
+    shape is the other side's reversed (a layout change) is compared with
+    the other's transpose; any other shape mismatch reads inf."""
     with np.load(a) as x, np.load(b) as y:
         if sorted(x.files) != sorted(y.files):
             return None
-        diffs = [np.abs(x[k] - y[k]).max(initial=0.0) if x[k].shape == y[k].shape else np.inf
-                 for k in x.files]
+        diffs = []
+        for k in x.files:
+            p, q = x[k], y[k]
+            q = q.T if p.shape != q.shape and p.shape == q.shape[::-1] else q
+            diffs.append(np.abs(p - q).max(initial=0.0) if p.shape == q.shape else np.inf)
     return float(max(diffs, default=0.0))
 
 

@@ -41,12 +41,12 @@ def random_ids(rng: np.random.Generator, feature_count: int) -> np.ndarray:
 
 
 def dense_linear(m: LinearEmissionModel, x: sparse.csr_matrix) -> np.ndarray:
-    return x.toarray() @ m.weights.T + m.bias
+    return x.toarray() @ m.weights + m.bias
 
 
 def dense_shared(m: SharedEmissionModel, x: sparse.csr_matrix, head: str) -> np.ndarray:
     head_w, head_b = m.heads[head]
-    return np.tanh(x.toarray() @ m.weights.T + m.bias) @ head_w.T + head_b
+    return np.tanh(x.toarray() @ m.weights + m.bias) @ head_w.T + head_b
 
 
 def per_position(token_lists, window):
@@ -183,45 +183,45 @@ class TestVocabulary:
 
 class TestLinearModel:
     def test_zero_weights_gives_bias(self):
-        m = LinearEmissionModel(np.zeros((3, 4)), np.array([1.0, -2.0, 0.5]))
-        em, _ = m.emissions(rows([[0, 2]], 4), None)
+        m = LinearEmissionModel(np.zeros((4, 3)), np.array([1.0, -2.0, 0.5]))
+        em, _ = emission_cache(m, rows([[0, 2]], 4), None)
         assert np.allclose(em, [[1.0, -2.0, 0.5]])
 
     def test_one_hot_feature(self):
-        w = np.zeros((2, 5))
-        w[1, 3] = 4.0
+        w = np.zeros((5, 2))
+        w[3, 1] = 4.0
         m = LinearEmissionModel(w, np.array([0.0, 1.0]))
-        em, _ = m.emissions(rows([[3]], 5), None)
+        em, _ = emission_cache(m, rows([[3]], 5), None)
         assert np.allclose(em, [[0.0, 5.0]])
 
     def test_matches_dense_product(self):
         rng = np.random.default_rng(70)
         for _ in range(50):
             y, fc, n = int(rng.integers(1, 5)), int(rng.integers(2, 9)), int(rng.integers(1, 4))
-            m = LinearEmissionModel(rng.normal(size=(y, fc)), rng.normal(size=y))
+            m = LinearEmissionModel(rng.normal(size=(fc, y)), rng.normal(size=y))
             ids = [random_ids(rng, fc) for _ in range(n)]
             x = rows(ids, fc, [rng.uniform(0.5, 2.0, size=t.size) for t in ids])
-            em, _ = m.emissions(x, None)
+            em, _ = emission_cache(m, x, None)
             np.testing.assert_allclose(em, dense_linear(m, x), rtol=0, atol=1e-12)
 
     def test_value_scaling_is_linear(self):
         rng = np.random.default_rng(71)
-        m = LinearEmissionModel(rng.normal(size=(3, 6)), rng.normal(size=3))
-        em, _ = m.emissions(rows([[1, 4], [1, 4]], 6, [np.ones(2), np.full(2, 2.0)]), None)
+        m = LinearEmissionModel(rng.normal(size=(6, 3)), rng.normal(size=3))
+        em, _ = emission_cache(m, rows([[1, 4], [1, 4]], 6, [np.ones(2), np.full(2, 2.0)]), None)
         lin, doubled = em - m.bias
         assert np.allclose(doubled, 2 * lin, atol=1e-12)
 
     def test_out_of_bounds_id_rejected(self):
         m = LinearEmissionModel.zeros(2, 3)
         with pytest.raises(ValueError, match="out of bounds"):
-            m.emissions(rows([[5]], 6), None)
+            emission_cache(m, rows([[5]], 6), None)
 
     def test_backprop_zero_input(self):
         m = LinearEmissionModel.zeros(2, 4)
         grads = zero_gradients(m.params())
-        _, cache = m.emissions(rows([[1], [2, 3]], 4), None)
+        _, cache = emission_cache(m, rows([[1], [2, 3]], 4), None)
         cols, block = m.backprop(None, np.zeros((2, 2)), [2], cache, grads)
-        assert cols.tolist() == [1, 2, 3] and block.shape == (2, 3)
+        assert cols.tolist() == [1, 2, 3] and block.shape == (3, 2)
         assert np.all(block == 0)
         assert all(np.all(g == 0) for g in grads.values())
 
@@ -229,15 +229,15 @@ class TestLinearModel:
         m = LinearEmissionModel.zeros(2, 4)
         d_em = np.array([[0.5, -0.5], [0.25, 0.75]])
         grads = zero_gradients(m.params())
-        _, cache = m.emissions(rows([[3], [3]], 4), None)
+        _, cache = emission_cache(m, rows([[3], [3]], 4), None)
         cols, block = m.backprop(None, d_em, [1, 1], cache, grads)
         assert cols.tolist() == [3]
-        assert np.allclose(block[:, 0], d_em.sum(axis=0))
+        assert np.allclose(block[0], d_em.sum(axis=0))
         assert np.allclose(grads["bias"], d_em.sum(axis=0))
 
     def test_backprop_shape_mismatch(self):
         m = LinearEmissionModel.zeros(2, 4)
-        _, cache = m.emissions(rows([[0]], 4), None)
+        _, cache = emission_cache(m, rows([[0]], 4), None)
         for d_emissions, lengths in ((np.zeros((1, 3)), [1]), (np.zeros((2, 2)), [2]),
                                      (np.zeros((2, 2)), [1, 1]), (np.zeros((1, 2)), [1, 1])):
             with pytest.raises(ValueError, match="mismatch"):
@@ -257,61 +257,62 @@ class TestSharedModel:
 
     def test_zero_shared_gives_head_bias(self):
         m = SharedEmissionModel(
-            np.zeros((2, 4)), np.zeros(2), {"A": (np.ones((3, 2)), np.array([1.0, 2.0, 3.0]))}
+            np.zeros((4, 2)), np.zeros(2), {"A": (np.ones((3, 2)), np.array([1.0, 2.0, 3.0]))}
         )
-        em, _ = m.emissions(rows([[1]], 4), "A")
+        em, _ = emission_cache(m, rows([[1]], 4), "A")
         assert np.allclose(em, [[1.0, 2.0, 3.0]])
 
     def test_hidden_dim_one_closed_form(self):
         m = SharedEmissionModel(
-            np.array([[0.5, -0.25]]), np.array([0.1]),
+            np.array([[0.5], [-0.25]]), np.array([0.1]),
             {"A": (np.array([[2.0], [-1.0]]), np.array([0.0, 0.5]))},
         )
-        em, _ = m.emissions(rows([[0, 1]], 2, [np.array([1.0, 2.0])]), "A")
+        em, _ = emission_cache(m, rows([[0, 1]], 2, [np.array([1.0, 2.0])]), "A")
         h = math.tanh(0.5 * 1.0 + (-0.25) * 2.0 + 0.1)
         assert np.allclose(em, [[2.0 * h, -1.0 * h + 0.5]], atol=1e-12)
 
     def test_identity_head_reduces_to_squashed_linear(self):
         rng = np.random.default_rng(80)
-        sw = rng.normal(size=(3, 5))
+        sw = rng.normal(size=(5, 3))
         m = SharedEmissionModel(sw, np.zeros(3), {"A": (np.eye(3), np.zeros(3))})
         x = rows([random_ids(rng, 5)], 5)
-        em, _ = m.emissions(x, "A")
-        assert np.allclose(em, np.tanh(x.toarray() @ sw.T), atol=1e-12)
+        em, _ = emission_cache(m, x, "A")
+        assert np.allclose(em, np.tanh(x.toarray() @ sw), atol=1e-12)
 
     def test_non_finite_parameters_rejected(self):
         head = (np.ones((2, 2)), np.zeros(2))
         with pytest.raises(ValueError, match="finite"):
-            SharedEmissionModel(np.full((2, 3), np.nan), np.zeros(2), {"A": head})
+            SharedEmissionModel(np.full((3, 2), np.nan), np.zeros(2), {"A": head})
         with pytest.raises(ValueError, match="finite"):
-            SharedEmissionModel(np.zeros((2, 3)), np.zeros(2), {"A": (head[0], np.full(2, np.inf))})
+            SharedEmissionModel(np.zeros((3, 2)), np.zeros(2), {"A": (head[0], np.full(2, np.inf))})
 
     def test_unknown_head_rejected(self):
         rng = np.random.default_rng(81)
         m = self.build(rng)
         with pytest.raises(ValueError, match="unknown head"):
-            m.emissions(rows([[0]], m.feature_count), "C")
+            emission_cache(m, rows([[0]], m.feature_count), "C")
 
     def test_emissions_match_score_rows(self):
         rng = np.random.default_rng(82)
         m = self.build(rng)
         x = rows([random_ids(rng, m.feature_count) for _ in range(4)], m.feature_count)
         for head in ("A", "B"):
-            em, (cols, x_local, hidden) = m.emissions(x, head)
+            em, (cached_x, hidden) = emission_cache(m, x, head)
             assert hidden.shape == (4, m.hidden_dim)
-            assert cols.tolist() == sorted(set(x.indices.tolist()))
-            assert (x_local.toarray() == x.toarray()[:, cols]).all()
+            assert cached_x is x
             np.testing.assert_allclose(em, dense_shared(m, x, head), rtol=0, atol=1e-12)
         with pytest.raises(ValueError, match="out of bounds"):
-            m.emissions(rows([[m.feature_count]], m.feature_count + 1), "A")
+            emission_cache(m, rows([[m.feature_count]], m.feature_count + 1), "A")
 
     def test_backprop_touches_only_active_head(self):
         rng = np.random.default_rng(83)
         m = self.build(rng)
         x = rows([random_ids(rng, m.feature_count) for _ in range(3)], m.feature_count)
-        em, cache = m.emissions(x, "A")
+        em, cache = emission_cache(m, x, "A")
         grads = zero_gradients(m.params())
-        _, block = m.backprop("A", np.ones_like(em), [len(em)], cache, grads)
+        cols, block = m.backprop("A", np.ones_like(em), [len(em)], cache, grads)
+        assert cols.tolist() == sorted(set(x.indices.tolist()))
+        assert block.shape == (cols.size, m.hidden_dim)
         assert np.all(grads["head:B:weights"] == 0)
         assert np.all(grads["head:B:bias"] == 0)
         assert np.abs(block).sum() > 0
@@ -319,7 +320,7 @@ class TestSharedModel:
 
 def end_to_end_setup(rng, model, head, n):
     y = (model.heads[head][0].shape[0]
-         if isinstance(model, SharedEmissionModel) else model.weights.shape[0])
+         if isinstance(model, SharedEmissionModel) else model.weights.shape[1])
     fs = rows([random_ids(rng, model.feature_count) for _ in range(n)], model.feature_count)
     trans = rng.normal(size=(y, y))
     start, stop = rng.normal(size=y), rng.normal(size=y)
@@ -338,7 +339,7 @@ def end_to_end_grads(model, head, fs, trans, start, stop, mask):
     _, g = loss_and_grad(PotentialTable(em, trans, start, stop), mask)
     grads = zero_gradients(model.params())
     cols, block = emission_backprop(model, head, g.d_emissions, [len(em)], cache, grads)
-    grads[model.sparse_key][:, cols] += block
+    grads[model.sparse_key][cols] += block
     return grads
 
 
@@ -374,20 +375,18 @@ class TestBatchScoring:
             assert got.data.tolist() == [counts[i] for i in sorted(counts)]
 
     def scorers(self, rng, vocab):
-        linear = LinearEmissionModel(rng.normal(size=(3, vocab.size)), rng.normal(size=3))
+        linear = LinearEmissionModel(rng.normal(size=(vocab.size, 3)), rng.normal(size=3))
         shared = TestSharedModel().build(rng, fc=vocab.size)
         return (linear, None), (shared, "A"), (shared, "B")
 
     def test_training_rows_equal_tagging_rows_bitwise(self):
-        # Training scores over the batch's active columns, tagging over all
-        # of them; each CSR row sums its terms in the same order either way.
+        # A training batch and a tagging request go through the one forward.
         rng = np.random.default_rng(90)
         vocab = vocab_for(TOKENS)
-        x = batch_matrix(vocab, TOKENS[1:])  # leaves the first sequence's columns unused
+        x = batch_matrix(vocab, TOKENS[1:])
         for model, head in self.scorers(rng, vocab):
-            got, (cols, *_) = model.emissions(x, head)
-            assert cols.size < vocab.size
-            assert got.tobytes() == model.batch_emissions(x, [head])[head].tobytes()
+            got, _ = emission_cache(model, x, head)
+            assert got.tobytes() == model.emissions(x, [head])[0][head].tobytes()
 
     def test_both_scorers_match_the_dense_oracles(self):
         rng = np.random.default_rng(93)
@@ -395,21 +394,21 @@ class TestBatchScoring:
         x = batch_matrix(vocab, TOKENS)
         for model, head in self.scorers(rng, vocab):
             want = dense_linear(model, x) if head is None else dense_shared(model, x, head)
-            np.testing.assert_allclose(model.emissions(x, head)[0], want, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(model.batch_emissions(x, [head])[head], want,
+            np.testing.assert_allclose(emission_cache(model, x, head)[0], want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(model.emissions(x, [head])[0][head], want,
                                        rtol=0, atol=1e-12)
 
     def test_rows_do_not_depend_on_the_batch(self):
         rng = np.random.default_rng(91)
         vocab = vocab_for(TOKENS)
-        linear = LinearEmissionModel(rng.normal(size=(3, vocab.size)), rng.normal(size=3))
+        linear = LinearEmissionModel(rng.normal(size=(vocab.size, 3)), rng.normal(size=3))
         shared = TestSharedModel().build(rng, fc=vocab.size, hidden=16)
         whole = batch_matrix(vocab, TOKENS)
         alone = batch_matrix(vocab, TOKENS[2:])
         first = len(TOKENS[0]) + len(TOKENS[1])
         for model, head in ((linear, "any"), (shared, "B")):
-            a = model.batch_emissions(whole, [head])[head][first:]
-            b = model.batch_emissions(alone, [head])[head]
+            a = model.emissions(whole, [head])[0][head][first:]
+            b = model.emissions(alone, [head])[0][head]
             assert a.tobytes() == b.tobytes()
 
     def test_out_of_bounds_id_rejected(self):
@@ -418,20 +417,20 @@ class TestBatchScoring:
         for model in (LinearEmissionModel.zeros(2, 3), TestSharedModel().build(
                 np.random.default_rng(92), fc=3)):
             with pytest.raises(ValueError, match="out of bounds"):
-                model.batch_emissions(x, ["A"])
+                model.emissions(x, ["A"])
 
     def test_negative_id_rejected(self):
-        # scipy accepts a negative column id; unchecked, `emissions` scored it
-        # as the last column and `batch_emissions` read outside the weights.
+        # scipy accepts a negative column id; unchecked, the sparse product
+        # would read outside the weights.
         x = rows([[1]], 4)
         x.indices[0] = -1
         rng = np.random.default_rng(94)
-        linear = LinearEmissionModel(rng.normal(size=(3, 4)), rng.normal(size=3))
+        linear = LinearEmissionModel(rng.normal(size=(4, 3)), rng.normal(size=3))
         for model, head in ((linear, None), (TestSharedModel().build(rng, fc=4), "A")):
             with pytest.raises(ValueError, match="feature id -1 out of bounds"):
-                model.emissions(x, head)
+                emission_cache(model, x, head)
             with pytest.raises(ValueError, match="feature id -1 out of bounds"):
-                model.batch_emissions(x, [head])
+                model.emissions(x, [head])
 
 
 class TestEndToEndGradients:
@@ -457,7 +456,7 @@ class TestEndToEndGradients:
         for _ in range(50):
             y, fc, n = int(rng.integers(2, 4)), int(rng.integers(3, 7)), int(rng.integers(1, 5))
             m = LinearEmissionModel(
-                rng.normal(scale=0.5, size=(y, fc)), rng.normal(scale=0.5, size=y)
+                rng.normal(scale=0.5, size=(fc, y)), rng.normal(scale=0.5, size=y)
             )
             self.check_model(rng, m, None, n)
 

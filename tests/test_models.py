@@ -37,6 +37,7 @@ from hiertag.features import (
     LinearEmissionModel,
     SharedEmissionModel,
     _active,
+    _EmissionScorer,
     count_rows,
     featurize,
 )
@@ -179,7 +180,7 @@ def const_model(eh, head_name, domain, tag, strength=6.0, kind=ModelKind.INDEP):
     y = len(domain)
     bias = np.zeros(y)
     bias[domain.index(tag)] = strength
-    emission = LinearEmissionModel(np.zeros((y, 1)), bias)
+    emission = LinearEmissionModel(np.zeros((1, y)), bias)
     head = Head(head_name, list(domain), np.zeros((y, y)), np.zeros(y), np.zeros(y))
     vocab = FeatureVocabulary(["<UNK>"])
     return TrainedModel(kind, eh, vocab, emission, {head_name: head}, TrainingConfig())
@@ -338,9 +339,9 @@ class TestHierTraining:
         domain = sorted(toy_eh.fine_grained)
         model = const_model(toy_eh, "fine", domain, "FirstName", kind=ModelKind.HIER)
         vocab = FeatureVocabulary(["<UNK>", "w0=alice", "w0=zzz"])
-        weights = np.zeros((len(domain), vocab.size))
-        weights[domain.index("FirstName"), 1] = 8.0
-        weights[domain.index("FG-Other"), 2] = 8.0
+        weights = np.zeros((vocab.size, len(domain)))
+        weights[1, domain.index("FirstName")] = 8.0
+        weights[2, domain.index("FG-Other")] = 8.0
         model.vocab = vocab
         model.emission = LinearEmissionModel(weights, np.zeros(len(domain)))
         assert predict_hier(model, ["alice", "zzz"], None) == ["FirstName", "FG-Other"]
@@ -432,7 +433,7 @@ class TestMtlTraining:
         model = train_mtl(list(toy_corpora), toy_eh, cfg)
         assert sorted(model.heads) == ["T1", "T2"]
         assert isinstance(model.emission, SharedEmissionModel)
-        assert model.emission.weights.shape[0] == 6
+        assert model.emission.weights.shape[1] == 6
         assert len(model.history) == 4
         assert all(np.isfinite(r.train_loss) for r in model.history)
 
@@ -508,17 +509,49 @@ class TestMtlTraining:
             got = grads[key].reshape(-1)[flat_idx]
             assert abs(got - fd) <= 1e-4 * max(1.0, abs(fd)), key
         w = trainer.params["shared_weights"]
-        col = touched[len(touched) // 2]
-        for row in range(w.shape[0]):
-            old = w[row, col]
-            w[row, col] = old + h
+        feature = touched[len(touched) // 2]
+        for unit in range(w.shape[1]):
+            old = w[feature, unit]
+            w[feature, unit] = old + h
             hi = objective()
-            w[row, col] = old - h
+            w[feature, unit] = old - h
             lo = objective()
-            w[row, col] = old
+            w[feature, unit] = old
             fd = (hi - lo) / (2 * h)
-            got = grads["shared_weights"][row, col]
+            got = grads["shared_weights"][feature, unit]
             assert abs(got - fd) <= 1e-4 * max(1.0, abs(fd))
+
+
+class TestFeatureMajorFirstLayer:
+    def test_one_forward_over_feature_major_weights(self, toy_eh, toy_corpora, tmp_path,
+                                                    monkeypatch):
+        calls = []
+        forward = _EmissionScorer.emissions
+
+        def counted(scorer, x, heads):
+            calls.append(list(heads))
+            return forward(scorer, x, heads)
+
+        monkeypatch.setattr(_EmissionScorer, "emissions", counted)
+        cfg = quick_cfg(epochs=1, hidden_dim=3)
+        hier = train_hier(list(toy_corpora), toy_eh, cfg)
+        mtl = train_mtl(list(toy_corpora), toy_eh, cfg)
+        assert calls  # every training batch
+        calls.clear()
+        predict_hier(hier, "alice smith walked".split(), "T1")
+        models_module._Request([["alice", "smith"]]).emissions(mtl, list(mtl.heads.values()))
+        assert calls == [["fine"], ["T1", "T2"]]  # once per tagging request and model
+        features = hier.vocab.size
+        for model, key, width in ((hier, "weights", len(hier.heads["fine"].domain)),
+                                  (mtl, "shared_weights", cfg.hidden_dim)):
+            save_model(model, tmp_path / "m.htag")
+            for params in (model.params(), load_model(tmp_path / "m.htag").params()):
+                assert params[key].shape == (features, width)
+                assert params[key].flags.c_contiguous
+        shared = SharedEmissionModel.create(4, 7, {"A": 2, "B": 3}, np.random.default_rng(3))
+        drawn = np.random.default_rng(3).uniform(-0.1, 0.1, (4, 7)).T
+        assert shared.weights.shape == (7, 4) and shared.weights.flags.c_contiguous
+        assert shared.weights.tobytes() == drawn.tobytes()
 
 
 def _random_rows(rng, n, ids, width):
@@ -651,7 +684,7 @@ class TestBatchRows:
     def test_stack_and_active_columns_equal_vstack_and_unique(self, blocks):
         x = _stack_rows(blocks)
         assert_same_csr(x, sparse.vstack(blocks, format="csr"))
-        cols, x_local = _active(x, x.shape[1])
+        cols, x_local = _active(x)
         want_cols, want_local = reference_active(blocks)
         assert cols.dtype == want_cols.dtype and np.array_equal(cols, want_cols)
         assert_same_csr(x_local, want_local)
@@ -1368,7 +1401,7 @@ class TestModelIO:
         with pytest.raises(ModelFormatError, match="version"):
             load_model(path)
 
-    @pytest.mark.parametrize("version", [2, 3])
+    @pytest.mark.parametrize("version", [2, 3, 4])
     def test_older_format_versions_are_rejected(self, toy_eh, tmp_path, version):
         payload = model_bytes(biased_model(toy_eh, "T1", "Name"))[20:]
         with pytest.raises(ModelFormatError, match=f"unsupported model format version {version}"):
@@ -1430,7 +1463,7 @@ class TestModelIO:
         model = biased_model(toy_eh, "T1", "Name")
         y = len(model.single_head().domain)
         model.vocab = FeatureVocabulary(strings)
-        model.emission = LinearEmissionModel(np.zeros((y, len(strings))), model.emission.bias)
+        model.emission = LinearEmissionModel(np.zeros((len(strings), y)), model.emission.bias)
         blob = "".join(strings).encode("utf-8")
         pinned = (struct.pack("<I", 6) + np.array([5, 1, 0, 2, 1, 5], "<u4").tobytes()
                   + struct.pack("<Q", len(blob)) + blob)
@@ -1502,12 +1535,12 @@ class TestModelIO:
         with pytest.raises(ModelFormatError, match="do not fit"):
             load_model(path)
         model = biased_model(toy_eh, "T1", "Name")
-        model.emission = LinearEmissionModel(np.zeros((3, 1)), np.zeros(3))
+        model.emission = LinearEmissionModel(np.zeros((1, 3)), np.zeros(3))
         save_model(model, path)
         with pytest.raises(ModelFormatError, match="do not fit"):
             load_model(path)
         model = biased_model(toy_eh, "T1", "Name")
-        model.emission = LinearEmissionModel(np.zeros((2, 4)), np.zeros(2))
+        model.emission = LinearEmissionModel(np.zeros((4, 2)), np.zeros(2))
         save_model(model, path)
         with pytest.raises(ModelFormatError, match="vocabulary"):
             load_model(path)

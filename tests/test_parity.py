@@ -73,3 +73,13 @@ def test_different_records_alone_fail(tmp_path):
             stem.with_suffix(".json").write_text(json.dumps(record))
             np.savez(stem.with_suffix(".npz"), w=np.zeros(2))
     assert parity.compare(tmp_path / "base", tmp_path / "head", ["extension"], [0]) == 1
+
+
+def test_transposed_parameters_are_compared_with_the_transpose(tmp_path):
+    base = np.arange(6.0).reshape(2, 3)
+    np.savez(tmp_path / "base.npz", w=base, b=np.zeros(3), v=np.zeros((2, 2)))
+    np.savez(tmp_path / "head.npz", w=base.T + 0.5 * (base.T > 2), b=np.zeros(3),
+             v=np.zeros((2, 2)))
+    assert parity._max_diff(tmp_path / "base.npz", tmp_path / "head.npz") == 0.5
+    np.savez(tmp_path / "head.npz", w=base.T, b=np.zeros(3), v=np.zeros((4, 1)))
+    assert parity._max_diff(tmp_path / "base.npz", tmp_path / "head.npz") == np.inf
